@@ -37,9 +37,6 @@ from .estimator import (
     SketchModel,
     SyntheticFeatures,
     TrainConfig,
-    fit_target,
-    estimate,
-    learn_and_estimate,
     loss_value,
     regularization_lambda,
     sample_prior,
@@ -63,7 +60,6 @@ from .reweighting import (
     GdConfig,
     LogisticModel,
     WeightedSamples,
-    compute_weights,
     fit_logistic_from_sketch,
     fit_weighted,
 )

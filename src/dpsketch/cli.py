@@ -36,8 +36,10 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+def _default_seed(fallback=0):
+    """DPSKETCH_SEED as an int, or fallback when it is unset."""
+    value = os.environ.get(SEED_ENV_VAR)
+    return fallback if value is None else int(value)
 
 
 def _parse_epsilon(text: str) -> float:
@@ -105,7 +107,8 @@ def _load_schema(path, header):
         raise CliError(f"{path}: {err}")
 
 
-def _read_config_file(path) -> dict:
+def _read_key_values(path, allowed_keys) -> dict:
+    """Read a key=value file (blank lines and # comments skipped)."""
     values = {}
     try:
         with open(path) as fh:
@@ -117,7 +120,7 @@ def _read_config_file(path) -> dict:
                     raise CliError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in SKETCH_CONFIG_KEYS:
+                if key not in allowed_keys:
                     raise CliError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = value.strip()
     except OSError as err:
@@ -139,7 +142,7 @@ def cmd_sketch(args) -> int:
     from .feature_maps import FeatureMapError, build_hist, build_race, build_rff
     from .sketch import DEFAULT_SPLIT, save_sketch, privatize, sketch_exact
 
-    config = _read_config_file(args.config) if args.config else {}
+    config = _read_key_values(args.config, SKETCH_CONFIG_KEYS) if args.config else {}
 
     def opt(name, flag_value, cast, default):
         if flag_value is not None:
@@ -187,7 +190,8 @@ def cmd_sketch(args) -> int:
 
     epsilon = _parse_epsilon(opt("epsilon", args.epsilon, str, "inf"))
     split = opt("split", args.split, float, DEFAULT_SPLIT)
-    noise_seed = opt("noise_seed", args.noise_seed, int, _default_seed())
+    # without an explicit seed the noise comes from OS entropy
+    noise_seed = opt("noise_seed", args.noise_seed, int, _default_seed(None))
 
     try:
         exact = sketch_exact(spec, data)
@@ -226,20 +230,21 @@ def _load_sketch_file(path):
         raise CliError(f"{path}: {err}")
 
 
-def _train_config(args, spec):
+def _train_config(args, domain=None):
     from .estimator import TrainConfig
 
     return TrainConfig(
         n_synth=args.n_synth,
         extra_reg=args.extra_reg,
         seed=args.synth_seed if args.synth_seed is not None else _default_seed(),
+        domain=domain,
     )
 
 
 def cmd_estimate(args) -> int:
     import numpy as np
 
-    from .estimator import SyntheticFeatures, learn_and_estimate
+    from .estimator import SyntheticFeatures
     from .metrics import emd_1d, mre
     from .targets import TargetError, estimate_cdf, estimate_covariance, parse_target
 
@@ -253,12 +258,11 @@ def cmd_estimate(args) -> int:
     if args.truth:
         truth_data, _ = _read_csv_dataset(args.truth)
 
-    config = _train_config(args, spec)
-    features = SyntheticFeatures(spec, config)
+    features = SyntheticFeatures(spec, _train_config(args))
     writer = _out_writer()
 
     if kind in ("moment", "count"):
-        value = learn_and_estimate(spec, sketch, payload, features=features)
+        value = float(features.estimate(sketch, [payload])[0])
         row = [args.target.strip(), repr(value)]
         header = ["target", "estimate"]
         if truth_data is not None:
@@ -331,8 +335,7 @@ def cmd_query_batch(args) -> int:
     if args.truth:
         truth_data, _ = _read_csv_dataset(args.truth)
 
-    config = _train_config(args, spec)
-    features = SyntheticFeatures(spec, config)
+    features = SyntheticFeatures(spec, _train_config(args))
     try:
         answers = answer_queries(spec, sketch, queries, features=features)
     except TargetError as err:
@@ -353,7 +356,7 @@ def cmd_query_batch(args) -> int:
 
 def cmd_fit_logreg(args) -> int:
     from .domain import BINARY
-    from .estimator import SyntheticFeatures, TrainConfig
+    from .estimator import SyntheticFeatures
     from .reweighting import GdConfig, evaluate_auc, fit_logistic_from_sketch
 
     sketch, spec, _doc = _load_sketch_file(args.sketch)
@@ -375,11 +378,7 @@ def cmd_fit_logreg(args) -> int:
         except Exception as err:
             raise CliError(f"last attribute cannot be a binary label: {err}")
 
-    config = TrainConfig(
-        n_synth=args.n_synth, extra_reg=args.extra_reg,
-        seed=args.synth_seed if args.synth_seed is not None else _default_seed(),
-        domain=domain,
-    )
+    config = _train_config(args, domain)
     features = SyntheticFeatures(spec, config)
     gd = GdConfig(step=args.step, iters=args.iters, seed=_default_seed())
     model = fit_logistic_from_sketch(spec, sketch, features=features, gd=gd)
@@ -443,23 +442,7 @@ PLAN_KEYS = {
 def _read_plan(path):
     from .harness import ExperimentPlan
 
-    values = {}
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise CliError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in PLAN_KEYS:
-                    raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = value.strip()
-    except OSError as err:
-        raise CliError(str(err), EXIT_IO)
-
+    values = _read_key_values(path, PLAN_KEYS)
     kwargs = {}
     if "dataset" in values:
         kwargs["dataset"] = values["dataset"]
@@ -527,7 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default=None)
     p.add_argument("--split", type=float, default=None)
     p.add_argument("--map-seed", type=int, default=None)
-    p.add_argument("--noise-seed", type=int, default=None)
+    p.add_argument("--noise-seed", type=int, default=None,
+                   help="seed of the privacy noise (default: DPSKETCH_SEED "
+                        "if set, else fresh OS entropy)")
     p.add_argument("--schema", default=None)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--config", default=None)

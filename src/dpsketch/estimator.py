@@ -6,7 +6,9 @@ regression on synthetic samples drawn from a prior (uniform on the
 domain by default).  Because sketching is linear, the inner product of
 the fitted coefficients with the normalized sketch then estimates the
 dataset average of f, and any number of targets can be answered from one
-sketch.
+sketch.  By the same linearity that estimate is a weighted sum of f over
+the synthetic samples, with weights solved for once per sketch; that is
+how every target is answered.
 """
 
 from __future__ import annotations
@@ -29,17 +31,12 @@ COND_WARN_THRESHOLD = 1e12
 
 @dataclass
 class TrainConfig:
-    """Knobs of the synthetic-sample ridge fit.
-
-    prior, when given, is a callable (n, rng) -> (n, d) array replacing
-    the default uniform/fair-coin sampler of the domain.
-    """
+    """Knobs of the synthetic-sample ridge fit."""
 
     n_synth: int = 100_000
     extra_reg: float = 1.0
     seed: object = 0
     domain: Domain | None = None
-    prior: object = None
 
     def __post_init__(self):
         if self.n_synth < 1:
@@ -108,51 +105,48 @@ def _evaluate_target(f, points: np.ndarray) -> np.ndarray:
 
 
 class SyntheticFeatures:
-    """Synthetic prior samples with cached embeddings and Gram factorizations.
+    """Synthetic prior samples with their embedding, Gram matrix and factor.
 
-    Building the Gram matrix dominates the cost of a fit; this cache lets
-    many targets (and many sketches of the same spec) share one sample
-    set, one Gram matrix, and one factorization per distinct ridge
-    penalty.  Samples are drawn deterministically from the config seed.
+    The single estimation object: the ridge estimate <fit(f), sketch> of
+    any target f equals w @ f(points) for per-sample weights w that depend
+    only on the sketch and the penalty, so one solve per sketch answers
+    every target.  The Gram matrix is built once, and the factorization of
+    the last penalty is kept, so many targets and many sketches share one
+    sample set.  Samples are drawn deterministically from the config seed.
     """
 
     def __init__(self, spec: FeatureMap, config: TrainConfig | None = None):
-        self.spec = spec
-        self.config = config or TrainConfig()
-        domain = self.config.domain or spec.domain
+        config = config or TrainConfig()
+        domain = config.domain or spec.domain
         if domain.d != spec.d:
             raise ValueError("domain dimension does not match the feature map")
-        self.domain = domain
-        rng = np.random.default_rng(self.config.seed)
-        if self.config.prior is not None:
-            self.points = np.asarray(self.config.prior(self.config.n_synth, rng),
-                                     dtype=float)
-        else:
-            self.points = domain.sample(self.config.n_synth, rng)
-        if self.points.shape[0] < spec.m:
-            warnings.warn(
-                f"n_synth={self.points.shape[0]} is below the sketch size "
-                f"m={spec.m}; the fit may overfit the synthetic samples",
-                stacklevel=2,
-            )
-        self._enc = spec.encode_batch(self.points)
-        self._gram = None
-        self._factors: dict[float, object] = {}
-        self._target_cache: dict[object, np.ndarray] = {}
+        points = domain.sample(config.n_synth, np.random.default_rng(config.seed))
+        self._setup(spec, config, domain, points)
 
     @classmethod
     def from_points(cls, spec: FeatureMap, points) -> "SyntheticFeatures":
         """Wrap pre-drawn synthetic points instead of sampling the prior."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
         self = cls.__new__(cls)
-        self.spec = spec
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.config = TrainConfig(n_synth=self.points.shape[0])
-        self.domain = spec.domain
-        self._enc = spec.encode_batch(self.points)
-        self._gram = None
-        self._factors = {}
-        self._target_cache = {}
+        self._setup(spec, TrainConfig(n_synth=points.shape[0]), spec.domain,
+                    points)
         return self
+
+    def _setup(self, spec: FeatureMap, config: TrainConfig, domain: Domain,
+               points: np.ndarray) -> None:
+        self.spec = spec
+        self.config = config
+        self.domain = domain
+        self.points = points
+        if points.shape[0] < spec.m:
+            warnings.warn(
+                f"n_synth={points.shape[0]} is below the sketch size "
+                f"m={spec.m}; the fit may overfit the synthetic samples",
+                stacklevel=3,
+            )
+        self._enc = spec.encode_batch(points)
+        self._gram = None
+        self._factor = None  # (lam, factorization) of the last penalty
 
     @property
     def n(self) -> int:
@@ -163,15 +157,6 @@ class SyntheticFeatures:
             self._gram = self.spec.gram(self._enc)
         return self._gram
 
-    def target_values(self, f) -> np.ndarray:
-        key = f if _hashable(f) else None
-        if key is not None and key in self._target_cache:
-            return self._target_cache[key]
-        values = _evaluate_target(f, self.points)
-        if key is not None:
-            self._target_cache[key] = values
-        return values
-
     def dot_targets(self, F) -> np.ndarray:
         return self.spec.dot_targets(self._enc, F)
 
@@ -181,23 +166,19 @@ class SyntheticFeatures:
     def solve(self, rhs: np.ndarray, lam: float) -> np.ndarray:
         """Solve (Gram + lam I) x = rhs with a cached SPD factorization.
 
-        Falls back to a jittered factorization and finally to a
-        rank-revealing least-squares solve if the matrix is numerically
-        indefinite.
+        Only the last penalty's factor is kept: every estimate from one
+        sketch uses one penalty, so a sweep over sketches holds one m x m
+        factor, not one per sketch.  Falls back to a jittered factorization
+        and finally to a rank-revealing least-squares solve if the matrix
+        is numerically indefinite.
         """
-        factor = self._factors.get(lam)
-        if factor is None:
-            factor = self._factorize(lam)
-            # keep only a handful of factorizations; sweeps over many
-            # distinct penalties would otherwise hold one m x m factor each
-            while len(self._factors) >= 8:
-                self._factors.pop(next(iter(self._factors)))
-            self._factors[lam] = factor
-        kind, data = factor
+        if self._factor is None or self._factor[0] != lam:
+            self._factor = None  # release the old factor before building anew
+            self._factor = (lam, self._factorize(lam))
+        kind, data = self._factor[1]
         if kind == "cho":
             return scipy.linalg.cho_solve(data, rhs)
-        A = data
-        return np.linalg.lstsq(A, rhs, rcond=None)[0]
+        return np.linalg.lstsq(data, rhs, rcond=None)[0]
 
     def _factorize(self, lam: float):
         G = self.gram()
@@ -208,15 +189,13 @@ class SyntheticFeatures:
             return ("cho", c)
         except np.linalg.LinAlgError:
             pass
-        except scipy.linalg.LinAlgError:
-            pass
         jitter = 1e-10 * np.trace(G) / G.shape[0]
         try:
             c = scipy.linalg.cho_factor(A + jitter * np.eye(G.shape[0]),
                                         lower=True, check_finite=False)
             self._warn_condition(c[0])
             return ("cho", c)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             return ("lstsq", A)
 
     @staticmethod
@@ -229,11 +208,50 @@ class SyntheticFeatures:
                 stacklevel=3,
             )
 
+    def weights(self, sketch: PrivateSketch, lam: float) -> np.ndarray:
+        """Per-sample weights w with w @ f(points) = <fit(f, lam).coef, sketch>.
+
+        One solve against the cached factor, then an inner product per
+        sample.  The weights do not depend on the target: compute them
+        once per sketch, reuse them for any target or loss.
+        """
+        if sketch.spec_id != self.spec.spec_id:
+            raise SketchError("sketch was built with a different feature map")
+        if lam <= 0:
+            raise ValueError("lambda must be positive for the weight computation")
+        return self.apply(self.solve(sketch.normalized, lam)) / self.n
+
+    def weighted_sums(self, w: np.ndarray, targets) -> np.ndarray:
+        """w @ f(points) for each target f.
+
+        Targets are evaluated one at a time, so no (n_synth, targets)
+        matrix is built, and each sum runs through einsum, whose order does
+        not depend on the BLAS thread count.
+        """
+        return np.array([np.einsum("i,i->", w, _evaluate_target(f, self.points))
+                         for f in targets], dtype=float)
+
+    def penalty(self, sketch: PrivateSketch) -> float:
+        """The sketch's ridge penalty: regularization_lambda of its privacy
+        budget and noisy count, scaled by the config's extra_reg."""
+        return regularization_lambda(self.spec, sketch.epsilon_num,
+                                     sketch.noisy_count, self.config.extra_reg)
+
+    def estimate(self, sketch: PrivateSketch, targets) -> np.ndarray:
+        """Estimated dataset averages of the targets, one per target, from
+        one weight solve at the sketch's own penalty."""
+        return self.weighted_sums(self.weights(sketch, self.penalty(sketch)),
+                                  targets)
+
     def fit(self, f, lam: float) -> SketchModel:
-        """Ridge-fit coefficients so that <coef, Phi(x)> approximates f(x)."""
+        """Ridge-fit coefficients so that <coef, Phi(x)> approximates f(x).
+
+        The reference path: estimates come from weights; the coefficients
+        are for diagnostics and for checking the weights against.
+        """
         if lam < 0:
             raise ValueError("lambda must be nonnegative")
-        F = self.target_values(f)
+        F = _evaluate_target(f, self.points)
         rhs = self.dot_targets(F)
         coef = self.solve(rhs, lam)
         residual = self.apply(coef) - F
@@ -246,31 +264,6 @@ class SyntheticFeatures:
         return SketchModel(coef, lam, self.spec.spec_id, diagnostics)
 
 
-def _hashable(obj) -> bool:
-    try:
-        hash(obj)
-        return True
-    except TypeError:
-        return False
-
-
-def fit_target(spec: FeatureMap, f, synth, lam: float) -> SketchModel:
-    """One-shot ridge fit of a target on given synthetic points.
-
-    synth may be a SyntheticFeatures cache or a raw (n, d) array of points.
-    """
-    if not isinstance(synth, SyntheticFeatures):
-        synth = SyntheticFeatures.from_points(spec, synth)
-    return synth.fit(f, lam)
-
-
-def estimate(model: SketchModel, sketch: PrivateSketch) -> float:
-    """Inner product of fitted coefficients with the normalized sketch."""
-    if model.spec_id != sketch.spec_id:
-        raise SketchError("model and sketch were built for different feature maps")
-    return float(model.coef @ sketch.normalized)
-
-
 def loss_value(spec: FeatureMap, a: np.ndarray, f, samples, lam: float) -> float:
     """The regularized squared-error objective at coefficients a."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -279,26 +272,3 @@ def loss_value(spec: FeatureMap, a: np.ndarray, f, samples, lam: float) -> float
     pred = spec.apply(spec.encode_batch(samples), a)
     r = F - pred
     return float(r @ r / samples.shape[0] + lam * a @ a)
-
-
-def learn_and_estimate(spec: FeatureMap, sketch: PrivateSketch, f,
-                       config: TrainConfig | None = None,
-                       features: SyntheticFeatures | None = None,
-                       return_model: bool = False):
-    """Full pipeline: sample the prior, pick lambda, fit, query the sketch.
-
-    A prebuilt SyntheticFeatures cache may be passed to amortize the Gram
-    computation across targets; it must match the spec and config.
-    """
-    if sketch.spec_id != spec.spec_id:
-        raise SketchError("sketch was built with a different feature map")
-    if features is None:
-        features = SyntheticFeatures(spec, config)
-    cfg = features.config
-    lam = regularization_lambda(spec, sketch.epsilon_num, sketch.noisy_count,
-                                cfg.extra_reg)
-    model = features.fit(f, lam)
-    value = estimate(model, sketch)
-    if return_model:
-        return value, model
-    return value

@@ -261,7 +261,7 @@ class RffMap(FeatureMap):
         return np.concatenate([np.cos(Z), np.sin(Z)], axis=1)
 
     def sensitivity_l1(self) -> float:
-        return self.m_half * np.sqrt(2.0)
+        return float(self.m_half * np.sqrt(2.0))
 
     def kernel_scale(self) -> float:
         return float(self.m_half)

@@ -11,22 +11,20 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .domain import BINARY, CONTINUOUS, Domain
-from .estimator import SyntheticFeatures, TrainConfig, learn_and_estimate
+from .estimator import SyntheticFeatures, TrainConfig
 from .feature_maps import FeatureMap, build_hist, build_race, build_rff
 from .metrics import emd_1d, frobenius, mae, mre
 from .reweighting import GdConfig, evaluate_auc, fit_logistic_from_sketch
 from .sketch import privatize, sketch_exact
 from .targets import (
     BoxIndicator,
-    CdfThreshold,
     Moment,
     Predicate,
-    default_thresholds,
     estimate_cdf,
     estimate_covariance,
 )
@@ -61,13 +59,8 @@ class ExperimentPlan:
 
     def quick(self) -> "ExperimentPlan":
         """CI-scale variant: fewer synthetic samples and repetitions."""
-        return ExperimentPlan(
-            dataset=self.dataset, n=self.n, d=self.d, sketches=self.sketches,
-            epsilons=self.epsilons, repetitions=min(self.repetitions, 10),
-            tasks=self.tasks, n_synth=min(self.n_synth, 20_000),
-            n_queries=self.n_queries, extra_reg=self.extra_reg, seed=self.seed,
-            sketch_params=self.sketch_params,
-        )
+        return replace(self, repetitions=min(self.repetitions, 10),
+                       n_synth=min(self.n_synth, 20_000))
 
 
 def gen_random10(n: int, d: int, seed) -> np.ndarray:
@@ -182,16 +175,12 @@ def _truths(data: np.ndarray, domain: Domain, tasks, queries) -> dict:
 def _run_cell_tasks(spec, sketch, features, tasks, truth, domain, queries):
     """Yield (task, metric, value) rows for one (sketch, epsilon, rep) cell."""
     d = domain.d
-    if "mean" in tasks:
-        errs = [mre(learn_and_estimate(spec, sketch, Moment(j, 1),
-                                       features=features),
-                    truth["mean"][j - 1]) for j in range(1, d + 1)]
-        yield "mean", "mre", float(np.mean(errs))
-    if "moment2" in tasks:
-        errs = [mre(learn_and_estimate(spec, sketch, Moment(j, 2),
-                                       features=features),
-                    truth["moment2"][j - 1]) for j in range(1, d + 1)]
-        yield "moment2", "mre", float(np.mean(errs))
+    for task, power in (("mean", 1), ("moment2", 2)):
+        if task in tasks:
+            est = features.estimate(sketch, [Moment(j, power)
+                                             for j in range(1, d + 1)])
+            errs = [mre(e, t) for e, t in zip(est, truth[task])]
+            yield task, "mre", float(np.mean(errs))
     if "cdf" in tasks:
         errs = []
         for j in range(1, d + 1):
@@ -202,10 +191,7 @@ def _run_cell_tasks(spec, sketch, features, tasks, truth, domain, queries):
         est = estimate_covariance(spec, sketch, features=features)
         yield "cov", "frobenius", frobenius(est, truth["cov"])
     if "queries" in tasks:
-        raw = np.array([
-            learn_and_estimate(spec, sketch, q, features=features)
-            for q in queries
-        ])
+        raw = features.estimate(sketch, queries)
         yield "queries", "mae", mae(np.clip(raw, 0.0, 1.0), truth["queries"])
 
 

@@ -16,14 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import BINARY
-from .estimator import (
-    SyntheticFeatures,
-    TrainConfig,
-    regularization_lambda,
-)
+from .estimator import SyntheticFeatures, TrainConfig
 from .feature_maps import FeatureMap
 from .metrics import auc
-from .sketch import PrivateSketch, SketchError
+from .sketch import PrivateSketch
 
 
 class FitDivergenceError(RuntimeError):
@@ -67,25 +63,6 @@ class LogisticModel:
     def scores(self, Xbar) -> np.ndarray:
         Xbar = np.atleast_2d(np.asarray(Xbar, dtype=float))
         return Xbar @ self.theta + self.intercept
-
-
-def compute_weights(spec: FeatureMap, sketch: PrivateSketch,
-                    synth, lam: float) -> WeightedSamples:
-    """Per-sample weights such that sum_i w_i L(x_i) = <fit(L), sketch>.
-
-    One SPD solve against the Gram matrix (shared factorization), then an
-    inner product per sample.  The weights are loss-independent: compute
-    once, reuse for any objective and any parameter value.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive for the weight computation")
-    if not isinstance(synth, SyntheticFeatures):
-        synth = SyntheticFeatures.from_points(spec, synth)
-    if sketch.spec_id != spec.spec_id:
-        raise SketchError("sketch was built with a different feature map")
-    v = synth.solve(sketch.normalized, lam)
-    weights = synth.apply(v) / synth.n
-    return WeightedSamples(synth.points, weights)
 
 
 def fit_weighted(weighted: WeightedSamples, loss_and_grad, theta0,
@@ -171,11 +148,8 @@ def fit_logistic_from_sketch(spec: FeatureMap, sketch: PrivateSketch,
     domain = features.domain
     if domain.kinds[-1] != BINARY:
         raise ValueError("the domain's last attribute must be the binary label")
-    lam = regularization_lambda(spec, sketch.epsilon_num, sketch.noisy_count,
-                                features.config.extra_reg)
-    if lam <= 0:
-        lam = 1e-9
-    weighted = compute_weights(spec, sketch, features, lam)
+    lam = features.penalty(sketch)
+    weighted = WeightedSamples(features.points, features.weights(sketch, lam))
     p = spec.d  # d-1 feature coefficients plus intercept
     rng = np.random.default_rng(gd.seed)
     best = None

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class PrivateSketch:
     epsilon_num: float
     epsilon_den: float
     spec_id: str
-    noise_seed: object = field(default=None, compare=False)
 
     @property
     def epsilon(self) -> float:
@@ -76,8 +75,6 @@ class PrivateSketch:
             if spec.spec_id != self.spec_id:
                 raise SketchError("spec does not match this sketch's spec_id")
             doc["spec"] = spec.to_dict()
-        if self.noise_seed is not None:
-            doc["rng_seed_of_noise"] = self.noise_seed
         if created_at is not None:
             doc["created_at"] = created_at
         return doc
@@ -120,6 +117,8 @@ def privatize(exact: ExactSketch, spec: FeatureMap, epsilon: float,
     epsilon = inf publishes the exact values with zero noise (both budget
     shares recorded as inf).  Otherwise the sum gets per-entry noise of
     scale sensitivity/eps_num and the count gets scale 1/eps_den.
+    seed=None draws the noise from OS entropy.  The seed is not kept in
+    the sketch: whoever knows it can subtract the noise.
     """
     if not (0.0 < split_num < 1.0):
         raise SketchError("split_num must lie strictly between 0 and 1")
@@ -136,7 +135,7 @@ def privatize(exact: ExactSketch, spec: FeatureMap, epsilon: float,
     noisy_sum = exact.sum_features + _laplace_vector(sum_scale, spec.m, rng)
     noisy_count = exact.count + sample_laplace(count_scale, rng)
     return PrivateSketch(noisy_sum, noisy_count, eps_num, eps_den,
-                         spec.spec_id, noise_seed=seed)
+                         spec.spec_id)
 
 
 def merge(a: PrivateSketch, b: PrivateSketch) -> PrivateSketch:
@@ -151,19 +150,6 @@ def merge(a: PrivateSketch, b: PrivateSketch) -> PrivateSketch:
 
 
 # -- file format ----------------------------------------------------------
-
-
-def _json_default(obj):
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    raise TypeError(type(obj))
-
-
-def dumps_sketch(sketch: PrivateSketch, spec: FeatureMap,
-                 created_at=None) -> str:
-    doc = sketch.to_dict(spec, created_at=created_at)
-    doc = _encode_inf(doc)
-    return json.dumps(doc, sort_keys=True, indent=1)
 
 
 def _encode_inf(obj):
@@ -201,6 +187,11 @@ def load_sketch(path) -> tuple[PrivateSketch, FeatureMap, dict]:
 
 
 def sketch_from_dict(doc: dict) -> tuple[PrivateSketch, FeatureMap]:
+    """Rebuild a sketch and its feature map from a file document.
+
+    Files written before the noise seed was dropped from the format may
+    still carry it under "rng_seed_of_noise"; the key is ignored.
+    """
     if doc.get("version") != SKETCH_FILE_VERSION:
         raise SketchError(
             f"unsupported sketch file version {doc.get('version')!r}"
@@ -208,13 +199,18 @@ def sketch_from_dict(doc: dict) -> tuple[PrivateSketch, FeatureMap]:
     if "spec" not in doc:
         raise SketchError("sketch file does not embed its feature-map spec")
     spec = feature_map_from_dict(doc["spec"])
+    try:
+        noisy_sum = np.asarray(doc["noisy_sum"], dtype=float)
+    except (TypeError, ValueError):  # ragged or non-numeric entries
+        noisy_sum = None
+    if noisy_sum is None or noisy_sum.shape != (spec.m,):
+        raise SketchError(f"noisy_sum must be a list of {spec.m} numbers")
     sketch = PrivateSketch(
-        np.asarray(doc["noisy_sum"], dtype=float),
+        noisy_sum,
         float(doc["noisy_count"]),
         _decode_eps(doc["epsilon_num"]),
         _decode_eps(doc["epsilon_den"]),
         doc["spec_id"],
-        noise_seed=doc.get("rng_seed_of_noise"),
     )
     if spec.spec_id != sketch.spec_id:
         raise SketchError("embedded spec hash does not match spec_id")

@@ -5,9 +5,9 @@ attribute moments, box-membership indicators (counting queries), CDF
 thresholds, centered cross products, or arbitrary callables.  Attribute
 numbers are 1-based, matching the CLI grammar (x1 is the first column).
 
-Pipelines built on top of single-target estimation: per-attribute CDF
-vectors, the covariance matrix (via plug-in first moments), and batched
-counting queries sharing one synthetic-feature cache.
+Pipelines built on SyntheticFeatures.estimate, one weight solve per
+sketch for all their targets: per-attribute CDF vectors, the covariance
+matrix (via plug-in first moments), and batched counting queries.
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import (
-    SyntheticFeatures,
-    TrainConfig,
-    learn_and_estimate,
-)
+from .estimator import SyntheticFeatures, TrainConfig
 from .feature_maps import FeatureMap
 from .sketch import PrivateSketch
 
@@ -270,11 +266,8 @@ def estimate_cdf(spec: FeatureMap, sketch: PrivateSketch, attr: int,
         raise TargetError("thresholds must be sorted ascending")
     if features is None:
         features = SyntheticFeatures(spec, config)
-    raw = np.array([
-        learn_and_estimate(spec, sketch, CdfThreshold(attr, float(s)),
-                           features=features)
-        for s in thresholds
-    ])
+    raw = features.estimate(sketch, [CdfThreshold(attr, float(s))
+                                     for s in thresholds])
     return CdfEstimate(thresholds, np.clip(raw, 0.0, 1.0), raw)
 
 
@@ -289,20 +282,17 @@ def estimate_covariance(spec: FeatureMap, sketch: PrivateSketch,
     if features is None:
         features = SyntheticFeatures(spec, config)
     d = spec.d
-    means = np.array([
-        learn_and_estimate(spec, sketch, Moment(j, 1), features=features)
-        for j in range(1, d + 1)
+    w = features.weights(sketch, features.penalty(sketch))  # both passes
+    means = features.weighted_sums(w, [Moment(j, 1) for j in range(1, d + 1)])
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    values = features.weighted_sums(w, [
+        CenteredProduct(i + 1, j + 1, float(means[i]), float(means[j]))
+        for i, j in pairs
     ])
     cov = np.empty((d, d))
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            value = learn_and_estimate(
-                spec, sketch,
-                CenteredProduct(i, j, float(means[i - 1]), float(means[j - 1])),
-                features=features,
-            )
-            cov[i - 1, j - 1] = value
-            cov[j - 1, i - 1] = value
+    for (i, j), value in zip(pairs, values):
+        cov[i, j] = value
+        cov[j, i] = value
     return cov
 
 
@@ -333,9 +323,7 @@ def answer_queries(spec: FeatureMap, sketch: PrivateSketch, queries,
                 )
     if features is None:
         features = SyntheticFeatures(spec, config)
-    raw = np.array([
-        learn_and_estimate(spec, sketch, q, features=features) for q in queries
-    ])
+    raw = features.estimate(sketch, queries)
     fractions = np.clip(raw, 0.0, 1.0)
     counts = fractions * max(sketch.noisy_count, 1.0)
     return QueryAnswers(fractions, raw, counts)

@@ -22,9 +22,7 @@ from dpsketch import (
     build_hist,
     build_race,
     build_rff,
-    compute_weights,
     kernel_estimate,
-    learn_and_estimate,
     mre,
     privatize,
     sketch_exact,
@@ -57,9 +55,8 @@ def _table1_mre(kind, eps, n_trials=100):
         X = gen_random10(n, d, (11, t))
         sk = privatize(sketch_exact(spec, X), spec, eps, seed=(12, t))
         errs = [
-            mre(learn_and_estimate(spec, sk, mom, features=feats),
-                X[:, j].mean())
-            for j, mom in enumerate(moments)
+            mre(est, X[:, j].mean())
+            for j, est in enumerate(feats.estimate(sk, moments))
         ]
         trial_means.append(np.mean(errs))
     return float(np.mean(trial_means))
@@ -227,11 +224,11 @@ def test_criterion_6_duality():
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=2)
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=2000, seed=3))
         lam = 0.1
-        weighted = compute_weights(spec, sk, feats, lam)
+        w = feats.weights(sk, lam)
         for t in range(10):
             L = np.random.default_rng((7, t)).uniform(-1, 1, size=feats.n)
             model = feats.fit(lambda _, L=L: L, lam)
-            lhs = float(weighted.weights @ L)
+            lhs = float(w @ L)
             rhs = float(model.coef @ sk.normalized)
             rel = abs(lhs - rhs) / max(abs(rhs), 1e-12)
             worst = max(worst, rel)

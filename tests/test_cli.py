@@ -385,3 +385,49 @@ class TestSeedEnvVar:
             run_cli(capsys, "sketch", str(path), "--out", str(out),
                     "--map", "hist", "--bins", "5", "--epsilon", "1.0")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_default_noise_is_fresh_and_unpublished(self, tmp_path, dataset,
+                                                    capsys, monkeypatch):
+        path, _ = dataset
+        monkeypatch.delenv("DPSKETCH_SEED", raising=False)
+        docs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            code, _, _ = run_cli(capsys, "sketch", str(path), "--out",
+                                 str(out), "--map", "hist", "--bins", "5",
+                                 "--epsilon", "1.0")
+            assert code == 0
+            docs.append(json.loads(out.read_text()))
+        assert docs[0]["noisy_sum"] != docs[1]["noisy_sum"]
+        assert not [key for doc in docs for key in doc if "seed" in key]
+
+
+class TestRffOutput:
+    def test_sketch_and_inspect_rows_are_plain_floats(self, tmp_path, dataset,
+                                                      capsys):
+        path, _ = dataset
+        out = tmp_path / "s.json"
+        code, stdout, _ = run_cli(
+            capsys, "sketch", str(path), "--out", str(out), "--map", "rff",
+            "--m", "20", "--epsilon", "1.0", "--noise-seed", "3")
+        assert code == 0
+        for value in parse_csv(stdout)[1]:
+            float(value)
+        code, stdout, _ = run_cli(capsys, "inspect", str(out))
+        assert code == 0
+        fields = dict(parse_csv(stdout)[1:])
+        assert float(fields["sensitivity_l1"]) == pytest.approx(
+            10 * 2 ** 0.5)
+
+
+class TestTruncatedSketch:
+    def test_estimate_exits_2(self, tmp_path, hist_sketch, capsys):
+        out, _ = hist_sketch
+        doc = json.loads(out.read_text())
+        doc["noisy_sum"] = doc["noisy_sum"][:-1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, stderr = run_cli(capsys, "estimate", str(bad), "moment 1 1",
+                                  "--n-synth", "500")
+        assert code == 2
+        assert "noisy_sum" in stderr

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,7 @@ from dpsketch import (
     build_hist,
     build_race,
     build_rff,
-    estimate,
-    fit_target,
-    learn_and_estimate,
+    estimate_covariance,
     loss_value,
     privatize,
     regularization_lambda,
@@ -101,8 +100,8 @@ class TestFit:
     def test_recovers_single_component(self):
         spec = build_rff(3, 20, 1.0, seed=0)
         synth = sample_prior(Domain.unit(3), 2000, seed=1)
-        model = fit_target(spec, lambda X: spec.embed_batch(X)[:, 4],
-                           synth, 1e-9)
+        model = SyntheticFeatures.from_points(spec, synth).fit(
+            lambda X: spec.embed_batch(X)[:, 4], 1e-9)
         expected = np.zeros(20)
         expected[4] = 1.0
         np.testing.assert_allclose(model.coef, expected, atol=2e-4)
@@ -110,15 +109,16 @@ class TestFit:
     def test_zero_target_gives_zero_coefficients(self):
         spec = build_hist(Domain.unit(2), 5)
         synth = sample_prior(Domain.unit(2), 500, seed=2)
-        model = fit_target(spec, lambda X: np.zeros(X.shape[0]), synth, 0.5)
+        model = SyntheticFeatures.from_points(spec, synth).fit(
+            lambda X: np.zeros(X.shape[0]), 0.5)
         np.testing.assert_array_equal(model.coef, np.zeros(10))
 
     def test_span_member_has_tiny_residual(self):
         spec = build_hist(Domain.unit(2), 4)
         synth = sample_prior(Domain.unit(2), 4000, seed=3)
         # indicator of x1 <= 0.5 is the sum of the first two bins
-        model = fit_target(spec, lambda X: (X[:, 0] <= 0.5).astype(float),
-                           synth, 1e-9)
+        model = SyntheticFeatures.from_points(spec, synth).fit(
+            lambda X: (X[:, 0] <= 0.5).astype(float), 1e-9)
         assert model.diagnostics["residual_norm"] < 1e-6
 
     def test_normal_equations_hold(self):
@@ -127,7 +127,7 @@ class TestFit:
         lam = 0.01
         model = feats.fit(Moment(1, 2), lam)
         G = feats.gram()
-        rhs = feats.dot_targets(feats.target_values(Moment(1, 2)))
+        rhs = feats.dot_targets(Moment(1, 2)(feats.points))
         lhs = (G + lam * np.eye(spec.m)) @ model.coef
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-10
 
@@ -142,7 +142,7 @@ class TestFit:
         spec = build_rff(2, 10, 1.0, seed=6)
         pts = sample_prior(Domain.unit(2), 500, seed=6)
         lam = 0.05
-        model = fit_target(spec, Moment(2, 1), pts, lam)
+        model = SyntheticFeatures.from_points(spec, pts).fit(Moment(2, 1), lam)
         best = loss_value(spec, model.coef, Moment(2, 1), pts, lam)
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -184,11 +184,9 @@ class TestEstimate:
         spec = build_hist(Domain.unit(2), 4)
         X = np.random.default_rng(1).uniform(size=(100, 2))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
-        from dpsketch import SketchModel
-        coef = np.zeros(8)
-        coef[2] = 1.0
-        model = SketchModel(coef, 0.0, spec.spec_id)
-        assert estimate(model, sk) == pytest.approx(sk.normalized[2])
+        feats = SyntheticFeatures(spec, TrainConfig(n_synth=2000, seed=0))
+        [est] = feats.estimate(sk, [lambda Z: spec.embed_batch(Z)[:, 2]])
+        assert est == pytest.approx(sk.normalized[2])
 
     def test_spec_mismatch_rejected(self):
         spec = build_hist(Domain.unit(2), 4)
@@ -196,9 +194,8 @@ class TestEstimate:
         X = np.random.default_rng(1).uniform(size=(10, 2))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         pts = sample_prior(Domain.unit(2), 200, seed=0)
-        model = fit_target(other, Moment(1, 1), pts, 1e-9)
         with pytest.raises(SketchError):
-            estimate(model, sk)
+            SyntheticFeatures.from_points(other, pts).estimate(sk, [Moment(1, 1)])
 
 
 class TestLearnAndEstimate:
@@ -207,7 +204,7 @@ class TestLearnAndEstimate:
         X = np.random.default_rng(2).uniform(size=(1000, 3))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         cfg = TrainConfig(n_synth=50_000, seed=0)
-        est = learn_and_estimate(spec, sk, Moment(1, 1), cfg)
+        [est] = SyntheticFeatures(spec, cfg).estimate(sk, [Moment(1, 1)])
         # HIST quantizes to bins of width 0.02 -> error ~ bin width / sqrt(12n)
         assert est == pytest.approx(X[:, 0].mean(), abs=2e-3)
 
@@ -219,20 +216,18 @@ class TestLearnAndEstimate:
         f = Moment(1, 1)
         g = Moment(2, 2)
         combo = lambda X: 2.0 * f(X) - 0.5 * g(X)
-        ef = learn_and_estimate(spec, sk, f, features=feats)
-        eg = learn_and_estimate(spec, sk, g, features=feats)
-        ec = learn_and_estimate(spec, sk, combo, features=feats)
+        ef, eg, ec = feats.estimate(sk, [f, g, combo])
         assert ec == pytest.approx(2.0 * ef - 0.5 * eg, abs=1e-10)
 
     def test_return_model_diagnostics(self):
         spec = build_hist(Domain.unit(2), 5)
         X = np.random.default_rng(4).uniform(size=(50, 2))
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=0)
-        value, model = learn_and_estimate(
-            spec, sk, Moment(1, 1), TrainConfig(n_synth=2000, seed=0),
-            return_model=True)
-        assert model.lam == pytest.approx(
-            regularization_lambda(spec, sk.epsilon_num, sk.noisy_count))
+        feats = SyntheticFeatures(spec, TrainConfig(n_synth=2000, seed=0))
+        [value] = feats.estimate(sk, [Moment(1, 1)])
+        model = feats.fit(Moment(1, 1), regularization_lambda(
+            spec, sk.epsilon_num, sk.noisy_count))
+        assert value == pytest.approx(model.coef @ sk.normalized, rel=1e-9)
         assert "train_loss" in model.diagnostics
 
     def test_noise_degrades_estimate_on_average(self):
@@ -241,10 +236,58 @@ class TestLearnAndEstimate:
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=10_000, seed=0))
         exact = sketch_exact(spec, X)
         truth = X[:, 0].mean()
-        err_inf = abs(learn_and_estimate(
-            spec, privatize(exact, spec, math.inf), Moment(1, 1),
-            features=feats) - truth)
-        errs = [abs(learn_and_estimate(
-            spec, privatize(exact, spec, 0.5, seed=s), Moment(1, 1),
-            features=feats) - truth) for s in range(20)]
+        err_inf = abs(feats.estimate(
+            privatize(exact, spec, math.inf), [Moment(1, 1)])[0] - truth)
+        errs = [abs(feats.estimate(
+            privatize(exact, spec, 0.5, seed=s), [Moment(1, 1)])[0] - truth)
+            for s in range(20)]
         assert np.mean(errs) > err_inf
+
+
+class TestWeightsPath:
+    @pytest.mark.parametrize("spec", [
+        build_hist(Domain.unit(3), 6),
+        build_rff(3, 40, 1.0, seed=11),
+        build_race(3, 6, 5, 0.3, seed=12),
+    ], ids=["hist", "rff", "race"])
+    def test_matches_per_target_fits(self, spec):
+        X = np.random.default_rng(13).uniform(size=(400, 3))
+        sk = privatize(sketch_exact(spec, X), spec, 2.0, seed=14)
+        feats = SyntheticFeatures(spec, TrainConfig(n_synth=3000, seed=15))
+        targets = [Moment(1, 1), Moment(2, 2),
+                   lambda Z: (Z[:, 0] <= 0.4) * Z[:, 2]]
+        lam = regularization_lambda(spec, sk.epsilon_num, sk.noisy_count)
+        expected = [feats.fit(f, lam).coef @ sk.normalized for f in targets]
+        np.testing.assert_allclose(feats.estimate(sk, targets), expected,
+                                   rtol=1e-9)
+
+    def test_sketch_of_another_spec_rejected(self):
+        spec = build_rff(2, 20, 1.0, seed=1)
+        other = build_rff(2, 20, 1.0, seed=2)
+        sk = privatize(sketch_exact(other, [[0.5, 0.5]]), other, 1.0, seed=3)
+        feats = SyntheticFeatures(spec, TrainConfig(n_synth=500, seed=4))
+        with pytest.raises(SketchError):
+            feats.estimate(sk, [Moment(1, 1)])
+        with pytest.raises(SketchError):
+            feats.weights(sk, 0.1)
+
+    def test_retained_memory_flat_in_number_of_sketches(self):
+        # Estimating from many sketches on one SyntheticFeatures must not
+        # keep per-sketch state (target values, factors) alive.
+        spec = build_hist(Domain.unit(10), 20)
+        exact = sketch_exact(
+            spec, np.random.default_rng(16).uniform(size=(2000, 10)))
+        feats = SyntheticFeatures(spec, TrainConfig(n_synth=20_000, seed=17))
+        tracemalloc.start()
+        try:
+            retained = []
+            for s in range(5):
+                sk = privatize(exact, spec, 1.0, seed=(18, s))
+                estimate_covariance(spec, sk, features=feats)
+                del sk
+                retained.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        # the first sketch builds the Gram matrix and the factor
+        growth = retained[-1] - retained[1]
+        assert growth < 256 * 1024, retained

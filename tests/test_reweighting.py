@@ -17,7 +17,6 @@ from dpsketch import (
     build_hist,
     build_race,
     build_rff,
-    compute_weights,
     fit_logistic_from_sketch,
     fit_weighted,
     privatize,
@@ -45,9 +44,10 @@ class TestComputeWeights:
         sk = PrivateSketch(np.array([3.0]), 2.0, math.inf, math.inf,
                            spec.spec_id)
         lam = 0.5
-        weighted = compute_weights(spec, sk, np.array([[0.2], [0.8]]), lam)
+        w = SyntheticFeatures.from_points(
+            spec, np.array([[0.2], [0.8]])).weights(sk, lam)
         s = 1.5  # normalized sketch 3.0 / 2
-        np.testing.assert_allclose(weighted.weights,
+        np.testing.assert_allclose(w,
                                    s / (2 * (1 + lam)), rtol=1e-12)
 
     def test_duality_identity(self):
@@ -60,11 +60,11 @@ class TestComputeWeights:
             sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=3)
             feats = SyntheticFeatures(spec, TrainConfig(n_synth=2000, seed=4))
             lam = 0.2
-            weighted = compute_weights(spec, sk, feats, lam)
+            w = feats.weights(sk, lam)
             for t in range(5):
                 L = np.random.default_rng(t).uniform(-1, 1, size=feats.n)
                 model = feats.fit(lambda _, L=L: L, lam)
-                lhs = float(weighted.weights @ L)
+                lhs = float(w @ L)
                 rhs = float(model.coef @ sk.normalized)
                 assert lhs == pytest.approx(rhs, abs=1e-8)
 
@@ -73,29 +73,31 @@ class TestComputeWeights:
         X = np.random.default_rng(1).uniform(size=(50, 2))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=500, seed=0))
-        w = compute_weights(spec, sk, feats, 1e12).weights
+        w = feats.weights(sk, 1e12)
         assert np.abs(w).max() < 1e-9
 
     def test_rejects_nonpositive_lambda(self):
         spec = build_hist(Domain.unit(2), 4)
         sk = privatize(sketch_exact(spec, [[0.5, 0.5]]), spec, math.inf)
         with pytest.raises(ValueError):
-            compute_weights(spec, sk, np.array([[0.5, 0.5]]), 0.0)
+            SyntheticFeatures.from_points(
+                spec, np.array([[0.5, 0.5]])).weights(sk, 0.0)
 
     def test_rejects_mismatched_sketch(self):
         spec = build_hist(Domain.unit(2), 4)
         other = build_hist(Domain.unit(2), 5)
         sk = privatize(sketch_exact(other, [[0.5, 0.5]]), other, math.inf)
         with pytest.raises(Exception):
-            compute_weights(spec, sk, np.array([[0.5, 0.5]]), 0.1)
+            SyntheticFeatures.from_points(
+                spec, np.array([[0.5, 0.5]])).weights(sk, 0.1)
 
     def test_weights_loss_independent(self):
         spec = build_rff(2, 20, 1.0, seed=5)
         X = np.random.default_rng(2).uniform(size=(100, 2))
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=6)
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=1000, seed=7))
-        a = compute_weights(spec, sk, feats, 0.3).weights
-        b = compute_weights(spec, sk, feats, 0.3).weights
+        a = feats.weights(sk, 0.3)
+        b = feats.weights(sk, 0.3)
         np.testing.assert_array_equal(a, b)
 
 

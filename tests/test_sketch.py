@@ -251,3 +251,30 @@ class TestFileFormat:
         path = tmp_path / "s.json"
         save_sketch(path, sk, hist2)
         assert "created_at" not in json.loads(path.read_text())
+
+    def test_noise_seed_not_written(self, tmp_path, hist2):
+        sk = privatize(sketch_exact(hist2, [[0.1, 0.9]]), hist2, 1.0, seed=5)
+        path = tmp_path / "s.json"
+        save_sketch(path, sk, hist2)
+        doc = json.loads(path.read_text())
+        assert not [key for key in doc if "seed" in key]
+
+    def test_old_file_with_noise_seed_loads(self, hist2):
+        sk = privatize(sketch_exact(hist2, [[0.1, 0.9]]), hist2, 1.0, seed=5)
+        doc = json.loads(json.dumps(sk.to_dict(hist2)))
+        doc["rng_seed_of_noise"] = 5
+        loaded, _ = sketch_from_dict(doc)
+        assert loaded.noisy_sum.tolist() == sk.noisy_sum.tolist()
+
+    @pytest.mark.parametrize("noisy_sum", [
+        [1.0, 2.0, 3.0],
+        [[1.0, 2.0], [3.0, 4.0]],
+        [[1.0, 2.0], 3.0, 4.0, 5.0],
+        ["x", 2.0, 3.0, 4.0],
+    ], ids=["truncated", "2-d", "ragged", "non-numeric"])
+    def test_rejects_wrong_sum_length(self, hist2, noisy_sum):
+        sk = privatize(sketch_exact(hist2, [[0.1, 0.9]]), hist2, math.inf)
+        doc = sk.to_dict(hist2)
+        doc["noisy_sum"] = noisy_sum
+        with pytest.raises(SketchError):
+            sketch_from_dict(doc)
