@@ -16,10 +16,7 @@ from .feature_maps import (
     build_hist,
     build_race,
     build_rff,
-    embed,
     feature_map_from_dict,
-    kernel_estimate,
-    sensitivity_l1,
 )
 from .sketch import (
     ExactSketch,

@@ -3,9 +3,6 @@
 Subcommands: sketch, estimate, cdf, cov, query-batch, fit-logreg,
 inspect, eval.  Machine-readable CSV goes to stdout, human diagnostics to
 stderr.  Exit codes: 0 ok, 1 I/O error, 2 validation or parse error.
-
-Heavy imports happen after argument parsing so that --threads can cap the
-BLAS thread pools before numpy loads.
 """
 
 from __future__ import annotations
@@ -493,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Differentially private dataset sketches and "
                     "sketch-based estimation.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS thread pools")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sketch", help="sketch a CSV dataset")
@@ -569,10 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         return args.func(args)
     except CliError as err:

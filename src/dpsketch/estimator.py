@@ -144,7 +144,7 @@ class SyntheticFeatures:
                 f"m={spec.m}; the fit may overfit the synthetic samples",
                 stacklevel=3,
             )
-        self._enc = spec.encode_batch(points)
+        self._P = spec.encode_batch(points)
         self._gram = None
         self._factor = None  # (lam, factorization) of the last penalty
 
@@ -154,14 +154,16 @@ class SyntheticFeatures:
 
     def gram(self) -> np.ndarray:
         if self._gram is None:
-            self._gram = self.spec.gram(self._enc)
+            self._gram = self.spec.gram(self._P)
         return self._gram
 
     def dot_targets(self, F) -> np.ndarray:
-        return self.spec.dot_targets(self._enc, F)
+        """(1/n) P^T F for target values F of shape (n,) or (n, t)."""
+        return self._P.T @ np.asarray(F, dtype=float) / self.n
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.spec.apply(self._enc, v)
+        """P @ v, the feature combination v at every synthetic sample."""
+        return self._P @ np.asarray(v, dtype=float)
 
     def solve(self, rhs: np.ndarray, lam: float) -> np.ndarray:
         """Solve (Gram + lam I) x = rhs with a cached SPD factorization.
@@ -269,6 +271,6 @@ def loss_value(spec: FeatureMap, a: np.ndarray, f, samples, lam: float) -> float
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     a = np.asarray(a, dtype=float)
     F = _evaluate_target(f, samples)
-    pred = spec.apply(spec.encode_batch(samples), a)
+    pred = spec.encode_batch(samples) @ a
     r = F - pred
     return float(r @ r / samples.shape[0] + lam * a @ a)

@@ -1,12 +1,12 @@
 """Feature maps for dataset sketching: binned indicators, random Fourier
 features, and one-hot LSH buckets.
 
-Each map embeds points of R^d into R^m.  The maps expose, besides the
-per-point embedding, batch paths used by the estimator: a compact batch
-encoding, the averaged Gram matrix, target cross-products and the
-application of a coefficient vector.  One-hot maps (HIST, RACE) never
-materialize the dense (n, m) feature matrix; they work on integer bucket
-indices instead.
+Each map embeds points of R^d into R^m.  The batch encoding of n points
+is the (n, m) feature matrix P itself; the estimator and the sketch only
+need plain matrix products with it (P.T @ F, P @ v, column sums) and the
+averaged Gram matrix, which each map computes its own way.  One-hot maps
+(HIST, RACE) encode to a sparse CSR matrix with one 1.0 per block; RFF
+encodes to a dense array.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import hashlib
 import json
 
 import numpy as np
+import scipy.sparse
 
-from .domain import Domain, DomainError
+from .domain import Domain
 
 SERIALIZATION_VERSION = 1
 
@@ -51,7 +52,8 @@ class FeatureMap:
 
     def embed_batch(self, X) -> np.ndarray:
         """Embed an (n, d) batch into a dense (n, m) matrix."""
-        raise NotImplementedError
+        P = self.encode_batch(X)
+        return P.toarray() if scipy.sparse.issparse(P) else P
 
     def sensitivity_l1(self) -> float:
         """max_x ||Phi(x)||_1, the L1 sensitivity of the feature sum."""
@@ -67,26 +69,12 @@ class FeatureMap:
     # -- batch encoding used by the estimator -----------------------------
 
     def encode_batch(self, X):
-        """Compact encoding of a batch, consumed by gram/dot/apply/sum below."""
+        """The (n, m) feature matrix P of an (n, d) batch: sparse CSR for
+        one-hot maps, a dense array otherwise."""
         raise NotImplementedError
 
-    def gram(self, enc) -> np.ndarray:
-        """(1/n) P^T P for the encoded batch."""
-        raise NotImplementedError
-
-    def dot_targets(self, enc, F) -> np.ndarray:
-        """(1/n) P^T F for target values F of shape (n,) or (n, t)."""
-        raise NotImplementedError
-
-    def apply(self, enc, v: np.ndarray) -> np.ndarray:
-        """P @ v for the encoded batch."""
-        raise NotImplementedError
-
-    def sum_features(self, enc) -> np.ndarray:
-        """Columnwise sum of features over the encoded batch."""
-        raise NotImplementedError
-
-    def encoded_count(self, enc) -> int:
+    def gram(self, P) -> np.ndarray:
+        """(1/n) P^T P as a dense (m, m) array."""
         raise NotImplementedError
 
     # -- serialization ----------------------------------------------------
@@ -107,8 +95,9 @@ class _OneHotBlocks:
 
     HIST concatenates d blocks of width n_bins (one active bin per
     attribute); RACE concatenates R blocks of width W (one active bucket
-    per hash).  The encoding is the (n, blocks) integer matrix of active
-    positions within each block.
+    per hash).  P is a CSR matrix with one 1.0 per block, at column
+    a * W + (active position in block a), so the column indices of each
+    row are sorted.
     """
 
     n_blocks: int
@@ -117,23 +106,21 @@ class _OneHotBlocks:
     def _indices(self, X) -> np.ndarray:
         raise NotImplementedError
 
-    def _onehot(self, idx: np.ndarray) -> np.ndarray:
-        n = idx.shape[0]
-        out = np.zeros((n, self.n_blocks * self.width))
-        flat = idx + self.width * np.arange(self.n_blocks)
-        out[np.arange(n)[:, None], flat] = 1.0
-        return out
-
-    def embed_batch(self, X) -> np.ndarray:
-        return self._onehot(self.encode_batch(X))
-
-    def encode_batch(self, X) -> np.ndarray:
+    def encode_batch(self, X) -> scipy.sparse.csr_array:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self._indices(X)
-
-    def gram(self, idx: np.ndarray) -> np.ndarray:
+        idx = self._indices(X)
         n, B = idx.shape
-        W = self.width
+        idx += self.width * np.arange(B)  # in place: now the column indices
+        return scipy.sparse.csr_array(
+            (np.ones(n * B), idx.ravel(), np.arange(0, n * B + 1, B)),
+            shape=(n, B * self.width))
+
+    def gram(self, P: scipy.sparse.csr_array) -> np.ndarray:
+        # Blockwise joint bucket counts; at the sizes used here this beats
+        # a sparse P.T @ P.
+        n = P.shape[0]
+        B, W = self.n_blocks, self.width
+        idx = P.indices.reshape(n, B) - W * np.arange(B)
         m = B * W
         G = np.zeros((m, m))
         for a in range(B):
@@ -146,39 +133,6 @@ class _OneHotBlocks:
                     G[b * W:(b + 1) * W, a * W:(a + 1) * W] = block.T
         G /= n
         return G
-
-    def dot_targets(self, idx: np.ndarray, F) -> np.ndarray:
-        F = np.asarray(F, dtype=float)
-        single = F.ndim == 1
-        Fm = F[:, None] if single else F
-        n, B = idx.shape
-        out = np.empty((B * self.width, Fm.shape[1]))
-        for t in range(Fm.shape[1]):
-            col = Fm[:, t]
-            for a in range(B):
-                out[a * self.width:(a + 1) * self.width, t] = np.bincount(
-                    idx[:, a], weights=col, minlength=self.width
-                )
-        out /= n
-        return out[:, 0] if single else out
-
-    def apply(self, idx: np.ndarray, v: np.ndarray) -> np.ndarray:
-        blocks = np.asarray(v, dtype=float).reshape(self.n_blocks, self.width)
-        out = np.zeros(idx.shape[0])
-        for a in range(self.n_blocks):
-            out += blocks[a, idx[:, a]]
-        return out
-
-    def sum_features(self, idx: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n_blocks * self.width)
-        for a in range(self.n_blocks):
-            out[a * self.width:(a + 1) * self.width] = np.bincount(
-                idx[:, a], minlength=self.width
-            )
-        return out
-
-    def encoded_count(self, idx: np.ndarray) -> int:
-        return idx.shape[0]
 
 
 class HistMap(_OneHotBlocks, FeatureMap):
@@ -253,7 +207,7 @@ class RffMap(FeatureMap):
         self.domain = domain if domain is not None else Domain.unit(self.d)
         self.seed = seed
 
-    def embed_batch(self, X) -> np.ndarray:
+    def encode_batch(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if not np.all(np.isfinite(X)):
             raise FeatureMapError("points must be finite")
@@ -266,29 +220,8 @@ class RffMap(FeatureMap):
     def kernel_scale(self) -> float:
         return float(self.m_half)
 
-    # Dense encoding: the (n, m) feature matrix itself.
-
-    def encode_batch(self, X) -> np.ndarray:
-        return self.embed_batch(X)
-
     def gram(self, P: np.ndarray) -> np.ndarray:
         return (P.T @ P) / P.shape[0]
-
-    def dot_targets(self, P: np.ndarray, F) -> np.ndarray:
-        # BLAS gemv splits this reduction over the rows by thread, so its
-        # rounding would depend on the thread count; einsum sums in a
-        # fixed order.
-        F = np.asarray(F, dtype=float)
-        return np.einsum("ij,i...->j...", P, F) / P.shape[0]
-
-    def apply(self, P: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return P @ np.asarray(v, dtype=float)
-
-    def sum_features(self, P: np.ndarray) -> np.ndarray:
-        return P.sum(axis=0)
-
-    def encoded_count(self, P: np.ndarray) -> int:
-        return P.shape[0]
 
     def to_dict(self) -> dict:
         return {
@@ -430,18 +363,3 @@ def feature_map_from_dict(data: dict) -> FeatureMap:
     if cls is None:
         raise FeatureMapError(f"unknown feature-map variant {variant!r}")
     return cls.from_dict(data)
-
-
-# -- functional wrappers --------------------------------------------------
-
-
-def embed(spec: FeatureMap, x) -> np.ndarray:
-    return spec.embed(x)
-
-
-def sensitivity_l1(spec: FeatureMap) -> float:
-    return spec.sensitivity_l1()
-
-
-def kernel_estimate(spec: FeatureMap, x, y) -> float:
-    return spec.kernel_estimate(x, y)

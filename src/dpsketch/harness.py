@@ -23,9 +23,10 @@ from .reweighting import GdConfig, evaluate_auc, fit_logistic_from_sketch
 from .sketch import privatize, sketch_exact
 from .targets import (
     BoxIndicator,
+    CdfThreshold,
     Moment,
     Predicate,
-    estimate_cdf,
+    default_thresholds,
     estimate_covariance,
 )
 
@@ -173,25 +174,30 @@ def _truths(data: np.ndarray, domain: Domain, tasks, queries) -> dict:
 
 
 def _run_cell_tasks(spec, sketch, features, tasks, truth, domain, queries):
-    """Yield (task, metric, value) rows for one (sketch, epsilon, rep) cell."""
+    """Yield (task, metric, value) rows for one (sketch, epsilon, rep) cell.
+
+    Every task but the covariance reads the cell's one weight vector.
+    """
     d = domain.d
+    w = features.weights(sketch, features.penalty(sketch))
     for task, power in (("mean", 1), ("moment2", 2)):
         if task in tasks:
-            est = features.estimate(sketch, [Moment(j, power)
+            est = features.weighted_sums(w, [Moment(j, power)
                                              for j in range(1, d + 1)])
             errs = [mre(e, t) for e, t in zip(est, truth[task])]
             yield task, "mre", float(np.mean(errs))
     if "cdf" in tasks:
         errs = []
         for j in range(1, d + 1):
-            est = estimate_cdf(spec, sketch, j, features=features)
-            errs.append(emd_1d(est.values, truth["cdf"][j - 1]))
+            raw = features.weighted_sums(w, [
+                CdfThreshold(j, float(s)) for s in default_thresholds(spec, j)])
+            errs.append(emd_1d(np.clip(raw, 0.0, 1.0), truth["cdf"][j - 1]))
         yield "cdf", "emd", float(np.mean(errs))
     if "cov" in tasks:
         est = estimate_covariance(spec, sketch, features=features)
         yield "cov", "frobenius", frobenius(est, truth["cov"])
     if "queries" in tasks:
-        raw = features.estimate(sketch, queries)
+        raw = features.weighted_sums(w, queries)
         yield "queries", "mae", mae(np.clip(raw, 0.0, 1.0), truth["queries"])
 
 

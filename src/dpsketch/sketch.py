@@ -83,16 +83,18 @@ class PrivateSketch:
 def sketch_exact(spec: FeatureMap, records) -> ExactSketch:
     """Sum the feature map over all records.
 
-    One-hot maps accumulate exact integer bucket counts; dense maps use
-    numpy's pairwise summation, so the result is reproducible regardless
-    of how the records were ordered or chunked (up to float associativity).
+    Records are first checked against the map's domain, the same way for
+    every map (DomainError on a value outside the declared box).  One-hot
+    maps sum exact integer bucket counts; dense maps use numpy's pairwise
+    summation, so the result is reproducible regardless of how the records
+    were ordered or chunked (up to float associativity).
     """
     records = np.asarray(records, dtype=float)
     if records.size == 0:
         return ExactSketch(np.zeros(spec.m), 0)
-    records = np.atleast_2d(records)
-    enc = spec.encode_batch(records)
-    return ExactSketch(spec.sum_features(enc), records.shape[0])
+    records = spec.domain.validate(records)
+    P = spec.encode_batch(records)
+    return ExactSketch(np.asarray(P.sum(axis=0)).ravel(), records.shape[0])
 
 
 def sample_laplace(scale: float, rng: np.random.Generator) -> float:

@@ -85,6 +85,18 @@ class TestSketchCommand:
         assert not out.exists()
         assert "error" in stderr
 
+    @pytest.mark.parametrize("kind", ["rff", "race"])
+    def test_out_of_domain_value_exits_2_for_every_map(self, tmp_path,
+                                                        capsys, kind):
+        path = tmp_path / "bad.csv"
+        write_csv(path, [[0.5, 50.0], [0.1, 0.2]])
+        out = tmp_path / "s.json"
+        code, _, stderr = run_cli(
+            capsys, "sketch", str(path), "--out", str(out), "--map", kind)
+        assert code == 2
+        assert not out.exists()
+        assert "schema violation" in stderr
+
     def test_missing_input_exits_1(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             capsys, "sketch", str(tmp_path / "nope.csv"),

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -291,3 +294,31 @@ class TestWeightsPath:
         # the first sketch builds the Gram matrix and the factor
         growth = retained[-1] - retained[1]
         assert growth < 256 * 1024, retained
+
+    def test_weights_independent_of_blas_thread_count(self, child_env):
+        # one-hot P @ v is a sparse product and m=60 keeps the Cholesky
+        # below OpenBLAS's thread-dependent blocking
+        code = textwrap.dedent("""
+            import numpy as np
+            from dpsketch import (Domain, SyntheticFeatures, TrainConfig,
+                                  build_hist, build_race, privatize,
+                                  sketch_exact)
+            X = np.random.default_rng(0).uniform(size=(3000, 3))
+            for spec in (build_hist(Domain.unit(3), 20),
+                         build_race(3, 6, 10, 0.2, seed=1)):
+                sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=2)
+                feats = SyntheticFeatures(spec,
+                                          TrainConfig(n_synth=20_000, seed=3))
+                w = feats.weights(sk, feats.penalty(sk))
+                print(spec.m, w.tobytes().hex())
+        """)
+        outputs = []
+        for threads in (1, 2):
+            res = subprocess.run([sys.executable, "-c", code],
+                                 env=child_env(threads),
+                                 capture_output=True, text=True)
+            assert res.returncode == 0, res.stderr
+            outputs.append(res.stdout)
+        assert outputs[0] == outputs[1]
+        assert [line.split()[0] for line in outputs[0].splitlines()] == \
+            ["60", "60"]

@@ -2,17 +2,18 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsketch import (
     Domain,
+    SyntheticFeatures,
     build_hist,
     build_race,
     build_rff,
     feature_map_from_dict,
-    kernel_estimate,
-    sensitivity_l1,
+    sketch_exact,
 )
 from dpsketch.feature_maps import FeatureMapError, RaceMap
 
@@ -41,7 +42,7 @@ class TestHist:
 
     def test_sensitivity_is_dimension(self):
         for n_bins in (1, 7, 100):
-            assert sensitivity_l1(build_hist(Domain.unit(10), n_bins)) == 10.0
+            assert build_hist(Domain.unit(10), n_bins).sensitivity_l1() == 10.0
 
     def test_nonunit_domain_binning(self):
         h = build_hist(Domain((-2.0,), (2.0,)), 4)
@@ -87,7 +88,7 @@ class TestRff:
 
     def test_sensitivity(self):
         r = build_rff(10, 200, 1.0, seed=0)
-        assert sensitivity_l1(r) == pytest.approx(100 * np.sqrt(2))
+        assert r.sensitivity_l1() == pytest.approx(100 * np.sqrt(2))
 
     def test_entries_bounded(self):
         r = build_rff(4, 60, 0.5, seed=1)
@@ -124,7 +125,7 @@ class TestRace:
             build_race(2, 0, 8, 0.1, seed=0)
 
     def test_sensitivity(self):
-        assert sensitivity_l1(build_race(4, 80, 80, 0.1, seed=0)) == 80.0
+        assert build_race(4, 80, 80, 0.1, seed=0).sensitivity_l1() == 80.0
 
     def test_determinism(self):
         a = build_race(3, 5, 8, 0.2, seed=11)
@@ -138,19 +139,19 @@ class TestKernelEstimates:
         x = np.array([0.3, 0.8])
         for spec in (build_hist(Domain.unit(2), 5),
                      build_race(2, 6, 4, 0.3, seed=0)):
-            assert kernel_estimate(spec, x, x) == pytest.approx(1.0)
+            assert spec.kernel_estimate(x, x) == pytest.approx(1.0)
 
     def test_identical_points_rff(self):
         r = build_rff(3, 100, 1.0, seed=0)
         x = np.array([0.1, 0.2, 0.3])
-        assert kernel_estimate(r, x, x) == pytest.approx(1.0, abs=1e-12)
+        assert r.kernel_estimate(x, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_rff_matches_gaussian_kernel(self):
         r = build_rff(2, 2000, 1.0, seed=7)
         x = np.array([0.1, 0.5])
         y = np.array([0.6, 0.5])
         expected = np.exp(-0.125)
-        assert kernel_estimate(r, x, y) == pytest.approx(expected, abs=0.03)
+        assert r.kernel_estimate(x, y) == pytest.approx(expected, abs=0.03)
 
     def test_rff_kernel_error_shrinks_with_m(self):
         x = np.array([0.2, 0.9])
@@ -158,7 +159,7 @@ class TestKernelEstimates:
         truth = np.exp(-np.sum((x - y) ** 2) / 2.0)
         errors = {}
         for m in (200, 2000):
-            errs = [abs(kernel_estimate(build_rff(2, m, 1.0, seed=s), x, y) - truth)
+            errs = [abs(build_rff(2, m, 1.0, seed=s).kernel_estimate(x, y) - truth)
                     for s in range(30)]
             errors[m] = np.mean(errs)
         assert errors[2000] < errors[200]
@@ -168,7 +169,7 @@ class TestKernelEstimates:
         race = build_race(2, 50, 4, 0.3, seed=9)
         x = np.array([0.2, 0.4])
         y = np.array([0.5, 0.1])
-        assert kernel_estimate(race, x, y) == kernel_estimate(race, y, x)
+        assert race.kernel_estimate(x, y) == race.kernel_estimate(y, x)
 
 
 class TestL1NormBound:
@@ -221,7 +222,8 @@ class TestSerialization:
 
 
 class TestBatchPathsAgreeWithDense:
-    """The compact gram/dot/apply paths must match the dense feature matrix."""
+    """Gram, P.T @ F, P @ v and the feature sum on the encoded batch must
+    match the dense feature matrix."""
 
     @pytest.mark.parametrize("build", [
         lambda: build_hist(Domain.unit(3), 4),
@@ -232,12 +234,25 @@ class TestBatchPathsAgreeWithDense:
         spec = build()
         X = np.random.default_rng(3).uniform(size=(200, 3))
         P = spec.embed_batch(X)
-        enc = spec.encode_batch(X)
-        np.testing.assert_allclose(spec.gram(enc), P.T @ P / 200, atol=1e-12)
+        feats = SyntheticFeatures.from_points(spec, X)
+        np.testing.assert_allclose(feats.gram(), P.T @ P / 200, atol=1e-12)
         F = np.random.default_rng(4).normal(size=200)
-        np.testing.assert_allclose(spec.dot_targets(enc, F), P.T @ F / 200,
+        np.testing.assert_allclose(feats.dot_targets(F), P.T @ F / 200,
                                    atol=1e-12)
         v = np.random.default_rng(5).normal(size=spec.m)
-        np.testing.assert_allclose(spec.apply(enc, v), P @ v, atol=1e-12)
-        np.testing.assert_allclose(spec.sum_features(enc), P.sum(axis=0),
-                                   atol=1e-12)
+        np.testing.assert_allclose(feats.apply(v), P @ v, atol=1e-12)
+        np.testing.assert_allclose(sketch_exact(spec, X).sum_features,
+                                   P.sum(axis=0), atol=1e-12)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_hist(Domain.unit(3), 4),
+        lambda: build_race(3, 5, 4, 0.3, seed=0),
+    ])
+    def test_one_hot_encoding_is_sparse_with_one_per_block(self, build):
+        spec = build()
+        X = np.random.default_rng(6).uniform(size=(50, 3))
+        P = spec.encode_batch(X)
+        assert scipy.sparse.issparse(P)
+        assert P.shape == (50, spec.m)
+        np.testing.assert_array_equal(P.count_nonzero(axis=1), spec.n_blocks)
+        np.testing.assert_array_equal(P.data, 1.0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dpsketch import Domain
+from dpsketch import Domain, SyntheticFeatures
 from dpsketch.harness import (
     ExperimentPlan,
     build_sketch_spec,
@@ -166,3 +166,25 @@ class TestPlan:
         with open(results) as fh:
             rows = list(csv.DictReader(fh))
         assert rows and rows[0]["dataset"] == "ext.csv"
+
+    def test_one_weight_solve_per_cell(self, tmp_path, monkeypatch):
+        # mean, moment2, cdf and queries share one weight vector; only the
+        # covariance solves again
+        calls = []
+        solve = SyntheticFeatures.solve
+
+        def counted(self, rhs, lam):
+            calls.append(lam)
+            return solve(self, rhs, lam)
+
+        monkeypatch.setattr(SyntheticFeatures, "solve", counted)
+        plan = ExperimentPlan(
+            dataset="random10", n=300, d=4, sketches=("hist",),
+            epsilons=(1.0,), repetitions=2, n_synth=2000, n_queries=3,
+            seed=6, sketch_params={"hist": {"n_bins": 5}},
+        )
+        results = run_plan(plan, tmp_path / "out")
+        with open(results) as fh:
+            tasks = {row["task"] for row in csv.DictReader(fh)}
+        assert tasks == {"mean", "moment2", "cdf", "cov", "queries"}
+        assert len(calls) <= 2 * plan.repetitions

@@ -6,6 +6,7 @@ import pytest
 
 from dpsketch import (
     Domain,
+    DomainError,
     build_hist,
     build_race,
     build_rff,
@@ -48,6 +49,16 @@ class TestExactSketch:
         a = sketch_exact(hist2, X)
         b = sketch_exact(hist2, X[::-1])
         np.testing.assert_array_equal(a.sum_features, b.sum_features)
+
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_hist(Domain.unit(2), 4),
+        lambda: build_rff(2, 20, 1.0, seed=0),
+        lambda: build_race(2, 5, 4, 0.3, seed=0),
+    ])
+    def test_out_of_domain_record_rejected_by_every_map(self, build):
+        with pytest.raises(DomainError):
+            sketch_exact(build(), [[0.2, 0.3], [50.0, 0.5]])
 
 
 class TestLaplace:
