@@ -59,6 +59,7 @@ from .reweighting import (
     WeightedSamples,
     fit_logistic_from_sketch,
     fit_weighted,
+    logistic_objective,
 )
 
 __version__ = "0.1.0"

@@ -352,7 +352,7 @@ def cmd_query_batch(args) -> int:
 
 
 def cmd_fit_logreg(args) -> int:
-    from .domain import BINARY
+    from .domain import BINARY, DomainError
     from .estimator import SyntheticFeatures
     from .reweighting import GdConfig, evaluate_auc, fit_logistic_from_sketch
 
@@ -374,6 +374,10 @@ def cmd_fit_logreg(args) -> int:
             domain = Domain(domain.lower, domain.upper, kinds)
         except Exception as err:
             raise CliError(f"last attribute cannot be a binary label: {err}")
+    try:
+        domain.validate(test_data)
+    except DomainError as err:
+        raise CliError(f"schema violation: {args.test}: {err}")
 
     config = _train_config(args, domain)
     features = SyntheticFeatures(spec, config)

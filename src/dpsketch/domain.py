@@ -76,7 +76,11 @@ class Domain:
         )
 
     def validate(self, records) -> np.ndarray:
-        """Check a (n, d) batch of records against the bounds; return the array."""
+        """Check a (n, d) batch of records against the domain; return the array.
+
+        Every value must lie in its attribute's bounds, and every value of
+        a binary attribute must be exactly 0 or 1.
+        """
         x = np.atleast_2d(np.asarray(records, dtype=float))
         if x.shape[1] != self.d:
             raise DomainError(f"expected {self.d} attributes, got {x.shape[1]}")
@@ -90,6 +94,16 @@ class Domain:
                 f"record {i}, attribute {j}: value {x[i, j]} outside "
                 f"[{self.lower[j]}, {self.upper[j]}]"
             )
+        binary = [j for j, kind in enumerate(self.kinds) if kind == BINARY]
+        if binary:
+            labels = x[:, binary]
+            bad = (labels != 0.0) & (labels != 1.0)
+            if bad.any():
+                i, k = np.argwhere(bad)[0]
+                raise DomainError(
+                    f"record {i}, attribute {binary[k]}: value {labels[i, k]} "
+                    f"is not one of the binary classes 0 and 1"
+                )
         return x
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 def mre(estimate: float, truth: float) -> float:
@@ -43,5 +42,23 @@ def auc(scores, labels) -> float:
     n_neg = int(len(labels) - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks with ties given their mean rank (rankdata's "average").
+
+    After a stable sort, the tie group at sorted positions lo <= k < hi
+    gets the mid-rank 0.5 * (lo + hi + 1), the mean of the 1-based ranks
+    lo + 1 .. hi.  This is rankdata's arithmetic, without loading
+    scipy.stats.
+    """
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    lo = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    hi = np.r_[lo[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(0.5 * (lo + hi + 1), hi - lo)
+    return ranks

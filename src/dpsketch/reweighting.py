@@ -65,69 +65,84 @@ class LogisticModel:
         return Xbar @ self.theta + self.intercept
 
 
-def fit_weighted(weighted: WeightedSamples, loss_and_grad, theta0,
+def fit_weighted(weighted: WeightedSamples, objective, theta0,
                  gd: GdConfig | None = None):
     """Minimize theta -> sum_i w_i * L(x_i, theta) by fixed-step descent.
 
-    loss_and_grad(points, theta) must return (per-sample losses (n,),
-    per-sample gradients (n, p)).  The step is normalized by sum|w|; the
-    run stops early when the gradient norm drops below the tolerance and
+    objective(theta) must return that weighted sum and its gradient
+    sum_i w_i * grad L(x_i, theta), shape (p,); see logistic_objective.
+    The step is normalized by sum|w| of the weighted samples; the run
+    stops early when the gradient norm drops below the tolerance and
     aborts if the objective increases 20 times in a row.
     """
     gd = gd or GdConfig()
     theta = np.asarray(theta0, dtype=float).copy()
-    w = weighted.weights
-    total = np.abs(w).sum()
+    total = np.abs(weighted.weights).sum()
     step = gd.step / total if total > 0 else gd.step
-    # The weighted sums run through einsum rather than BLAS dot/gemv,
-    # whose reductions over the samples are split by thread and would
-    # make the fitted model depend on the thread count.
-    losses, grads = loss_and_grad(weighted.points, theta)
-    objective = float(np.einsum("i,i->", w, losses))
+    value, grad = objective(theta)
     bad_streak = 0
     n_iter = 0
     converged = False
     for n_iter in range(1, gd.iters + 1):
-        grad = np.einsum("i,ij->j", w, grads)
         gnorm = float(np.linalg.norm(grad))
         if gnorm < gd.tolerance:
             converged = True
             break
         theta -= step * grad
-        losses, grads = loss_and_grad(weighted.points, theta)
-        new_objective = float(np.einsum("i,i->", w, losses))
-        if new_objective > objective:
+        new_value, grad = objective(theta)
+        if new_value > value:
             bad_streak += 1
             if bad_streak >= 20:
                 raise FitDivergenceError(
                     f"objective increased for {bad_streak} consecutive steps "
-                    f"(last value {new_objective:.6g})"
+                    f"(last value {new_value:.6g})"
                 )
         else:
             bad_streak = 0
-        objective = new_objective
-    return theta, objective, {"iterations": n_iter, "converged": converged}
+        value = new_value
+    return theta, value, {"iterations": n_iter, "converged": converged}
 
 
-def logistic_loss_and_grad(points: np.ndarray, theta: np.ndarray):
-    """Per-sample log-loss and gradient for a linear classifier.
+def logistic_objective(weighted: WeightedSamples):
+    """The weighted log-loss of a linear classifier, as fit_weighted's objective.
 
     Points are (x_bar, y) rows with y in {0, 1} in the last column; theta
-    holds the feature coefficients followed by the intercept.  The loss is
-    log(1 + exp(-(2y - 1) * (theta^T x_bar + b))).
+    holds the feature coefficients followed by the intercept.  Sample i
+    has margin m_i = (2y_i - 1) * (theta^T x_bar_i + b) and loss
+    log(1 + exp(-m_i)).  The signed rows (2y - 1) * [x_bar, 1] are laid
+    out once, transposed and contiguous, for every step of the fit.
     """
-    Xbar = points[:, :-1]
-    y = points[:, -1]
-    signs = 2.0 * y - 1.0
-    margins = signs * (Xbar @ theta[:-1] + theta[-1])
-    losses = np.logaddexp(0.0, -margins)
-    # d/dm log(1+e^-m) = -sigmoid(-m), computed in log space to avoid
-    # overflow at large positive margins
-    coeff = -signs * np.exp(-np.logaddexp(0.0, margins))
-    grads = np.empty((points.shape[0], theta.shape[0]))
-    grads[:, :-1] = coeff[:, None] * Xbar
-    grads[:, -1] = coeff
-    return losses, grads
+    points = weighted.points
+    signed = np.empty((points.shape[1], points.shape[0]))
+    signed[:-1] = points[:, :-1].T
+    signed[-1] = 1.0
+    signed *= 2.0 * points[:, -1] - 1.0
+    weights = weighted.weights
+    # resolved at call time, so a wrapper on the module function sees every step
+    return lambda theta: logistic_loss_and_grad(signed, weights, theta)
+
+
+def logistic_loss_and_grad(signed: np.ndarray, weights: np.ndarray,
+                           theta: np.ndarray):
+    """sum_i w_i * log(1 + exp(-m_i)) and its gradient in theta.
+
+    signed is the (p, n) array of logistic_objective, so m = theta @ signed
+    and d/dtheta log(1 + exp(-m_i)) = -sigmoid(-m_i) * signed[:, i].  Both
+    come from one e = exp(-|m|) per sample, stable at any margin.  Every
+    sum runs through einsum rather than BLAS, whose reductions are split
+    by thread and would make the fitted model depend on the thread count.
+    """
+    margins = np.einsum("j,jn->n", theta, signed)
+    e = np.exp(-np.abs(margins))
+    losses = np.maximum(-margins, 0.0)
+    losses += np.log1p(e)
+    # sigmoid(-m) = where(m >= 0, e, 1) / (1 + e), the select written as
+    # a maximum since e <= 1
+    coeff = np.maximum(e, margins < 0)
+    coeff /= 1.0 + e
+    coeff *= weights
+    return (float(np.einsum("n,n->", weights, losses)),
+            -np.einsum("jn,n->j", signed, coeff))
 
 
 def fit_logistic_from_sketch(spec: FeatureMap, sketch: PrivateSketch,
@@ -150,6 +165,7 @@ def fit_logistic_from_sketch(spec: FeatureMap, sketch: PrivateSketch,
         raise ValueError("the domain's last attribute must be the binary label")
     lam = features.penalty(sketch)
     weighted = WeightedSamples(features.points, features.weights(sketch, lam))
+    objective = logistic_objective(weighted)
     p = spec.d  # d-1 feature coefficients plus intercept
     rng = np.random.default_rng(gd.seed)
     best = None
@@ -158,20 +174,18 @@ def fit_logistic_from_sketch(spec: FeatureMap, sketch: PrivateSketch,
     last_error = None
     for theta0 in starts:
         try:
-            theta, objective, info = fit_weighted(
-                weighted, logistic_loss_and_grad, theta0, gd
-            )
+            theta, value, info = fit_weighted(weighted, objective, theta0, gd)
         except FitDivergenceError as err:
             last_error = err
             continue
-        if best is None or objective < best[1]:
-            best = (theta, objective, info)
+        if best is None or value < best[1]:
+            best = (theta, value, info)
     if best is None:
         raise FitDivergenceError(
             f"all {len(starts)} starts diverged; last: {last_error}"
         )
-    theta, objective, info = best
-    return LogisticModel(theta[:-1], float(theta[-1]), objective,
+    theta, value, info = best
+    return LogisticModel(theta[:-1], float(theta[-1]), value,
                          {"lambda": lam, **info})
 
 

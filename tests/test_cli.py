@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -340,6 +342,24 @@ class TestFitLogreg:
         assert code == 2
         assert "classes" in stderr
 
+    @pytest.mark.parametrize("label", [0.6, 2.0])
+    def test_non_binary_label_exits_2(self, tmp_path, hist_sketch, capsys,
+                                      label):
+        out, _ = hist_sketch
+        rng = np.random.default_rng(3)
+        labeled = np.column_stack([rng.uniform(size=(100, 2)),
+                                   rng.integers(0, 2, size=100)])
+        labeled[17, -1] = label
+        test = tmp_path / "labeled.csv"
+        write_csv(test, labeled)
+        code, stdout, stderr = run_cli(
+            capsys, "fit-logreg", str(out), str(test), "--n-synth", "2000",
+            "--iters", "10")
+        assert code == 2
+        assert stdout == ""
+        assert "schema violation" in stderr
+        assert "record 17, attribute 2" in stderr
+
 
 class TestInspect:
     def test_fields(self, hist_sketch, capsys):
@@ -443,3 +463,14 @@ class TestTruncatedSketch:
                                   "--n-synth", "500")
         assert code == 2
         assert "noisy_sum" in stderr
+
+
+def test_cli_import_skips_scipy_stats_and_optimize(child_env):
+    # each of these adds about a second of start-up to every command
+    code = ("import sys, dpsketch.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
+            "if m in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", code], env=child_env(1),
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -55,6 +55,12 @@ class TestValidate:
         with pytest.raises(DomainError):
             Domain.unit(1).validate([[np.nan]])
 
+    def test_binary_values_must_be_zero_or_one(self):
+        dom = Domain((0.0, 0.0), (1.0, 1.0), kinds=("continuous", "binary"))
+        dom.validate([[0.3, 0.0], [0.7, 1.0]])
+        with pytest.raises(DomainError, match="record 1, attribute 1"):
+            dom.validate([[0.3, 1.0], [0.7, 0.6]])
+
     def test_contains(self):
         dom = Domain((-1.0,), (1.0,))
         assert dom.contains([0.0])

@@ -80,3 +80,18 @@ class TestAuc:
         ties = (pos[:, None] == neg[None, :]).sum()
         expected = (wins + 0.5 * ties) / (len(pos) * len(neg))
         assert auc(scores, labels) == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_rankdata_mid_ranks_with_many_ties(self):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(3)
+        for n, levels in ((7, 2), (200, 3), (5000, 40)):
+            scores = rng.integers(0, levels, size=n) / 4.0
+            labels = rng.integers(0, 2, size=n)
+            labels[:2] = (0, 1)
+            pos = labels == 1
+            n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+            ranks = rankdata(scores)
+            expected = ((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0)
+                        / (n_pos * n_neg))
+            assert auc(scores, labels) == expected

@@ -19,15 +19,12 @@ from dpsketch import (
     build_rff,
     fit_logistic_from_sketch,
     fit_weighted,
+    logistic_objective,
     privatize,
     sketch_exact,
 )
 from dpsketch.harness import gen_separable_classification
-from dpsketch.reweighting import (
-    FitDivergenceError,
-    evaluate_auc,
-    logistic_loss_and_grad,
-)
+from dpsketch.reweighting import FitDivergenceError, evaluate_auc
 
 
 def _label_domain(d):
@@ -111,10 +108,15 @@ class TestWeightedSamples:
             WeightedSamples(np.zeros((2, 2)), np.array([1.0, np.nan]))
 
 
-def _quadratic(points, theta):
-    # per-sample loss (theta - x1)^2 with gradient 2(theta - x1)
-    diffs = theta[0] - points[:, 0]
-    return diffs ** 2, (2 * diffs)[:, None]
+def _quadratic(weighted):
+    # sum_i w_i (theta - x_i1)^2 with gradient sum_i w_i 2(theta - x_i1)
+    x, w = weighted.points[:, 0], weighted.weights
+
+    def objective(theta):
+        diffs = theta[0] - x
+        return float(w @ diffs ** 2), np.array([2 * (w @ diffs)])
+
+    return objective
 
 
 class TestFitWeighted:
@@ -123,7 +125,7 @@ class TestFitWeighted:
         pts = rng.uniform(size=(200, 2))
         weighted = WeightedSamples(pts, np.full(200, 1 / 200))
         theta, obj, info = fit_weighted(
-            weighted, _quadratic, np.array([0.0]),
+            weighted, _quadratic(weighted), np.array([0.0]),
             GdConfig(step=0.5, iters=2000, tolerance=1e-10))
         assert theta[0] == pytest.approx(pts[:, 0].mean(), abs=1e-6)
         assert info["converged"]
@@ -132,7 +134,8 @@ class TestFitWeighted:
     def test_zero_gradient_stops_immediately(self):
         pts = np.full((10, 1), 0.3)
         weighted = WeightedSamples(pts, np.full(10, 0.1))
-        theta, _, info = fit_weighted(weighted, _quadratic, np.array([0.3]))
+        theta, _, info = fit_weighted(weighted, _quadratic(weighted),
+                                      np.array([0.3]))
         assert theta[0] == 0.3
         assert info["iterations"] == 1 and info["converged"]
 
@@ -140,14 +143,15 @@ class TestFitWeighted:
         pts = np.array([[1.0]])
         weighted = WeightedSamples(pts, np.array([1.0]))
         with pytest.raises(FitDivergenceError):
-            fit_weighted(weighted, _quadratic, np.array([10.0]),
+            fit_weighted(weighted, _quadratic(weighted), np.array([10.0]),
                          GdConfig(step=1000.0, iters=200))
 
     def test_negative_weights_supported(self):
         # a negative-weight copy of a sample cancels a positive one
         pts = np.array([[0.2], [0.2], [0.9]])
         weighted = WeightedSamples(pts, np.array([1.0, -1.0, 0.5]))
-        theta, _, _ = fit_weighted(weighted, _quadratic, np.array([0.0]),
+        theta, _, _ = fit_weighted(weighted, _quadratic(weighted),
+                                   np.array([0.0]),
                                    GdConfig(step=0.5, iters=2000,
                                             tolerance=1e-12))
         assert theta[0] == pytest.approx(0.9, abs=1e-6)
@@ -158,13 +162,14 @@ class TestFitWeighted:
         code = textwrap.dedent("""
             import numpy as np
             from dpsketch.reweighting import (
-                GdConfig, WeightedSamples, fit_weighted, logistic_loss_and_grad)
+                GdConfig, WeightedSamples, fit_weighted, logistic_objective)
             rng = np.random.default_rng(0)
             n = 20_000
             pts = np.column_stack([rng.uniform(size=(n, 5)),
                                    rng.integers(0, 2, size=n)])
             weighted = WeightedSamples(pts, rng.normal(size=n) / n)
-            theta, obj, _ = fit_weighted(weighted, logistic_loss_and_grad,
+            theta, obj, _ = fit_weighted(weighted,
+                                         logistic_objective(weighted),
                                          np.zeros(6), GdConfig(iters=50))
             print(obj.hex(), *(t.hex() for t in theta))
         """)
@@ -178,34 +183,67 @@ class TestFitWeighted:
         assert outputs[0] == outputs[1]
 
 
+def _log_loss(pts, weights):
+    return logistic_objective(WeightedSamples(pts, np.asarray(weights, float)))
+
+
 class TestLogisticLoss:
     def test_zero_parameters_give_log2(self):
         pts = np.array([[0.5, 1.0], [0.2, 0.0]])
-        losses, _ = logistic_loss_and_grad(pts, np.zeros(2))
-        np.testing.assert_allclose(losses, math.log(2.0), rtol=1e-12)
+        value, _ = _log_loss(pts, [0.25, 0.75])(np.zeros(2))
+        assert value == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         pts = np.column_stack([rng.uniform(size=(20, 3)),
                                rng.integers(0, 2, size=20)])
         theta = rng.normal(size=4)
-        losses, grads = logistic_loss_and_grad(pts, theta)
+        objective = _log_loss(pts, rng.normal(size=20))
+        _, grad = objective(theta)
         h = 1e-6
         for k in range(4):
             up, down = theta.copy(), theta.copy()
             up[k] += h
             down[k] -= h
-            lu, _ = logistic_loss_and_grad(pts, up)
-            ld, _ = logistic_loss_and_grad(pts, down)
-            num = (lu - ld) / (2 * h)
-            np.testing.assert_allclose(grads[:, k], num, atol=1e-5)
+            num = (objective(up)[0] - objective(down)[0]) / (2 * h)
+            np.testing.assert_allclose(grad[k], num, atol=1e-5)
 
     def test_extreme_margins_are_stable(self):
         pts = np.array([[1.0, 1.0], [1.0, 0.0]])
-        losses, grads = logistic_loss_and_grad(pts, np.array([1000.0, 0.0]))
-        assert np.all(np.isfinite(losses)) and np.all(np.isfinite(grads))
-        assert losses[0] == pytest.approx(0.0, abs=1e-12)
-        assert losses[1] == pytest.approx(1000.0, rel=1e-9)
+        theta = np.array([1000.0, 0.0])
+        right, right_grad = _log_loss(pts, [1.0, 0.0])(theta)
+        wrong, wrong_grad = _log_loss(pts, [0.0, 1.0])(theta)
+        assert np.all(np.isfinite(right_grad)) and np.all(np.isfinite(wrong_grad))
+        assert right == pytest.approx(0.0, abs=1e-12)
+        assert wrong == pytest.approx(1000.0, rel=1e-9)
+
+    def test_matches_naive_per_sample_sum(self):
+        # the fused step against sum_i w_i log(1 + e^{-m_i}) and
+        # sum_i w_i (-sigmoid(-m_i)) (2y_i - 1) [x_i, 1], sample by sample,
+        # with margins up to +-1000
+        from scipy.special import expit
+
+        rng = np.random.default_rng(11)
+        n = 200
+        pts = np.column_stack([rng.uniform(-1, 1, size=(n, 3)),
+                               rng.integers(0, 2, size=n)])
+        weights = rng.uniform(0.1, 1.0, size=n)
+        objective = _log_loss(pts, weights)
+        rows = np.column_stack([pts[:, :-1], np.ones(n)])
+        signs = 2.0 * pts[:, -1] - 1.0
+        for largest in (0.1, 1.0, 30.0, 1000.0):
+            theta = rng.normal(size=4)
+            theta *= largest / np.abs(rows @ theta).max()
+            margins = [s * float(r @ theta) for s, r in zip(signs, rows)]
+            value = math.fsum(w * np.logaddexp(0.0, -m)
+                              for w, m in zip(weights, margins))
+            grad = [math.fsum(-w * expit(-m) * s * r[j]
+                              for w, m, s, r in zip(weights, margins, signs,
+                                                    rows))
+                    for j in range(4)]
+            fused_value, fused_grad = objective(theta)
+            assert fused_value == pytest.approx(value, rel=1e-12)
+            np.testing.assert_allclose(fused_grad, grad, rtol=1e-12)
 
 
 class TestLogisticFromSketch:
