@@ -7,7 +7,7 @@ be estimated from that one vector by fitting linear models on synthetic
 samples, without touching the data again.
 """
 
-from .domain import Domain, DomainError
+from .domain import Domain, DomainError, read_csv
 from .feature_maps import (
     FeatureMap,
     HistMap,
@@ -36,21 +36,18 @@ from .estimator import (
     TrainConfig,
     loss_value,
     regularization_lambda,
-    sample_prior,
     theorem_lambda,
 )
 from .targets import (
     BoxIndicator,
     CdfThreshold,
     CenteredProduct,
-    Custom,
     Moment,
     Predicate,
     TargetError,
     answer_queries,
     estimate_cdf,
     estimate_covariance,
-    eval_target,
 )
 from .metrics import auc, emd_1d, frobenius, mae, mre
 from .reweighting import (

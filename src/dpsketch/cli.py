@@ -42,41 +42,28 @@ def _default_seed(fallback=0):
 def _parse_epsilon(text: str) -> float:
     if text.strip().lower() in ("inf", "infinity"):
         return math.inf
-    value = float(text)
-    if value <= 0:
+    try:
+        value = float(text)
+    except ValueError:
+        raise CliError(f"epsilon must be a number or inf, got {text!r}")
+    if not value > 0:
         raise CliError("epsilon must be positive or inf")
     return value
 
 
-def _read_csv_dataset(path):
-    import numpy as np
+def _read_csv(path):
+    from .domain import DomainError, read_csv
 
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise CliError(f"{path}: empty file")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    raise CliError(f"{path}:{lineno}: non-numeric value")
+        return read_csv(path)
     except OSError as err:
         raise CliError(str(err), EXIT_IO)
-    if not rows:
-        raise CliError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(data)):
-        raise CliError(f"{path}: non-finite value in data")
-    return data, header
+    except DomainError as err:
+        raise CliError(str(err))
 
 
 def _load_schema(path, header):
-    from .domain import CONTINUOUS, Domain
+    from .domain import CONTINUOUS, Domain, DomainError
 
     if path is None:
         d = len(header)
@@ -88,19 +75,16 @@ def _load_schema(path, header):
         raise CliError(str(err), EXIT_IO)
     except json.JSONDecodeError as err:
         raise CliError(f"{path}: invalid JSON ({err})")
-    cols = doc.get("columns")
+    cols = doc.get("columns") if isinstance(doc, dict) else None
     if not isinstance(cols, list) or len(cols) != len(header):
         raise CliError(f"{path}: schema must list {len(header)} columns")
-    lower, upper, kinds = [], [], []
-    for col in cols:
-        lower.append(float(col.get("lower", 0.0)))
-        upper.append(float(col.get("upper", 1.0)))
-        kinds.append(col.get("kind", CONTINUOUS))
-    from .domain import DomainError
-
+    if not all(isinstance(col, dict) for col in cols):
+        raise CliError(f"{path}: each column must be a JSON object")
     try:
-        return Domain(tuple(lower), tuple(upper), tuple(kinds))
-    except DomainError as err:
+        return Domain(tuple(float(col.get("lower", 0.0)) for col in cols),
+                      tuple(float(col.get("upper", 1.0)) for col in cols),
+                      tuple(col.get("kind", CONTINUOUS) for col in cols))
+    except (DomainError, TypeError, ValueError) as err:
         raise CliError(f"{path}: {err}")
 
 
@@ -125,6 +109,14 @@ def _read_key_values(path, allowed_keys) -> dict:
     return values
 
 
+def _convert(path, key, text, cast):
+    """cast(text) for the value of a key=value entry, or a CliError."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise CliError(f"{path}: {key}={text!r} is not a valid {cast.__name__}")
+
+
 def _out_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
@@ -137,7 +129,8 @@ def cmd_sketch(args) -> int:
 
     from .domain import DomainError
     from .feature_maps import FeatureMapError, build_hist, build_race, build_rff
-    from .sketch import DEFAULT_SPLIT, save_sketch, privatize, sketch_exact
+    from .sketch import (DEFAULT_SPLIT, SketchError, privatize, save_sketch,
+                         sketch_exact)
 
     config = _read_key_values(args.config, SKETCH_CONFIG_KEYS) if args.config else {}
 
@@ -145,10 +138,10 @@ def cmd_sketch(args) -> int:
         if flag_value is not None:
             return flag_value
         if name in config:
-            return cast(config[name])
+            return _convert(args.config, name, config[name], cast)
         return default
 
-    data, header = _read_csv_dataset(args.input)
+    data, header = _read_csv(args.input)
     domain = _load_schema(args.schema, header)
     normalize = args.normalize or config.get("normalize", "").lower() in ("1", "true")
     norm_extra = None
@@ -194,7 +187,10 @@ def cmd_sketch(args) -> int:
         exact = sketch_exact(spec, data)
     except (DomainError, FeatureMapError) as err:
         raise CliError(f"schema violation: {err}")
-    sketch = privatize(exact, spec, epsilon, split, seed=noise_seed)
+    try:
+        sketch = privatize(exact, spec, epsilon, split, seed=noise_seed)
+    except SketchError as err:
+        raise CliError(str(err))
 
     try:
         save_sketch(args.out, sketch, spec, extra=norm_extra)
@@ -230,12 +226,15 @@ def _load_sketch_file(path):
 def _train_config(args, domain=None):
     from .estimator import TrainConfig
 
-    return TrainConfig(
-        n_synth=args.n_synth,
-        extra_reg=args.extra_reg,
-        seed=args.synth_seed if args.synth_seed is not None else _default_seed(),
-        domain=domain,
-    )
+    try:
+        return TrainConfig(
+            n_synth=args.n_synth,
+            extra_reg=args.extra_reg,
+            seed=args.synth_seed if args.synth_seed is not None else _default_seed(),
+            domain=domain,
+        )
+    except ValueError as err:
+        raise CliError(str(err))
 
 
 def cmd_estimate(args) -> int:
@@ -247,19 +246,20 @@ def cmd_estimate(args) -> int:
 
     sketch, spec, _doc = _load_sketch_file(args.sketch)
     try:
-        kind, payload = parse_target(args.target)
+        kind, payload = parse_target(args.target, spec.d)
     except TargetError as err:
         raise CliError(f"target parse error: {err}")
 
     truth_data = None
     if args.truth:
-        truth_data, _ = _read_csv_dataset(args.truth)
+        truth_data, _ = _read_csv(args.truth)
 
     features = SyntheticFeatures(spec, _train_config(args))
+    w = features.weights(sketch, features.penalty(sketch))
     writer = _out_writer()
 
     if kind in ("moment", "count"):
-        value = float(features.estimate(sketch, [payload])[0])
+        value = float(features.weighted_sums(w, [payload])[0])
         row = [args.target.strip(), repr(value)]
         header = ["target", "estimate"]
         if truth_data is not None:
@@ -272,7 +272,7 @@ def cmd_estimate(args) -> int:
         writer.writerow(header)
         writer.writerow(row)
     elif kind == "cdf":
-        est = estimate_cdf(spec, sketch, payload, features=features)
+        est = estimate_cdf(features, w, payload)
         header = ["target", "threshold", "estimate"]
         true_cdf = None
         if truth_data is not None:
@@ -288,7 +288,7 @@ def cmd_estimate(args) -> int:
         if true_cdf is not None:
             print(f"emd={emd_1d(est.values, true_cdf)!r}", file=sys.stderr)
     elif kind == "cov":
-        cov = estimate_covariance(spec, sketch, features=features)
+        cov = estimate_covariance(features, w)
         for row in cov:
             writer.writerow([repr(float(v)) for v in row])
         if truth_data is not None:
@@ -315,7 +315,8 @@ def cmd_query_batch(args) -> int:
     import numpy as np
 
     from .estimator import SyntheticFeatures
-    from .targets import TargetError, answer_queries, parse_predicates
+    from .targets import (TargetError, _check_queries, answer_queries,
+                          parse_predicates)
 
     sketch, spec, _doc = _load_sketch_file(args.sketch)
     try:
@@ -325,26 +326,25 @@ def cmd_query_batch(args) -> int:
         raise CliError(str(err), EXIT_IO)
     try:
         queries = [parse_predicates(line) for line in lines]
+        _check_queries(queries, spec.d)  # before any solve
     except TargetError as err:
         raise CliError(f"query parse error: {err}")
 
     truth_data = None
     if args.truth:
-        truth_data, _ = _read_csv_dataset(args.truth)
+        truth_data, _ = _read_csv(args.truth)
 
     features = SyntheticFeatures(spec, _train_config(args))
-    try:
-        answers = answer_queries(spec, sketch, queries, features=features)
-    except TargetError as err:
-        raise CliError(str(err))
+    w = features.weights(sketch, features.penalty(sketch))
+    answers = answer_queries(features, w, queries)
+    counts = answers.fractions * max(sketch.noisy_count, 1.0)
     writer = _out_writer()
     header = ["query", "fraction", "count"]
     if truth_data is not None:
         header.append("true_fraction")
     writer.writerow(header)
     for i, line in enumerate(lines):
-        row = [line, repr(float(answers.fractions[i])),
-               repr(float(answers.counts[i]))]
+        row = [line, repr(float(answers.fractions[i])), repr(float(counts[i]))]
         if truth_data is not None:
             row.append(repr(float(np.mean(queries[i](truth_data)))))
         writer.writerow(row)
@@ -357,7 +357,7 @@ def cmd_fit_logreg(args) -> int:
     from .reweighting import GdConfig, evaluate_auc, fit_logistic_from_sketch
 
     sketch, spec, _doc = _load_sketch_file(args.sketch)
-    test_data, _ = _read_csv_dataset(args.test)
+    test_data, _ = _read_csv(args.test)
     if spec.variant == "HIST":
         print("warning: the binned-marginal feature map carries no "
               "cross-attribute information; expect near-chance AUC",
@@ -372,7 +372,7 @@ def cmd_fit_logreg(args) -> int:
         kinds = (CONTINUOUS,) * (domain.d - 1) + (BINARY,)
         try:
             domain = Domain(domain.lower, domain.upper, kinds)
-        except Exception as err:
+        except DomainError as err:
             raise CliError(f"last attribute cannot be a binary label: {err}")
     try:
         domain.validate(test_data)
@@ -382,7 +382,7 @@ def cmd_fit_logreg(args) -> int:
     config = _train_config(args, domain)
     features = SyntheticFeatures(spec, config)
     gd = GdConfig(step=args.step, iters=args.iters, seed=_default_seed())
-    model = fit_logistic_from_sketch(spec, sketch, features=features, gd=gd)
+    model = fit_logistic_from_sketch(features, sketch, gd)
     try:
         auc_value = evaluate_auc(model, test_data)
     except ValueError as err:
@@ -449,9 +449,10 @@ def _read_plan(path):
         kwargs["dataset"] = values["dataset"]
     for key in ("n", "d", "repetitions", "n_synth", "n_queries", "seed"):
         if key in values:
-            kwargs[key] = int(values[key])
+            kwargs[key] = _convert(path, key, values[key], int)
     if "extra_reg" in values:
-        kwargs["extra_reg"] = float(values["extra_reg"])
+        kwargs["extra_reg"] = _convert(path, "extra_reg", values["extra_reg"],
+                                       float)
     if "sketches" in values:
         kwargs["sketches"] = tuple(s.strip() for s in values["sketches"].split(","))
     if "tasks" in values:
@@ -466,6 +467,7 @@ def _read_plan(path):
 
 
 def cmd_eval(args) -> int:
+    from .domain import DomainError
     from .harness import run_plan
 
     plan = _read_plan(args.plan)
@@ -475,6 +477,8 @@ def cmd_eval(args) -> int:
         results = run_plan(plan, args.out)
     except OSError as err:
         raise CliError(str(err), EXIT_IO)
+    except DomainError as err:
+        raise CliError(str(err))
     print(f"results written to {results}", file=sys.stderr)
     return EXIT_OK
 

@@ -1,7 +1,10 @@
-"""Bounded data domain: an axis-aligned box with per-attribute kinds."""
+"""Bounded data domain: an axis-aligned box with per-attribute kinds, and
+the reader of the numeric CSV files that hold records."""
 
 from __future__ import annotations
 
+import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,3 +129,32 @@ class Domain:
     @classmethod
     def from_dict(cls, data: dict) -> "Domain":
         return cls(tuple(data["lower"]), tuple(data["upper"]), tuple(data["kinds"]))
+
+
+def read_csv(path) -> tuple[np.ndarray, list[str]]:
+    """Read a CSV file of numbers under a header line: (n, d) data, header.
+
+    Blank lines are skipped and fields may be quoted or padded with
+    spaces; nothing is read as a comment.  An empty file, a file without
+    data rows, a non-numeric value, a row of another width or a
+    non-finite value raises DomainError naming the path; OSError
+    propagates.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise DomainError(f"{path}: empty file")
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below, not as numpy's warning
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                                  quotechar='"')
+        except ValueError as err:
+            raise DomainError(f"{path}: non-numeric value or ragged row "
+                              f"({err})") from None
+    if data.size == 0:
+        raise DomainError(f"{path}: no data rows")
+    if not np.all(np.isfinite(data)):
+        raise DomainError(f"{path}: non-finite value in data")
+    return data, header

@@ -55,13 +55,6 @@ class SketchModel:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-def sample_prior(domain: Domain, n_synth: int, seed) -> np.ndarray:
-    """i.i.d. draws from the default prior: uniform boxes, fair binary coins."""
-    if n_synth < 1:
-        raise ValueError("n_synth must be >= 1")
-    return domain.sample(n_synth, np.random.default_rng(seed))
-
-
 def regularization_lambda(spec: FeatureMap, epsilon_num: float,
                           noisy_count: float, extra_reg: float = 1.0) -> float:
     """Ridge penalty tied to the privacy noise variance.

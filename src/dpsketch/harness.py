@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domain import BINARY, CONTINUOUS, Domain
+from .domain import BINARY, CONTINUOUS, Domain, read_csv
 from .estimator import SyntheticFeatures, TrainConfig
 from .feature_maps import FeatureMap, build_hist, build_race, build_rff
 from .metrics import emd_1d, frobenius, mae, mre
@@ -23,10 +23,10 @@ from .reweighting import GdConfig, evaluate_auc, fit_logistic_from_sketch
 from .sketch import privatize, sketch_exact
 from .targets import (
     BoxIndicator,
-    CdfThreshold,
     Moment,
     Predicate,
-    default_thresholds,
+    answer_queries,
+    estimate_cdf,
     estimate_covariance,
 )
 
@@ -110,14 +110,6 @@ def write_dataset_csv(path, data: np.ndarray, header=None) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def load_dataset_csv(path) -> tuple[np.ndarray, list[str]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    return np.asarray(rows, dtype=float), header
-
-
 def build_sketch_spec(kind: str, domain: Domain, seed,
                       params: dict | None = None) -> FeatureMap:
     """Instantiate a grid sketch: rff (m=200, sigma=1), race (80x80), hist (100 bins)."""
@@ -173,12 +165,12 @@ def _truths(data: np.ndarray, domain: Domain, tasks, queries) -> dict:
     return truth
 
 
-def _run_cell_tasks(spec, sketch, features, tasks, truth, domain, queries):
+def _run_cell_tasks(features, sketch, tasks, truth, queries):
     """Yield (task, metric, value) rows for one (sketch, epsilon, rep) cell.
 
-    Every task but the covariance reads the cell's one weight vector.
+    Every task reads the cell's one weight vector.
     """
-    d = domain.d
+    d = features.spec.d
     w = features.weights(sketch, features.penalty(sketch))
     for task, power in (("mean", 1), ("moment2", 2)):
         if task in tasks:
@@ -187,18 +179,15 @@ def _run_cell_tasks(spec, sketch, features, tasks, truth, domain, queries):
             errs = [mre(e, t) for e, t in zip(est, truth[task])]
             yield task, "mre", float(np.mean(errs))
     if "cdf" in tasks:
-        errs = []
-        for j in range(1, d + 1):
-            raw = features.weighted_sums(w, [
-                CdfThreshold(j, float(s)) for s in default_thresholds(spec, j)])
-            errs.append(emd_1d(np.clip(raw, 0.0, 1.0), truth["cdf"][j - 1]))
+        errs = [emd_1d(estimate_cdf(features, w, j).values, truth["cdf"][j - 1])
+                for j in range(1, d + 1)]
         yield "cdf", "emd", float(np.mean(errs))
     if "cov" in tasks:
-        est = estimate_covariance(spec, sketch, features=features)
-        yield "cov", "frobenius", frobenius(est, truth["cov"])
+        yield "cov", "frobenius", frobenius(estimate_covariance(features, w),
+                                            truth["cov"])
     if "queries" in tasks:
-        raw = features.weighted_sums(w, queries)
-        yield "queries", "mae", mae(np.clip(raw, 0.0, 1.0), truth["queries"])
+        yield "queries", "mae", mae(answer_queries(features, w, queries).fractions,
+                                    truth["queries"])
 
 
 RESULT_FIELDS = ("dataset", "sketch", "epsilon", "task", "repetition",
@@ -221,7 +210,7 @@ def run_plan(plan: ExperimentPlan, out_dir) -> str:
         domain = Domain.unit(plan.d)
         dataset_name = "random10"
     else:
-        data, _header = load_dataset_csv(plan.dataset)
+        data, _header = read_csv(plan.dataset)
         lo = np.minimum(data.min(axis=0), 0.0)
         hi = np.maximum(data.max(axis=0), 1.0)
         domain = Domain(tuple(lo), tuple(hi))
@@ -252,8 +241,7 @@ def run_plan(plan: ExperimentPlan, out_dir) -> str:
                     sketch = privatize(exact, spec, eps,
                                        seed=(plan.seed, 5, si, ei, rep))
                     for task, metric, value in _run_cell_tasks(
-                            spec, sketch, features, plan.tasks, truth,
-                            domain, queries):
+                            features, sketch, plan.tasks, truth, queries):
                         row = (dataset_name, kind, _eps_label(eps), task,
                                rep, metric, repr(value))
                         writer.writerow(row)
@@ -299,9 +287,8 @@ def logistic_sweep(epsilons, n: int = 20_000, d: int = 6, margin: float = 50.0,
                                  domain=domain)
             features = SyntheticFeatures(spec, config)
             sketch = privatize(exact, spec, eps, seed=(seed, 4, ei, run))
-            model = fit_logistic_from_sketch(
-                spec, sketch, features=features,
-                gd=GdConfig(seed=(seed, 5, run)))
+            model = fit_logistic_from_sketch(features, sketch,
+                                             GdConfig(seed=(seed, 5, run)))
             aucs.append(evaluate_auc(model, test))
         results[eps] = float(np.mean(aucs))
     return results

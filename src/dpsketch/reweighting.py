@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import BINARY
-from .estimator import SyntheticFeatures, TrainConfig
-from .feature_maps import FeatureMap
+from .estimator import SyntheticFeatures
 from .metrics import auc
 from .sketch import PrivateSketch
 
@@ -145,28 +144,23 @@ def logistic_loss_and_grad(signed: np.ndarray, weights: np.ndarray,
             -np.einsum("jn,n->j", signed, coeff))
 
 
-def fit_logistic_from_sketch(spec: FeatureMap, sketch: PrivateSketch,
-                             config: TrainConfig | None = None,
-                             gd: GdConfig | None = None,
-                             features: SyntheticFeatures | None = None
-                             ) -> LogisticModel:
+def fit_logistic_from_sketch(features: SyntheticFeatures, sketch: PrivateSketch,
+                             gd: GdConfig | None = None) -> LogisticModel:
     """Train a logistic model from the sketch alone.
 
-    The domain's last attribute must be the binary label.  Synthetic
-    points come from the prior (uniform features, fair-coin label); the
-    loss-independent weights are computed once, then the reweighted
-    log-loss is minimized with seeded restarts, keeping the best run.
+    The features' domain must have the binary label as its last
+    attribute, so that the synthetic points are uniform features with a
+    fair-coin label.  The loss-independent weights are computed once,
+    then the reweighted log-loss is minimized with seeded restarts,
+    keeping the best run.
     """
     gd = gd or GdConfig()
-    if features is None:
-        features = SyntheticFeatures(spec, config)
-    domain = features.domain
-    if domain.kinds[-1] != BINARY:
+    if features.domain.kinds[-1] != BINARY:
         raise ValueError("the domain's last attribute must be the binary label")
     lam = features.penalty(sketch)
     weighted = WeightedSamples(features.points, features.weights(sketch, lam))
     objective = logistic_objective(weighted)
-    p = spec.d  # d-1 feature coefficients plus intercept
+    p = features.spec.d  # d-1 feature coefficients plus intercept
     rng = np.random.default_rng(gd.seed)
     best = None
     starts = [np.zeros(p)]

@@ -62,7 +62,7 @@ class PrivateSketch:
     def normalized(self) -> np.ndarray:
         return self.noisy_sum / max(self.noisy_count, 1.0)
 
-    def to_dict(self, spec: FeatureMap | None = None, created_at=None) -> dict:
+    def to_dict(self, spec: FeatureMap | None = None) -> dict:
         doc = {
             "version": SKETCH_FILE_VERSION,
             "noisy_sum": self.noisy_sum.tolist(),
@@ -75,8 +75,6 @@ class PrivateSketch:
             if spec.spec_id != self.spec_id:
                 raise SketchError("spec does not match this sketch's spec_id")
             doc["spec"] = spec.to_dict()
-        if created_at is not None:
-            doc["created_at"] = created_at
         return doc
 
 
@@ -169,9 +167,9 @@ def _decode_eps(value) -> float:
 
 
 def save_sketch(path, sketch: PrivateSketch, spec: FeatureMap,
-                created_at=None, extra: dict | None = None) -> None:
+                extra: dict | None = None) -> None:
     """Write a sketch file atomically (write-then-rename)."""
-    doc = _encode_inf(sketch.to_dict(spec, created_at=created_at))
+    doc = _encode_inf(sketch.to_dict(spec))
     if extra:
         doc.update(_encode_inf(extra))
     tmp = str(path) + ".tmp"

@@ -2,12 +2,14 @@
 
 Targets describe the scalar function whose dataset average is wanted:
 attribute moments, box-membership indicators (counting queries), CDF
-thresholds, centered cross products, or arbitrary callables.  Attribute
-numbers are 1-based, matching the CLI grammar (x1 is the first column).
+thresholds and centered cross products.  Attribute numbers are 1-based,
+matching the CLI grammar (x1 is the first column).
 
-Pipelines built on SyntheticFeatures.estimate, one weight solve per
-sketch for all their targets: per-attribute CDF vectors, the covariance
-matrix (via plug-in first moments), and batched counting queries.
+Pipelines answer groups of targets from the synthetic features and one
+sketch's weight vector (SyntheticFeatures.weights), so a sketch is solved
+for once whatever is asked of it: per-attribute CDF vectors, the
+covariance matrix (via plug-in first moments), and batched counting
+queries.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import SyntheticFeatures, TrainConfig
+from .estimator import SyntheticFeatures
 from .feature_maps import FeatureMap
-from .sketch import PrivateSketch
+
+_QUERY_PREDICATES = 3  # predicates per counting query, on distinct attributes
 
 
 class TargetError(ValueError):
@@ -34,9 +37,12 @@ class TargetParseError(TargetError):
         self.pos = pos
 
 
-def _check_attr(attr: int) -> int:
+def _check_attr(attr: int, d: int | None = None) -> int:
+    """attr as an int; it must be at least 1 and, when d is given, at most d."""
     if attr < 1:
         raise TargetError(f"attribute numbers are 1-based, got {attr}")
+    if d is not None and attr > d:
+        raise TargetError(f"attribute {attr} out of range for d={d}")
     return int(attr)
 
 
@@ -142,30 +148,16 @@ class CenteredProduct:
         return (X[:, self.i - 1] - self.mu_i) * (X[:, self.j - 1] - self.mu_j)
 
 
-@dataclass(frozen=True)
-class Custom:
-    """Wrap an arbitrary callable taking an (n, d) batch (or a single point)."""
-
-    fn: object
-    name: str = "custom"
-
-    def __call__(self, X):
-        return self.fn(X)
-
-
-def eval_target(target, x) -> float:
-    """Evaluate a target at a single point."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(np.asarray(target(x)).reshape(-1)[0])
-
-
 # -- textual grammar ------------------------------------------------------
 
 _PRED_RE = re.compile(r"\s*x(\d+)\s*(<=|>=)\s*([-+]?\d*\.?\d+(?:[eE][-+]?\d+)?)\s*")
 
 
-def parse_predicates(text: str) -> BoxIndicator:
-    """Parse 'x1<=0.5 and x3>=0.2 and ...' into a box indicator."""
+def parse_predicates(text: str, d: int | None = None) -> BoxIndicator:
+    """Parse 'x1<=0.5 and x3>=0.2 and ...' into a box indicator.
+
+    With d given, attribute numbers above d are rejected.
+    """
     preds = []
     pos = 0
     while True:
@@ -174,8 +166,8 @@ def parse_predicates(text: str) -> BoxIndicator:
             raise TargetParseError(
                 "expected a predicate like x1<=0.5", text, pos
             )
-        preds.append(Predicate(int(match.group(1)), match.group(2),
-                               float(match.group(3))))
+        preds.append(Predicate(_check_attr(int(match.group(1)), d),
+                               match.group(2), float(match.group(3))))
         pos = match.end()
         if pos >= len(text):
             break
@@ -186,13 +178,14 @@ def parse_predicates(text: str) -> BoxIndicator:
     return BoxIndicator(tuple(preds))
 
 
-def parse_target(text: str):
+def parse_target(text: str, d: int | None = None):
     """Parse a CLI target string.
 
     Grammar: 'moment j k' | 'count "<predicates>"' | 'cdf j' | 'cov'.
     Returns (kind, payload) where kind is one of 'moment', 'count',
     'cdf', 'cov' and payload is the parsed target (or attribute number
-    for 'cdf', None for 'cov').
+    for 'cdf', None for 'cov').  With d given, attribute numbers above d
+    are rejected.
     """
     stripped = text.strip()
     parts = stripped.split(None, 1)
@@ -205,7 +198,7 @@ def parse_target(text: str):
         if len(fields) != 2 or not all(f.isdigit() for f in fields):
             raise TargetParseError("expected 'moment j k' with integer j, k",
                                    text, len(kind))
-        return "moment", Moment(int(fields[0]), int(fields[1]))
+        return "moment", Moment(_check_attr(int(fields[0]), d), int(fields[1]))
     if kind == "count":
         expr = rest.strip()
         if expr.startswith('"') and expr.endswith('"') and len(expr) >= 2:
@@ -213,12 +206,12 @@ def parse_target(text: str):
         if not expr:
             raise TargetParseError("expected predicates after 'count'",
                                    text, len(stripped))
-        return "count", parse_predicates(expr)
+        return "count", parse_predicates(expr, d)
     if kind == "cdf":
         if not rest.strip().isdigit():
             raise TargetParseError("expected 'cdf j' with integer j",
                                    text, len(kind))
-        return "cdf", int(rest)
+        return "cdf", _check_attr(int(rest), d)
     if kind == "cov":
         if rest.strip():
             raise TargetParseError("'cov' takes no arguments", text, len(kind))
@@ -227,6 +220,9 @@ def parse_target(text: str):
 
 
 # -- pipelines ------------------------------------------------------------
+#
+# Each takes the synthetic features and the weight vector
+# w = features.weights(sketch, features.penalty(sketch)) of one sketch.
 
 
 @dataclass(frozen=True)
@@ -240,7 +236,6 @@ class CdfEstimate:
 class QueryAnswers:
     fractions: np.ndarray  # clamped to [0, 1]
     raw: np.ndarray = field(compare=False)
-    counts: np.ndarray = field(compare=False)  # fractions scaled by the noisy count
 
 
 def default_thresholds(spec: FeatureMap, attr: int, k: int = 10) -> np.ndarray:
@@ -250,39 +245,28 @@ def default_thresholds(spec: FeatureMap, attr: int, k: int = 10) -> np.ndarray:
     return lo + (hi - lo) * np.arange(1, k + 1) / k
 
 
-def estimate_cdf(spec: FeatureMap, sketch: PrivateSketch, attr: int,
-                 thresholds=None, config: TrainConfig | None = None,
-                 features: SyntheticFeatures | None = None) -> CdfEstimate:
-    """Estimate the empirical CDF of one attribute at fixed thresholds.
+def estimate_cdf(features: SyntheticFeatures, w: np.ndarray,
+                 attr: int) -> CdfEstimate:
+    """Estimate the empirical CDF of one attribute at default_thresholds.
 
     Raw per-threshold estimates are kept alongside the [0, 1]-clamped
     values; no monotonicity correction is applied.
     """
-    _check_attr(attr)
-    if thresholds is None:
-        thresholds = default_thresholds(spec, attr)
-    thresholds = np.asarray(thresholds, dtype=float)
-    if np.any(np.diff(thresholds) < 0):
-        raise TargetError("thresholds must be sorted ascending")
-    if features is None:
-        features = SyntheticFeatures(spec, config)
-    raw = features.estimate(sketch, [CdfThreshold(attr, float(s))
+    _check_attr(attr, features.spec.d)
+    thresholds = default_thresholds(features.spec, attr)
+    raw = features.weighted_sums(w, [CdfThreshold(attr, float(s))
                                      for s in thresholds])
     return CdfEstimate(thresholds, np.clip(raw, 0.0, 1.0), raw)
 
 
-def estimate_covariance(spec: FeatureMap, sketch: PrivateSketch,
-                        config: TrainConfig | None = None,
-                        features: SyntheticFeatures | None = None) -> np.ndarray:
+def estimate_covariance(features: SyntheticFeatures,
+                        w: np.ndarray) -> np.ndarray:
     """Two-pass covariance estimate: first moments, then centered products.
 
     The plug-in means come from the same sketch, so no extra privacy
     budget is spent; the result is symmetric by construction.
     """
-    if features is None:
-        features = SyntheticFeatures(spec, config)
-    d = spec.d
-    w = features.weights(sketch, features.penalty(sketch))  # both passes
+    d = features.spec.d
     means = features.weighted_sums(w, [Moment(j, 1) for j in range(1, d + 1)])
     pairs = [(i, j) for i in range(d) for j in range(i, d)]
     values = features.weighted_sums(w, [
@@ -296,34 +280,29 @@ def estimate_covariance(spec: FeatureMap, sketch: PrivateSketch,
     return cov
 
 
-def answer_queries(spec: FeatureMap, sketch: PrivateSketch, queries,
-                   config: TrainConfig | None = None,
-                   features: SyntheticFeatures | None = None,
-                   n_predicates: int = 3) -> QueryAnswers:
-    """Batch-estimate counting queries that are conjunctions of predicates.
-
-    Each query must have exactly n_predicates predicates on distinct
-    attributes.  Answers come as fractions of records (clamped), with the
-    raw estimates and count-scaled values exposed alongside.
-    """
+def _check_queries(queries, d: int) -> None:
+    """Each query must be a box indicator of exactly _QUERY_PREDICATES
+    predicates on distinct attributes numbered at most d."""
     for q in queries:
         if not isinstance(q, BoxIndicator):
             raise TargetError("queries must be box indicators")
-        if len(q.predicates) != n_predicates:
+        if len(q.predicates) != _QUERY_PREDICATES:
             raise TargetError(
-                f"each query needs exactly {n_predicates} predicates"
+                f"each query needs exactly {_QUERY_PREDICATES} predicates"
             )
-        attrs = {p.attr for p in q.predicates}
-        if len(attrs) != n_predicates:
+        attrs = {_check_attr(p.attr, d) for p in q.predicates}
+        if len(attrs) != _QUERY_PREDICATES:
             raise TargetError("query predicates must touch distinct attributes")
-        for p in q.predicates:
-            if p.attr > spec.d:
-                raise TargetError(
-                    f"attribute {p.attr} out of range for d={spec.d}"
-                )
-    if features is None:
-        features = SyntheticFeatures(spec, config)
-    raw = features.estimate(sketch, queries)
-    fractions = np.clip(raw, 0.0, 1.0)
-    counts = fractions * max(sketch.noisy_count, 1.0)
-    return QueryAnswers(fractions, raw, counts)
+
+
+def answer_queries(features: SyntheticFeatures, w: np.ndarray,
+                   queries) -> QueryAnswers:
+    """Batch-estimate counting queries that are conjunctions of predicates.
+
+    Each query must have exactly three predicates, on distinct attributes
+    of the features' domain.  Answers come as fractions of records
+    (clamped), with the raw estimates alongside.
+    """
+    _check_queries(queries, features.spec.d)
+    raw = features.weighted_sums(w, queries)
+    return QueryAnswers(np.clip(raw, 0.0, 1.0), raw)

@@ -113,6 +113,24 @@ class TestSketchCommand:
         assert code == 2
         assert "non-numeric" in stderr
 
+    @pytest.mark.parametrize("text", [
+        "x1,x2,x3\n1,2,3\n4,5\n",      # ragged
+        "x1,x2\n#0.5,0.2\n",           # non-numeric: no comment syntax
+        "x1,x2\n",                      # header only
+        "",                              # empty
+        "x1,x2\n0.5,nan\n",            # non-finite
+    ], ids=["ragged", "non-numeric", "header-only", "empty", "nan"])
+    def test_malformed_csv_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                   text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        out = tmp_path / "s.json"
+        code, stdout, stderr = run_cli(
+            capsys, "sketch", str(path), "--out", str(out))
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert stderr.startswith(f"error: {path}: ")
+
     def test_config_file_with_flag_override(self, tmp_path, dataset, capsys):
         path, _ = dataset
         cfg = tmp_path / "sketch.cfg"
@@ -270,7 +288,8 @@ class TestQueryBatch:
         assert len(rows) == 3
         for row in rows[1:]:
             assert float(row[1]) == pytest.approx(float(row[3]), abs=0.05)
-            assert float(row[2]) == pytest.approx(float(row[1]) * 400, abs=1e-6)
+            # count = fraction x noisy count (exactly 400 at epsilon=inf)
+            assert float(row[2]) == float(row[1]) * 400.0
 
     def test_bad_query_exits_2(self, tmp_path, hist_sketch, capsys):
         out, _ = hist_sketch
@@ -279,7 +298,14 @@ class TestQueryBatch:
         code, _, _ = run_cli(capsys, "query-batch", str(out), str(queries))
         assert code == 2
 
-    def test_wrong_predicate_count_exits_2(self, tmp_path, hist_sketch, capsys):
+    def test_wrong_predicate_count_exits_2(self, tmp_path, hist_sketch, capsys,
+                                           monkeypatch):
+        from dpsketch import SyntheticFeatures
+
+        def no_solve(*args):
+            raise AssertionError("queries must be checked before any solve")
+
+        monkeypatch.setattr(SyntheticFeatures, "solve", no_solve)
         out, _ = hist_sketch
         queries = tmp_path / "q.txt"
         queries.write_text("x1<=0.5\n")
@@ -388,12 +414,82 @@ class TestEval:
         assert (outdir / "results.csv").exists()
         assert (outdir / "aggregate.csv").exists()
 
+    def test_malformed_dataset_exits_2_naming_the_file(self, tmp_path,
+                                                         capsys):
+        data = tmp_path / "ragged.csv"
+        data.write_text("x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5\n")
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(f"dataset={data}\nsketches=hist\nepsilons=inf\n"
+                        "repetitions=1\ntasks=mean\nn_synth=500\n")
+        code, _, stderr = run_cli(
+            capsys, "eval", "--plan", str(plan), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert stderr.startswith(f"error: {data}: non-numeric value")
+
     def test_unknown_plan_key_exits_2(self, tmp_path, capsys):
         plan = tmp_path / "plan.cfg"
         plan.write_text("wat=1\n")
         code, _, _ = run_cli(
             capsys, "eval", "--plan", str(plan), "--out", str(tmp_path / "r"))
         assert code == 2
+
+
+class TestBadOptionValues:
+    @pytest.mark.parametrize("case", [
+        "epsilon", "split", "config-bins", "schema-array", "schema-columns",
+        "schema-lower", "plan-n", "n-synth",
+    ])
+    def test_exits_2_with_message(self, tmp_path, dataset, hist_sketch,
+                                  capsys, case):
+        path, _ = dataset
+        out = tmp_path / "s.json"
+        sketch = ["sketch", str(path), "--out", str(out)]
+        cfg = tmp_path / "in.cfg"
+        if case == "config-bins":
+            cfg.write_text("bins=abc\n")
+        elif case == "schema-array":
+            cfg.write_text("[]")
+        elif case.startswith("schema"):
+            cols = (["a", "b", "c"] if case == "schema-columns"
+                    else [{"lower": "x"}, {}, {}])
+            cfg.write_text(json.dumps({"columns": cols}))
+        elif case == "plan-n":
+            cfg.write_text("n=abc\n")
+        argv = {
+            "epsilon": sketch + ["--epsilon", "abc"],
+            "split": sketch + ["--split", "1.5", "--epsilon", "1"],
+            "config-bins": sketch + ["--config", str(cfg)],
+            "schema-array": sketch + ["--schema", str(cfg)],
+            "schema-columns": sketch + ["--schema", str(cfg)],
+            "schema-lower": sketch + ["--schema", str(cfg)],
+            "plan-n": ["eval", "--plan", str(cfg), "--out", str(tmp_path / "r")],
+            "n-synth": ["estimate", str(hist_sketch[0]), "moment 1 1",
+                        "--n-synth", "0"],
+        }[case]
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert stderr.startswith("error: ")
+
+
+class TestAttributeBeyondD:
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "moment 9 1"],
+        ["estimate", 'count "x9<=0.5"'],
+        ["cdf", "--attr", "9"],
+        ["query-batch"],
+    ], ids=["moment", "count", "cdf", "query-batch"])
+    def test_exits_2(self, tmp_path, hist_sketch, capsys, argv):
+        out, _ = hist_sketch
+        args = [argv[0], str(out), *argv[1:]]
+        if argv[0] == "query-batch":
+            queries = tmp_path / "q.txt"
+            queries.write_text("x1<=0.5 and x2>=0.2 and x9<=0.9\n")
+            args.append(str(queries))
+        code, stdout, stderr = run_cli(capsys, *args, "--n-synth", "500")
+        assert code == 2
+        assert stdout == ""
+        assert "attribute 9 out of range for d=3" in stderr
 
 
 class TestSeedEnvVar:

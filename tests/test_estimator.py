@@ -19,7 +19,6 @@ from dpsketch import (
     loss_value,
     privatize,
     regularization_lambda,
-    sample_prior,
     sketch_exact,
     theorem_lambda,
 )
@@ -29,25 +28,25 @@ from dpsketch.sketch import SketchError
 
 class TestPrior:
     def test_uniform_moments(self):
-        X = sample_prior(Domain.unit(4), 100_000, seed=0)
+        X = Domain.unit(4).sample(100_000, np.random.default_rng(0))
         assert X.shape == (100_000, 4)
         np.testing.assert_allclose(X.mean(axis=0), 0.5, atol=0.005)
         np.testing.assert_allclose(X.var(axis=0), 1 / 12, atol=0.005)
 
     def test_binary_attributes_are_fair_coins(self):
         dom = Domain((0.0, 0.0), (1.0, 1.0), kinds=("continuous", "binary"))
-        X = sample_prior(dom, 50_000, seed=1)
+        X = dom.sample(50_000, np.random.default_rng(1))
         assert set(np.unique(X[:, 1])) == {0.0, 1.0}
         assert X[:, 1].mean() == pytest.approx(0.5, abs=0.01)
 
     def test_seed_determinism(self):
-        a = sample_prior(Domain.unit(3), 100, seed=(2, 5))
-        b = sample_prior(Domain.unit(3), 100, seed=(2, 5))
+        a = Domain.unit(3).sample(100, np.random.default_rng((2, 5)))
+        b = Domain.unit(3).sample(100, np.random.default_rng((2, 5)))
         np.testing.assert_array_equal(a, b)
 
     def test_respects_domain_box(self):
         dom = Domain((-1.0, 2.0), (1.0, 3.0))
-        X = sample_prior(dom, 1000, seed=3)
+        X = dom.sample(1000, np.random.default_rng(3))
         assert X[:, 0].min() >= -1 and X[:, 0].max() <= 1
         assert X[:, 1].min() >= 2 and X[:, 1].max() <= 3
 
@@ -102,7 +101,7 @@ class TestLambda:
 class TestFit:
     def test_recovers_single_component(self):
         spec = build_rff(3, 20, 1.0, seed=0)
-        synth = sample_prior(Domain.unit(3), 2000, seed=1)
+        synth = Domain.unit(3).sample(2000, np.random.default_rng(1))
         model = SyntheticFeatures.from_points(spec, synth).fit(
             lambda X: spec.embed_batch(X)[:, 4], 1e-9)
         expected = np.zeros(20)
@@ -111,14 +110,14 @@ class TestFit:
 
     def test_zero_target_gives_zero_coefficients(self):
         spec = build_hist(Domain.unit(2), 5)
-        synth = sample_prior(Domain.unit(2), 500, seed=2)
+        synth = Domain.unit(2).sample(500, np.random.default_rng(2))
         model = SyntheticFeatures.from_points(spec, synth).fit(
             lambda X: np.zeros(X.shape[0]), 0.5)
         np.testing.assert_array_equal(model.coef, np.zeros(10))
 
     def test_span_member_has_tiny_residual(self):
         spec = build_hist(Domain.unit(2), 4)
-        synth = sample_prior(Domain.unit(2), 4000, seed=3)
+        synth = Domain.unit(2).sample(4000, np.random.default_rng(3))
         # indicator of x1 <= 0.5 is the sum of the first two bins
         model = SyntheticFeatures.from_points(spec, synth).fit(
             lambda X: (X[:, 0] <= 0.5).astype(float), 1e-9)
@@ -143,7 +142,7 @@ class TestFit:
 
     def test_fit_minimizes_objective(self):
         spec = build_rff(2, 10, 1.0, seed=6)
-        pts = sample_prior(Domain.unit(2), 500, seed=6)
+        pts = Domain.unit(2).sample(500, np.random.default_rng(6))
         lam = 0.05
         model = SyntheticFeatures.from_points(spec, pts).fit(Moment(2, 1), lam)
         best = loss_value(spec, model.coef, Moment(2, 1), pts, lam)
@@ -168,13 +167,13 @@ class TestFit:
 class TestLoss:
     def test_zero_coef_constant_target(self):
         spec = build_hist(Domain.unit(2), 3)
-        pts = sample_prior(Domain.unit(2), 100, seed=0)
+        pts = Domain.unit(2).sample(100, np.random.default_rng(0))
         f = lambda X: np.ones(X.shape[0])
         assert loss_value(spec, np.zeros(6), f, pts, 0.7) == pytest.approx(1.0)
 
     def test_lambda_term_isolated(self):
         spec = build_hist(Domain.unit(2), 3)
-        pts = sample_prior(Domain.unit(2), 100, seed=0)
+        pts = Domain.unit(2).sample(100, np.random.default_rng(0))
         a = np.ones(6) / 6
         f = lambda X: np.zeros(X.shape[0])
         base = loss_value(spec, a, f, pts, 0.0)
@@ -196,7 +195,7 @@ class TestEstimate:
         other = build_hist(Domain.unit(2), 5)
         X = np.random.default_rng(1).uniform(size=(10, 2))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
-        pts = sample_prior(Domain.unit(2), 200, seed=0)
+        pts = Domain.unit(2).sample(200, np.random.default_rng(0))
         with pytest.raises(SketchError):
             SyntheticFeatures.from_points(other, pts).estimate(sk, [Moment(1, 1)])
 
@@ -286,7 +285,7 @@ class TestWeightsPath:
             retained = []
             for s in range(5):
                 sk = privatize(exact, spec, 1.0, seed=(18, s))
-                estimate_covariance(spec, sk, features=feats)
+                estimate_covariance(feats, feats.weights(sk, feats.penalty(sk)))
                 del sk
                 retained.append(tracemalloc.get_traced_memory()[0])
         finally:

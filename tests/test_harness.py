@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from dpsketch import Domain, SyntheticFeatures
+from dpsketch import Domain, SyntheticFeatures, read_csv
 from dpsketch.harness import (
     ExperimentPlan,
     build_sketch_spec,
     gen_random10,
     gen_separable_classification,
-    load_dataset_csv,
     run_plan,
     write_dataset_csv,
 )
@@ -69,7 +68,7 @@ class TestDatasetCsv:
         data = np.random.default_rng(0).uniform(size=(20, 3))
         path = tmp_path / "d.csv"
         write_dataset_csv(path, data)
-        loaded, header = load_dataset_csv(path)
+        loaded, header = read_csv(path)
         np.testing.assert_array_equal(loaded, data)
         assert header == ["x1", "x2", "x3"]
 
@@ -168,8 +167,7 @@ class TestPlan:
         assert rows and rows[0]["dataset"] == "ext.csv"
 
     def test_one_weight_solve_per_cell(self, tmp_path, monkeypatch):
-        # mean, moment2, cdf and queries share one weight vector; only the
-        # covariance solves again
+        # every task of a cell reads the cell's one weight vector
         calls = []
         solve = SyntheticFeatures.solve
 
@@ -187,4 +185,4 @@ class TestPlan:
         with open(results) as fh:
             tasks = {row["task"] for row in csv.DictReader(fh)}
         assert tasks == {"mean", "moment2", "cdf", "cov", "queries"}
-        assert len(calls) <= 2 * plan.repetitions
+        assert len(calls) == plan.repetitions

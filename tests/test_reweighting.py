@@ -254,7 +254,7 @@ class TestLogisticFromSketch:
         spec = build_rff(d, 100, 1.0, seed=1, domain=dom)
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         model = fit_logistic_from_sketch(
-            spec, sk, TrainConfig(n_synth=20_000, seed=2),
+            SyntheticFeatures(spec, TrainConfig(n_synth=20_000, seed=2)), sk,
             GdConfig(step=2.0, iters=400, seed=3))
         train_auc = evaluate_auc(model, X)
         assert train_auc > 0.95
@@ -267,8 +267,8 @@ class TestLogisticFromSketch:
         spec = build_rff(3, 20, 1.0, seed=0)
         sk = privatize(sketch_exact(spec, [[0.1, 0.2, 0.3]]), spec, math.inf)
         with pytest.raises(ValueError):
-            fit_logistic_from_sketch(spec, sk,
-                                     TrainConfig(n_synth=100, seed=0))
+            fit_logistic_from_sketch(
+                SyntheticFeatures(spec, TrainConfig(n_synth=100, seed=0)), sk)
 
     def test_reproducible(self):
         d = 3
@@ -278,7 +278,7 @@ class TestLogisticFromSketch:
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=7)
         cfg = TrainConfig(n_synth=4000, seed=8)
         gd = GdConfig(step=1.0, iters=100, seed=9)
-        a = fit_logistic_from_sketch(spec, sk, cfg, gd)
-        b = fit_logistic_from_sketch(spec, sk, cfg, gd)
+        a = fit_logistic_from_sketch(SyntheticFeatures(spec, cfg), sk, gd)
+        b = fit_logistic_from_sketch(SyntheticFeatures(spec, cfg), sk, gd)
         np.testing.assert_array_equal(a.theta, b.theta)
         assert a.intercept == b.intercept

@@ -18,7 +18,6 @@ from dpsketch import (
     build_rff,
     estimate_cdf,
     estimate_covariance,
-    eval_target,
     privatize,
     sketch_exact,
 )
@@ -30,31 +29,38 @@ from dpsketch.targets import (
 )
 
 
+def _features_and_weights(spec, sk, n_synth, seed):
+    """Synthetic features and the sketch's weight vector, as the CLI builds them."""
+    feats = SyntheticFeatures(spec, TrainConfig(n_synth=n_synth, seed=seed))
+    return feats, feats.weights(sk, feats.penalty(sk))
+
+
 class TestTargetEvaluation:
+    # targets take an (n, d) batch; each case evaluates a 1-row batch
     def test_moment(self):
-        assert eval_target(Moment(2, 3), [0.5, 2.0, 7.0]) == 8.0
+        assert Moment(2, 3)([[0.5, 2.0, 7.0]])[0] == 8.0
 
     def test_zeroth_moment_is_one(self):
-        assert eval_target(Moment(1, 0), [0.3, 0.4]) == 1.0
+        assert Moment(1, 0)([[0.3, 0.4]])[0] == 1.0
 
     def test_box_indicator(self):
         box = BoxIndicator((Predicate(1, "<=", 0.5), Predicate(2, ">=", 0.2)))
-        assert eval_target(box, [0.4, 0.3]) == 1.0
-        assert eval_target(box, [0.6, 0.3]) == 0.0
-        assert eval_target(box, [0.4, 0.1]) == 0.0
+        assert box([[0.4, 0.3]])[0] == 1.0
+        assert box([[0.6, 0.3]])[0] == 0.0
+        assert box([[0.4, 0.1]])[0] == 0.0
 
     def test_boundary_is_inclusive(self):
         box = BoxIndicator((Predicate(1, "<=", 0.5),))
-        assert eval_target(box, [0.5]) == 1.0
+        assert box([[0.5]])[0] == 1.0
 
     def test_cdf_threshold(self):
         t = CdfThreshold(2, 0.7)
-        assert eval_target(t, [0.0, 0.7]) == 1.0
-        assert eval_target(t, [0.0, 0.71]) == 0.0
+        assert t([[0.0, 0.7]])[0] == 1.0
+        assert t([[0.0, 0.71]])[0] == 0.0
 
     def test_centered_product(self):
         cp = CenteredProduct(1, 2, 0.5, 0.25)
-        assert eval_target(cp, [1.0, 1.0]) == pytest.approx(0.375)
+        assert cp([[1.0, 1.0]])[0] == pytest.approx(0.375)
 
     def test_vectorized_batches(self):
         X = np.array([[0.1, 0.2], [0.9, 0.8]])
@@ -125,6 +131,14 @@ class TestGrammar:
         with pytest.raises(TargetError):
             parse_predicates(bad)
 
+    @pytest.mark.parametrize("text", ["moment 4 1", 'count "x1<=0.5 and x4>=0.1"',
+                                      "cdf 4"])
+    def test_attribute_beyond_d_rejected(self, text):
+        parse_target(text)  # no d given: only the 1-based check applies
+        parse_target(text, 4)
+        with pytest.raises(TargetError, match="attribute 4 out of range for d=3"):
+            parse_target(text, 3)
+
     def test_parse_error_reports_position(self):
         with pytest.raises(TargetParseError) as err:
             parse_predicates("x1<=0.5 and x2<0.3")
@@ -141,7 +155,7 @@ class TestCdfPipeline:
         spec = build_hist(Domain.unit(2), 10)
         X = np.random.default_rng(0).uniform(size=(500, 2))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
-        res = estimate_cdf(spec, sk, 1, config=TrainConfig(n_synth=20_000, seed=1))
+        res = estimate_cdf(*_features_and_weights(spec, sk, 20_000, 1), 1)
         truth = [(X[:, 0] <= s).mean() for s in res.thresholds]
         np.testing.assert_allclose(res.values, truth, atol=1e-6)
         assert res.values[-1] == pytest.approx(1.0, abs=1e-6)
@@ -151,22 +165,22 @@ class TestCdfPipeline:
         spec = build_hist(Domain.unit(1), 10)
         X = np.zeros((50, 1))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
-        res = estimate_cdf(spec, sk, 1, config=TrainConfig(n_synth=10_000, seed=2))
+        res = estimate_cdf(*_features_and_weights(spec, sk, 10_000, 2), 1)
         np.testing.assert_allclose(res.values, 1.0, atol=1e-6)
 
     def test_values_clamped_raw_kept(self):
         spec = build_hist(Domain.unit(1), 5)
         X = np.random.default_rng(1).uniform(size=(20, 1))
         sk = privatize(sketch_exact(spec, X), spec, 0.1, seed=5)
-        res = estimate_cdf(spec, sk, 1, config=TrainConfig(n_synth=5000, seed=0))
+        res = estimate_cdf(*_features_and_weights(spec, sk, 5000, 0), 1)
         assert np.all(res.values >= 0) and np.all(res.values <= 1)
         assert res.raw.shape == res.values.shape
 
-    def test_rejects_unsorted_thresholds(self):
-        spec = build_hist(Domain.unit(1), 5)
-        sk = privatize(sketch_exact(spec, [[0.5]]), spec, math.inf)
-        with pytest.raises(TargetError):
-            estimate_cdf(spec, sk, 1, thresholds=[0.5, 0.2])
+    def test_rejects_attribute_out_of_range(self):
+        spec = build_hist(Domain.unit(2), 5)
+        sk = privatize(sketch_exact(spec, [[0.5, 0.5]]), spec, math.inf)
+        with pytest.raises(TargetError, match="out of range"):
+            estimate_cdf(*_features_and_weights(spec, sk, 500, 0), 3)
 
     def test_noise_monotonically_worsens_emd(self):
         from dpsketch import emd_1d
@@ -182,7 +196,8 @@ class TestCdfPipeline:
             vals = []
             for r in range(reps):
                 sk = privatize(exact, spec, eps, seed=(int(eps * 10), r))
-                res = estimate_cdf(spec, sk, 1, features=feats)
+                res = estimate_cdf(feats, feats.weights(sk, feats.penalty(sk)),
+                                   1)
                 vals.append(emd_1d(res.values, truth))
             return np.mean(vals)
 
@@ -195,24 +210,21 @@ class TestCovariancePipeline:
         spec = build_rff(2, 400, 1.0, seed=4)
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
-        cov = estimate_covariance(spec, sk,
-                                  config=TrainConfig(n_synth=40_000, seed=0))
+        cov = estimate_covariance(*_features_and_weights(spec, sk, 40_000, 0))
         np.testing.assert_allclose(cov, 0.25, atol=5e-3)
 
     def test_symmetry(self):
         spec = build_rff(3, 60, 1.0, seed=5)
         X = np.random.default_rng(5).uniform(size=(100, 3))
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=1)
-        cov = estimate_covariance(spec, sk,
-                                  config=TrainConfig(n_synth=5000, seed=0))
+        cov = estimate_covariance(*_features_and_weights(spec, sk, 5000, 0))
         np.testing.assert_array_equal(cov, cov.T)
 
     def test_constant_dataset_near_zero(self):
         spec = build_rff(2, 100, 1.0, seed=6)
         X = np.full((100, 2), 0.5)
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
-        cov = estimate_covariance(spec, sk,
-                                  config=TrainConfig(n_synth=20_000, seed=0))
+        cov = estimate_covariance(*_features_and_weights(spec, sk, 20_000, 0))
         np.testing.assert_allclose(cov, 0.0, atol=5e-3)
 
 
@@ -230,13 +242,12 @@ class TestCountingQueries:
         X = np.random.default_rng(7).uniform(size=(1000, 3))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         queries = self._queries()
-        res = answer_queries(spec, sk, queries,
-                             config=TrainConfig(n_synth=30_000, seed=0))
+        res = answer_queries(*_features_and_weights(spec, sk, 30_000, 0),
+                             queries)
         truth = np.array([q(X).mean() for q in queries])
         # 3-way conjunctions are not additive over marginals, so the HIST
         # fit carries a small model error even without noise
         np.testing.assert_allclose(res.fractions, truth, atol=0.02)
-        np.testing.assert_allclose(res.counts, res.fractions * 1000, atol=1e-9)
 
     def test_whole_domain_box_counts_everything(self):
         spec = build_hist(Domain.unit(3), 8)
@@ -244,8 +255,7 @@ class TestCountingQueries:
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         box = BoxIndicator((Predicate(1, "<=", 1.0), Predicate(2, "<=", 1.0),
                             Predicate(3, "<=", 1.0)))
-        res = answer_queries(spec, sk, [box],
-                             config=TrainConfig(n_synth=20_000, seed=0))
+        res = answer_queries(*_features_and_weights(spec, sk, 20_000, 0), [box])
         assert res.fractions[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_rejects_wrong_predicate_count(self):
@@ -253,7 +263,7 @@ class TestCountingQueries:
         sk = privatize(sketch_exact(spec, [[0.5, 0.5, 0.5]]), spec, math.inf)
         box = BoxIndicator((Predicate(1, "<=", 0.5),))
         with pytest.raises(TargetError):
-            answer_queries(spec, sk, [box])
+            answer_queries(*_features_and_weights(spec, sk, 500, 0), [box])
 
     def test_rejects_repeated_attribute(self):
         spec = build_hist(Domain.unit(3), 4)
@@ -261,7 +271,7 @@ class TestCountingQueries:
         box = BoxIndicator((Predicate(1, "<=", 0.5), Predicate(1, ">=", 0.1),
                             Predicate(2, "<=", 0.9)))
         with pytest.raises(TargetError):
-            answer_queries(spec, sk, [box])
+            answer_queries(*_features_and_weights(spec, sk, 500, 0), [box])
 
     def test_rejects_attribute_out_of_range(self):
         spec = build_hist(Domain.unit(3), 4)
@@ -269,4 +279,4 @@ class TestCountingQueries:
         box = BoxIndicator((Predicate(1, "<=", 0.5), Predicate(2, ">=", 0.1),
                             Predicate(9, "<=", 0.9)))
         with pytest.raises(TargetError):
-            answer_queries(spec, sk, [box])
+            answer_queries(*_features_and_weights(spec, sk, 500, 0), [box])
