@@ -36,7 +36,12 @@ class CliError(Exception):
 def _default_seed(fallback=0):
     """DPSKETCH_SEED as an int, or fallback when it is unset."""
     value = os.environ.get(SEED_ENV_VAR)
-    return fallback if value is None else int(value)
+    if value is None:
+        return fallback
+    try:
+        return int(value)
+    except ValueError:
+        raise CliError(f"{SEED_ENV_VAR} must be an integer, got {value!r}")
 
 
 def _parse_epsilon(text: str) -> float:

@@ -98,14 +98,17 @@ def _evaluate_target(f, points: np.ndarray) -> np.ndarray:
 
 
 class SyntheticFeatures:
-    """Synthetic prior samples with their embedding, Gram matrix and factor.
+    """Synthetic prior samples with their embedding and one Gram buffer.
 
     The single estimation object: the ridge estimate <fit(f), sketch> of
     any target f equals w @ f(points) for per-sample weights w that depend
     only on the sketch and the penalty, so one solve per sketch answers
-    every target.  The Gram matrix is built once, and the factorization of
-    the last penalty is kept, so many targets and many sketches share one
-    sample set.  Samples are drawn deterministically from the config seed.
+    every target.  The Gram matrix G is built once, on the first solve,
+    into the one m x m buffer this object holds (about 8 m^2 bytes, 328 MB
+    at m = 6400): G stays in its strict upper triangle and the Cholesky
+    factor of G + lam I at the last penalty lam sits in its lower triangle,
+    so many targets and many sketches share one sample set and one
+    buffer.  Samples are drawn deterministically from the config seed.
     """
 
     def __init__(self, spec: FeatureMap, config: TrainConfig | None = None):
@@ -138,7 +141,8 @@ class SyntheticFeatures:
                 stacklevel=3,
             )
         self._P = spec.encode_batch(points)
-        self._gram = None
+        self._buf = None  # Fortran order; filled by the first factorization
+        self._gram_diag = None  # diag(G), which each factor overwrites
         self._factor = None  # (lam, factorization) of the last penalty
 
     @property
@@ -146,9 +150,8 @@ class SyntheticFeatures:
         return self.points.shape[0]
 
     def gram(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = self.spec.gram(self._P)
-        return self._gram
+        """The Gram matrix (1/n) P^T P, computed afresh on every call."""
+        return self.spec.gram(self._P)
 
     def dot_targets(self, F) -> np.ndarray:
         """(1/n) P^T F for target values F of shape (n,) or (n, t)."""
@@ -161,14 +164,16 @@ class SyntheticFeatures:
     def solve(self, rhs: np.ndarray, lam: float) -> np.ndarray:
         """Solve (Gram + lam I) x = rhs with a cached SPD factorization.
 
-        Only the last penalty's factor is kept: every estimate from one
-        sketch uses one penalty, so a sweep over sketches holds one m x m
-        factor, not one per sketch.  Falls back to a jittered factorization
-        and finally to a rank-revealing least-squares solve if the matrix
-        is numerically indefinite.
+        Only the last penalty's factor is kept, in place in the one m x m
+        buffer: every estimate from one sketch uses one penalty, and a new
+        penalty copies G back from the buffer's other triangle and factors
+        again, so a sweep over sketches never holds a second m x m array.
+        Falls back to a jittered factorization and finally to a
+        rank-revealing least-squares solve if the matrix is numerically
+        indefinite.
         """
         if self._factor is None or self._factor[0] != lam:
-            self._factor = None  # release the old factor before building anew
+            self._factor = None  # the buffer is about to change under it
             self._factor = (lam, self._factorize(lam))
         kind, data = self._factor[1]
         if kind == "cho":
@@ -176,22 +181,49 @@ class SyntheticFeatures:
         return np.linalg.lstsq(data, rhs, rcond=None)[0]
 
     def _factorize(self, lam: float):
-        G = self.gram()
-        A = G + lam * np.eye(G.shape[0])
-        try:
-            c = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
+        if self._buf is None:
+            G = self.gram()
+            self._gram_diag = G.diagonal().copy()
+            # G is exactly symmetric, so G.T is the same matrix in Fortran
+            # order, which potrf factors in place without a copy.
+            self._buf = G.T
+        else:
+            self._restore_gram()
+        A = self._buf
+        diag = np.arange(A.shape[0])
+        # plain, then jittered by 1e-10 trace(G) / m
+        for jitter in (0.0, 1e-10 * self._gram_diag.sum() / A.shape[0]):
+            A[diag, diag] = self._gram_diag + lam + jitter
+            try:
+                # lower=True with clean=False reads and writes only the
+                # lower triangle, so G survives in the strict upper one.
+                c = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True,
+                                            check_finite=False)
+            except np.linalg.LinAlgError:
+                self._restore_gram()
+                continue
             self._warn_condition(c[0])
             return ("cho", c)
-        except np.linalg.LinAlgError:
-            pass
-        jitter = 1e-10 * np.trace(G) / G.shape[0]
-        try:
-            c = scipy.linalg.cho_factor(A + jitter * np.eye(G.shape[0]),
-                                        lower=True, check_finite=False)
-            self._warn_condition(c[0])
-            return ("cho", c)
-        except np.linalg.LinAlgError:
-            return ("lstsq", A)
+        A[diag, diag] = self._gram_diag + lam
+        return ("lstsq", A)
+
+    def _restore_gram(self) -> None:
+        """Copy G from the buffer's strict upper triangle over the lower one.
+
+        Tile by tile, so each transposed copy stays in cache.  Only the
+        strict triangle of each diagonal tile is copied: its upper part
+        holds G, its lower part the old factor.
+        """
+        A = self._buf
+        m = A.shape[0]
+        tile = 64
+        for j0 in range(0, m, tile):
+            j1 = min(j0 + tile, m)
+            for i0 in range(j1, m, tile):
+                A[i0:i0 + tile, j0:j1] = A[j0:j1, i0:i0 + tile].T
+            square = A[j0:j1, j0:j1]
+            lower = np.tril_indices(j1 - j0, -1)
+            square[lower] = square.T[lower]
 
     @staticmethod
     def _warn_condition(chol_factor: np.ndarray) -> None:

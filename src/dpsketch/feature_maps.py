@@ -74,7 +74,8 @@ class FeatureMap:
         raise NotImplementedError
 
     def gram(self, P) -> np.ndarray:
-        """(1/n) P^T P as a dense (m, m) array."""
+        """(1/n) P^T P as a dense (m, m) array, exactly symmetric: the
+        estimator factors its transpose in place as the same matrix."""
         raise NotImplementedError
 
     # -- serialization ----------------------------------------------------
@@ -117,10 +118,11 @@ class _OneHotBlocks:
 
     def gram(self, P: scipy.sparse.csr_array) -> np.ndarray:
         # Blockwise joint bucket counts; at the sizes used here this beats
-        # a sparse P.T @ P.
+        # a sparse P.T @ P.  Column-major indices, so that each bincount
+        # reads its two block columns from contiguous memory.
         n = P.shape[0]
         B, W = self.n_blocks, self.width
-        idx = P.indices.reshape(n, B) - W * np.arange(B)
+        idx = np.asfortranarray(P.indices.reshape(n, B) - W * np.arange(B))
         m = B * W
         G = np.zeros((m, m))
         for a in range(B):
@@ -221,7 +223,9 @@ class RffMap(FeatureMap):
         return float(self.m_half)
 
     def gram(self, P: np.ndarray) -> np.ndarray:
-        return (P.T @ P) / P.shape[0]
+        G = P.T @ P
+        G /= P.shape[0]
+        return G
 
     def to_dict(self) -> dict:
         return {

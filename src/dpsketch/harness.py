@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domain import BINARY, CONTINUOUS, Domain, read_csv
+from .domain import BINARY, CONTINUOUS, Domain, DomainError, read_csv
 from .estimator import SyntheticFeatures, TrainConfig
 from .feature_maps import FeatureMap, build_hist, build_race, build_rff
 from .metrics import emd_1d, frobenius, mae, mre
@@ -33,6 +33,7 @@ from .targets import (
 DEFAULT_EPSILONS = (0.01, 0.1, 1.0, 10.0, 100.0, math.inf)
 DEFAULT_TASKS = ("mean", "moment2", "cdf", "cov", "queries")
 DEFAULT_SKETCHES = ("rff", "race", "hist")
+_QUERIES_NEED_3 = "the counting-query task needs at least 3 attributes"
 
 
 @dataclass
@@ -57,6 +58,19 @@ class ExperimentPlan:
             raise ValueError("repetitions must be >= 1")
         if not self.sketches or not self.epsilons or not self.tasks:
             raise ValueError("sketch, epsilon and task grids must be non-empty")
+        for kind in self.sketches:
+            if kind.lower() not in DEFAULT_SKETCHES:
+                raise ValueError(f"unknown sketch kind {kind!r}; expected one "
+                                 f"of {', '.join(DEFAULT_SKETCHES)}")
+        for task in self.tasks:
+            if task not in DEFAULT_TASKS:
+                raise ValueError(f"unknown task {task!r}; expected one of "
+                                 f"{', '.join(DEFAULT_TASKS)}")
+        if self.dataset == "random10":
+            if self.n < 1 or self.d < 1:
+                raise ValueError("n and d must be >= 1")
+            if "queries" in self.tasks and self.d < 3:
+                raise ValueError(_QUERIES_NEED_3)
 
     def quick(self) -> "ExperimentPlan":
         """CI-scale variant: fewer synthetic samples and repetitions."""
@@ -217,8 +231,8 @@ def run_plan(plan: ExperimentPlan, out_dir) -> str:
         dataset_name = os.path.basename(str(plan.dataset))
     queries = []
     if "queries" in plan.tasks:
-        if domain.d < 3:
-            raise ValueError("the counting-query task needs at least 3 attributes")
+        if domain.d < 3:  # a random10 plan checked this on construction
+            raise DomainError(f"{plan.dataset}: {_QUERIES_NEED_3}")
         queries = _random_queries(domain, plan.n_queries,
                                   np.random.default_rng((plan.seed, 2)))
     truth = _truths(data, domain, plan.tasks, queries)

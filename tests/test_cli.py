@@ -426,6 +426,30 @@ class TestEval:
         assert code == 2
         assert stderr.startswith(f"error: {data}: non-numeric value")
 
+    @pytest.mark.parametrize("case", [
+        "sketches=wavelet", "n=0", "d=2", "tasks=foo", "csv-d=2",
+    ])
+    def test_bad_plan_exits_2(self, tmp_path, capsys, case):
+        values = {"n": "200", "d": "3", "sketches": "hist", "epsilons": "inf",
+                  "repetitions": "1", "tasks": "mean", "n_synth": "500"}
+        if case == "d=2":
+            values.update(d="2", tasks="mean,queries")
+        elif case == "csv-d=2":
+            data = tmp_path / "two.csv"
+            write_csv(data, np.random.default_rng(0).uniform(size=(50, 2)))
+            values.update(dataset=str(data), tasks="queries")
+        else:
+            key, value = case.split("=")
+            values[key] = value
+        plan = tmp_path / "plan.cfg"
+        plan.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        out = tmp_path / "r"
+        code, _, stderr = run_cli(capsys, "eval", "--plan", str(plan),
+                                  "--out", str(out))
+        assert code == 2
+        assert stderr.startswith("error: ")
+        assert not (out / "results.csv").exists()
+
     def test_unknown_plan_key_exits_2(self, tmp_path, capsys):
         plan = tmp_path / "plan.cfg"
         plan.write_text("wat=1\n")
@@ -513,6 +537,17 @@ class TestSeedEnvVar:
             run_cli(capsys, "sketch", str(path), "--out", str(out),
                     "--map", "hist", "--bins", "5", "--epsilon", "1.0")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_malformed_env_seed_exits_2(self, tmp_path, dataset, capsys,
+                                        monkeypatch):
+        path, _ = dataset
+        monkeypatch.setenv("DPSKETCH_SEED", "abc")
+        out = tmp_path / "s.json"
+        code, stdout, stderr = run_cli(capsys, "sketch", str(path), "--out",
+                                       str(out), "--map", "hist")
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert stderr.startswith("error: DPSKETCH_SEED")
 
     def test_default_noise_is_fresh_and_unpublished(self, tmp_path, dataset,
                                                     capsys, monkeypatch):

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dpsketch import (
     Domain,
@@ -246,12 +247,16 @@ class TestLearnAndEstimate:
         assert np.mean(errs) > err_inf
 
 
+_MAPS = [
+    build_hist(Domain.unit(3), 6),
+    build_rff(3, 40, 1.0, seed=11),
+    build_race(3, 6, 5, 0.3, seed=12),
+]
+_MAP_IDS = ["hist", "rff", "race"]
+
+
 class TestWeightsPath:
-    @pytest.mark.parametrize("spec", [
-        build_hist(Domain.unit(3), 6),
-        build_rff(3, 40, 1.0, seed=11),
-        build_race(3, 6, 5, 0.3, seed=12),
-    ], ids=["hist", "rff", "race"])
+    @pytest.mark.parametrize("spec", _MAPS, ids=_MAP_IDS)
     def test_matches_per_target_fits(self, spec):
         X = np.random.default_rng(13).uniform(size=(400, 3))
         sk = privatize(sketch_exact(spec, X), spec, 2.0, seed=14)
@@ -321,3 +326,67 @@ class TestWeightsPath:
         assert outputs[0] == outputs[1]
         assert [line.split()[0] for line in outputs[0].splitlines()] == \
             ["60", "60"]
+
+
+class TestFactorBuffer:
+    @pytest.mark.parametrize("spec", _MAPS, ids=_MAP_IDS)
+    def test_gram_is_exactly_symmetric(self, spec):
+        # The factorization takes G.T as G in Fortran order, in place.
+        G = SyntheticFeatures(spec, TrainConfig(n_synth=3000, seed=1)).gram()
+        assert G.tobytes() == np.ascontiguousarray(G.T).tobytes()
+
+    @pytest.mark.parametrize("spec", _MAPS, ids=_MAP_IDS)
+    def test_refactoring_matches_fresh_instances(self, spec):
+        X = np.random.default_rng(2).uniform(size=(400, 3))
+        sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=3)
+        cfg = TrainConfig(n_synth=3000, seed=4)
+        feats = SyntheticFeatures(spec, cfg)
+        for lam in (1e-3, 0.2, 1e-3):
+            fresh = SyntheticFeatures(spec, cfg).weights(sk, lam)
+            assert feats.weights(sk, lam).tobytes() == fresh.tobytes()
+
+    def test_first_solve_holds_one_m_by_m_buffer(self):
+        spec = build_race(3, 40, 40, 0.2, seed=5)
+        X = np.random.default_rng(6).uniform(size=(2000, 3))
+        sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=7)
+        feats = SyntheticFeatures(spec, TrainConfig(n_synth=4000, seed=8))
+        lam = feats.penalty(sk)
+        tracemalloc.start()
+        try:
+            feats.weights(sk, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer_bytes = 8 * spec.m * spec.m
+        assert peak <= 1.5 * buffer_bytes, peak / buffer_bytes
+
+    @pytest.mark.parametrize("path", ["lstsq", "jitter"])
+    def test_indefinite_gram_falls_back_then_refactors(self, monkeypatch,
+                                                       path):
+        spec = build_hist(Domain.unit(3), 6)
+        m = spec.m
+        rng = np.random.default_rng(9)
+        Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        eigs = np.linspace(0.5, 2.0, m)
+        lam = 1e-3
+        # the jittered retry adds 1e-10 trace(G) / m to the diagonal
+        eigs[0] = -1.0 if path == "lstsq" else -(lam + 0.5e-10 * eigs.mean())
+        M = (Q * eigs) @ Q.T
+        M = (M + M.T) / 2
+        jitter = 1e-10 * np.trace(M) / m
+        monkeypatch.setattr(spec, "gram", lambda P: M.copy())
+        feats = SyntheticFeatures(spec, TrainConfig(n_synth=500, seed=10))
+        rhs = rng.normal(size=m)
+
+        x = feats.solve(rhs, lam)
+        assert np.all(np.isfinite(x))
+        shift = lam if path == "lstsq" else lam + jitter
+        ref = np.linalg.solve(M + shift * np.eye(m), rhs)
+        assert np.linalg.norm(x - ref) < 1e-6 * np.linalg.norm(ref)
+
+        # a positive definite penalty factors again from the same buffer,
+        # bit for bit as a fresh factorization of M + 5 I
+        fresh = scipy.linalg.cho_factor(M + 5.0 * np.eye(m), lower=True)
+        assert feats.solve(rhs, 5.0).tobytes() == \
+            scipy.linalg.cho_solve(fresh, rhs).tobytes()
+        np.testing.assert_allclose(feats.solve(rhs, lam), x, rtol=1e-12)
