@@ -51,7 +51,6 @@ from .targets import (
 )
 from .metrics import auc, emd_1d, frobenius, mae, mre
 from .reweighting import (
-    GdConfig,
     LogisticModel,
     WeightedSamples,
     fit_logistic_from_sketch,

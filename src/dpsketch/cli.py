@@ -359,8 +359,10 @@ def cmd_query_batch(args) -> int:
 def cmd_fit_logreg(args) -> int:
     from .domain import BINARY, DomainError
     from .estimator import SyntheticFeatures
-    from .reweighting import GdConfig, evaluate_auc, fit_logistic_from_sketch
+    from .reweighting import evaluate_auc, fit_logistic_from_sketch
 
+    if args.iters < 1:
+        raise CliError(f"--iters must be at least 1, got {args.iters}")
     sketch, spec, _doc = _load_sketch_file(args.sketch)
     test_data, _ = _read_csv(args.test)
     if spec.variant == "HIST":
@@ -386,8 +388,12 @@ def cmd_fit_logreg(args) -> int:
 
     config = _train_config(args, domain)
     features = SyntheticFeatures(spec, config)
-    gd = GdConfig(step=args.step, iters=args.iters, seed=_default_seed())
-    model = fit_logistic_from_sketch(features, sketch, gd)
+    model = fit_logistic_from_sketch(features, sketch, args.iters)
+    fit = model.diagnostics
+    if not fit["converged"]:
+        print(f"warning: the fit stopped after {fit['iterations']} Newton "
+              f"steps without converging (--iters {args.iters})",
+              file=sys.stderr)
     try:
         auc_value = evaluate_auc(model, test_data)
     except ValueError as err:
@@ -398,8 +404,12 @@ def cmd_fit_logreg(args) -> int:
             "theta": model.theta.tolist(),
             "intercept": model.intercept,
             "objective": model.objective,
-            "config": {"n_synth": config.n_synth, "step": gd.step,
-                       "iters": gd.iters, "lambda": model.diagnostics["lambda"]},
+            "penalized_objective": fit["penalized_objective"],
+            "rho": fit["rho"],
+            "newton_steps": fit["iterations"],
+            "converged": fit["converged"],
+            "config": {"n_synth": config.n_synth, "iters": args.iters,
+                       "lambda": fit["lambda"]},
         }
         tmp = args.model_out + ".tmp"
         try:
@@ -557,8 +567,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sketch")
     p.add_argument("test")
     p.add_argument("--model-out", default=None)
-    p.add_argument("--step", type=float, default=0.1)
-    p.add_argument("--iters", type=int, default=500)
+    p.add_argument("--step", type=float, default=0.1,
+                   help="accepted for compatibility; unused")
+    p.add_argument("--iters", type=int, default=100,
+                   help="cap on Newton steps (default 100)")
     _add_fit_args(p)
     p.set_defaults(func=cmd_fit_logreg)
 

@@ -19,7 +19,7 @@ from .domain import BINARY, CONTINUOUS, Domain, DomainError, read_csv
 from .estimator import SyntheticFeatures, TrainConfig
 from .feature_maps import FeatureMap, build_hist, build_race, build_rff
 from .metrics import emd_1d, frobenius, mae, mre
-from .reweighting import GdConfig, evaluate_auc, fit_logistic_from_sketch
+from .reweighting import evaluate_auc, fit_logistic_from_sketch
 from .sketch import privatize, sketch_exact
 from .targets import (
     BoxIndicator,
@@ -301,8 +301,7 @@ def logistic_sweep(epsilons, n: int = 20_000, d: int = 6, margin: float = 50.0,
                                  domain=domain)
             features = SyntheticFeatures(spec, config)
             sketch = privatize(exact, spec, eps, seed=(seed, 4, ei, run))
-            model = fit_logistic_from_sketch(features, sketch,
-                                             GdConfig(seed=(seed, 5, run)))
+            model = fit_logistic_from_sketch(features, sketch)
             aucs.append(evaluate_auc(model, test))
         results[eps] = float(np.mean(aucs))
     return results

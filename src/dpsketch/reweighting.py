@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .domain import BINARY
 from .estimator import SyntheticFeatures
@@ -21,8 +22,11 @@ from .metrics import auc
 from .sketch import PrivateSketch
 
 
-class FitDivergenceError(RuntimeError):
-    """The weighted objective kept increasing; the descent was aborted."""
+# The logistic fit's penalty is rho = RIDGE * sum|w|, so scaling every
+# weight by c scales its objective by c and leaves the minimizer in place.
+RIDGE = 1e-3
+NEWTON_ITERS = 100  # default cap on Newton steps
+GRAD_TOLERANCE = 1e-8  # converged once ||gradient|| <= this * sum|w|
 
 
 @dataclass(frozen=True)
@@ -37,17 +41,6 @@ class WeightedSamples:
             raise ValueError("points and weights must have equal length")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
-
-
-@dataclass
-class GdConfig:
-    """Fixed-step gradient descent knobs for the reweighted loss."""
-
-    step: float = 0.1
-    iters: int = 500
-    tolerance: float = 1e-6
-    restarts: int = 3
-    seed: object = 0
 
 
 @dataclass(frozen=True)
@@ -65,51 +58,62 @@ class LogisticModel:
 
 
 def fit_weighted(weighted: WeightedSamples, objective, theta0,
-                 gd: GdConfig | None = None):
-    """Minimize theta -> sum_i w_i * L(x_i, theta) by fixed-step descent.
+                 iters: int = NEWTON_ITERS, tolerance: float = GRAD_TOLERANCE):
+    """Minimize theta -> sum_i w_i * L(x_i, theta) by damped Newton.
 
-    objective(theta) must return that weighted sum and its gradient
-    sum_i w_i * grad L(x_i, theta), shape (p,); see logistic_objective.
-    The step is normalized by sum|w| of the weighted samples; the run
-    stops early when the gradient norm drops below the tolerance and
-    aborts if the objective increases 20 times in a row.
+    objective(theta, curvature) returns that weighted sum and its
+    gradient, shape (p,), plus its Hessian, shape (p, p), when curvature
+    is true; see logistic_objective.  A Hessian that is not positive
+    definite is shifted by a growing multiple of I, and each step is
+    halved until it decreases the objective enough (Armijo).  The fit
+    stops once ||gradient|| <= tolerance * sum|w|, after iters steps, or
+    when no step decreases the objective; info holds the steps taken
+    ("iterations") and whether the gradient test was met ("converged").
     """
-    gd = gd or GdConfig()
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
     theta = np.asarray(theta0, dtype=float).copy()
-    total = np.abs(weighted.weights).sum()
-    step = gd.step / total if total > 0 else gd.step
-    value, grad = objective(theta)
-    bad_streak = 0
+    goal = tolerance * float(np.abs(weighted.weights).sum())
+    value, grad, hess = objective(theta, True)
     n_iter = 0
-    converged = False
-    for n_iter in range(1, gd.iters + 1):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < gd.tolerance:
-            converged = True
+    while not (converged := bool(np.linalg.norm(grad) <= goal)) \
+            and n_iter < iters:
+        direction = _newton_direction(hess, grad)
+        slope = float(grad @ direction)
+        for halvings in range(40):
+            trial = theta + 0.5 ** halvings * direction
+            new = objective(trial, True)
+            if new[0] <= value + 1e-4 * 0.5 ** halvings * slope:
+                break
+        else:  # no step decreases the objective
             break
-        theta -= step * grad
-        new_value, grad = objective(theta)
-        if new_value > value:
-            bad_streak += 1
-            if bad_streak >= 20:
-                raise FitDivergenceError(
-                    f"objective increased for {bad_streak} consecutive steps "
-                    f"(last value {new_value:.6g})"
-                )
-        else:
-            bad_streak = 0
-        value = new_value
+        theta = trial
+        value, grad, hess = new
+        n_iter += 1
     return theta, value, {"iterations": n_iter, "converged": converged}
 
 
-def logistic_objective(weighted: WeightedSamples):
-    """The weighted log-loss of a linear classifier, as fit_weighted's objective.
+def _newton_direction(hess, grad):
+    """-H^-1 grad, with H + shift * I for the least tried shift that factors."""
+    floor = 1e-3 * max(float(np.abs(np.diag(hess)).max()), 1e-300)
+    shift = 0.0
+    while True:
+        try:
+            factor = np.linalg.cholesky(hess + shift * np.eye(len(grad)))
+            return -scipy.linalg.cho_solve((factor, True), grad)
+        except np.linalg.LinAlgError:
+            shift = max(2.0 * shift, floor)
+
+
+def logistic_objective(weighted: WeightedSamples, rho: float = 0.0):
+    """The weighted log-loss of a linear classifier plus rho/2 ||theta||^2.
 
     Points are (x_bar, y) rows with y in {0, 1} in the last column; theta
     holds the feature coefficients followed by the intercept.  Sample i
     has margin m_i = (2y_i - 1) * (theta^T x_bar_i + b) and loss
     log(1 + exp(-m_i)).  The signed rows (2y - 1) * [x_bar, 1] are laid
-    out once, transposed and contiguous, for every step of the fit.
+    out once, transposed and contiguous, for every step of the fit.  The
+    returned objective(theta, curvature=False) is fit_weighted's.
     """
     points = weighted.points
     signed = np.empty((points.shape[1], points.shape[0]))
@@ -118,18 +122,23 @@ def logistic_objective(weighted: WeightedSamples):
     signed *= 2.0 * points[:, -1] - 1.0
     weights = weighted.weights
     # resolved at call time, so a wrapper on the module function sees every step
-    return lambda theta: logistic_loss_and_grad(signed, weights, theta)
+    return lambda theta, curvature=False: logistic_loss_and_grad(
+        signed, weights, theta, rho, curvature)
 
 
 def logistic_loss_and_grad(signed: np.ndarray, weights: np.ndarray,
-                           theta: np.ndarray):
-    """sum_i w_i * log(1 + exp(-m_i)) and its gradient in theta.
+                           theta: np.ndarray, rho: float = 0.0,
+                           curvature: bool = False):
+    """sum_i w_i * log(1 + exp(-m_i)) + rho/2 ||theta||^2 and its gradient.
 
     signed is the (p, n) array of logistic_objective, so m = theta @ signed
     and d/dtheta log(1 + exp(-m_i)) = -sigmoid(-m_i) * signed[:, i].  Both
-    come from one e = exp(-|m|) per sample, stable at any margin.  Every
-    sum runs through einsum rather than BLAS, whose reductions are split
-    by thread and would make the fitted model depend on the thread count.
+    come from one e = exp(-|m|) per sample, stable at any margin, and so
+    does the Hessian's sigmoid(m)(1 - sigmoid(m)) = e / (1 + e)^2, which
+    is returned as a third value when curvature is true.  Every sum over
+    samples runs through einsum rather than BLAS, whose reductions are
+    split by thread and would make the fitted model depend on the thread
+    count.
     """
     margins = np.einsum("j,jn->n", theta, signed)
     e = np.exp(-np.abs(margins))
@@ -140,47 +149,44 @@ def logistic_loss_and_grad(signed: np.ndarray, weights: np.ndarray,
     coeff = np.maximum(e, margins < 0)
     coeff /= 1.0 + e
     coeff *= weights
-    return (float(np.einsum("n,n->", weights, losses)),
-            -np.einsum("jn,n->j", signed, coeff))
+    value = float(np.einsum("n,n->", weights, losses))
+    grad = -np.einsum("jn,n->j", signed, coeff)
+    if rho:
+        value += 0.5 * rho * float(theta @ theta)
+        grad += rho * theta
+    if not curvature:
+        return value, grad
+    e /= np.square(1.0 + e)
+    e *= weights
+    hess = np.einsum("jn,kn,n->jk", signed, signed, e)
+    hess.flat[::len(theta) + 1] += rho
+    return value, grad, hess
 
 
 def fit_logistic_from_sketch(features: SyntheticFeatures, sketch: PrivateSketch,
-                             gd: GdConfig | None = None) -> LogisticModel:
+                             iters: int = NEWTON_ITERS) -> LogisticModel:
     """Train a logistic model from the sketch alone.
 
     The features' domain must have the binary label as its last
     attribute, so that the synthetic points are uniform features with a
     fair-coin label.  The loss-independent weights are computed once,
-    then the reweighted log-loss is minimized with seeded restarts,
-    keeping the best run.
+    then the reweighted log-loss plus rho/2 ||theta||^2, rho = RIDGE *
+    sum|w|, is minimized by Newton from theta = 0 in at most iters steps.
+    The penalty bounds the objective below when weights are negative.
+    The model's objective is the weighted log-loss without the penalty.
     """
-    gd = gd or GdConfig()
     if features.domain.kinds[-1] != BINARY:
         raise ValueError("the domain's last attribute must be the binary label")
     lam = features.penalty(sketch)
     weighted = WeightedSamples(features.points, features.weights(sketch, lam))
-    objective = logistic_objective(weighted)
+    rho = RIDGE * float(np.abs(weighted.weights).sum())
     p = features.spec.d  # d-1 feature coefficients plus intercept
-    rng = np.random.default_rng(gd.seed)
-    best = None
-    starts = [np.zeros(p)]
-    starts += [rng.normal(0.0, 0.5, size=p) for _ in range(max(gd.restarts - 1, 0))]
-    last_error = None
-    for theta0 in starts:
-        try:
-            theta, value, info = fit_weighted(weighted, objective, theta0, gd)
-        except FitDivergenceError as err:
-            last_error = err
-            continue
-        if best is None or value < best[1]:
-            best = (theta, value, info)
-    if best is None:
-        raise FitDivergenceError(
-            f"all {len(starts)} starts diverged; last: {last_error}"
-        )
-    theta, value, info = best
-    return LogisticModel(theta[:-1], float(theta[-1]), value,
-                         {"lambda": lam, **info})
+    theta, value, info = fit_weighted(
+        weighted, logistic_objective(weighted, rho), np.zeros(p), iters)
+    loss = value - 0.5 * rho * float(theta @ theta)
+    return LogisticModel(theta[:-1], float(theta[-1]), loss,
+                         {"lambda": lam, "rho": rho,
+                          "penalized_objective": value, **info})
 
 
 def evaluate_auc(model: LogisticModel, test_points: np.ndarray) -> float:

@@ -343,6 +343,75 @@ class TestFitLogreg:
         doc = json.loads(model_out.read_text())
         assert len(doc["theta"]) == 2
         assert "lambda" in doc["config"]
+        assert doc["converged"] is True
+        assert 1 <= doc["newton_steps"] <= 300
+        assert doc["rho"] > 0
+        assert doc["penalized_objective"] >= doc["objective"]
+
+    @pytest.fixture
+    def rff_logreg(self, tmp_path, capsys):
+        from dpsketch.harness import gen_separable_classification
+
+        data = gen_separable_classification(2000, 3, seed=1)
+        train = tmp_path / "train.csv"
+        test = tmp_path / "test.csv"
+        write_csv(train, data[:1500])
+        write_csv(test, data[1500:])
+        out = tmp_path / "s.json"
+        code = main(["sketch", str(train), "--out", str(out), "--map", "rff",
+                     "--m", "60", "--epsilon", "10", "--map-seed", "1",
+                     "--noise-seed", "2"])
+        capsys.readouterr()
+        assert code == 0
+        return out, test
+
+    def _fit(self, capsys, rff_logreg, model_out, *extra):
+        out, test = rff_logreg
+        return run_cli(capsys, "fit-logreg", str(out), str(test),
+                       "--model-out", str(model_out), "--n-synth", "3000",
+                       "--synth-seed", "3", *extra)
+
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_iters_below_one_exits_2(self, tmp_path, rff_logreg, capsys,
+                                     iters):
+        model_out = tmp_path / "model.json"
+        code, stdout, stderr = self._fit(capsys, rff_logreg, model_out,
+                                         "--iters", iters)
+        assert code == 2
+        assert stdout == ""
+        assert "--iters" in stderr
+        assert not model_out.exists()
+
+    @pytest.mark.parametrize("step", ["-1", "0", "2.0"])
+    def test_step_is_accepted_and_unused(self, tmp_path, rff_logreg, capsys,
+                                         step):
+        plain, stepped = tmp_path / "plain.json", tmp_path / "stepped.json"
+        assert self._fit(capsys, rff_logreg, plain)[0] == 0
+        code, _, stderr = self._fit(capsys, rff_logreg, stepped,
+                                    "--step", step)
+        assert code == 0, stderr
+        assert stepped.read_bytes() == plain.read_bytes()
+
+    def test_step_cap_warns_once(self, tmp_path, rff_logreg, capsys):
+        model_out = tmp_path / "model.json"
+        code, _, stderr = self._fit(capsys, rff_logreg, model_out,
+                                    "--iters", "1")
+        assert code == 0
+        warnings = [line for line in stderr.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1 and "--iters 1" in warnings[0]
+        doc = json.loads(model_out.read_text())
+        assert doc["converged"] is False
+        assert doc["newton_steps"] == 1
+        assert doc["config"]["iters"] == 1
+
+    def test_model_file_identical_across_runs(self, tmp_path, rff_logreg,
+                                              capsys):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        code, _, stderr = self._fit(capsys, rff_logreg, first)
+        assert code == 0 and "warning" not in stderr
+        assert self._fit(capsys, rff_logreg, second)[0] == 0
+        assert first.read_bytes() == second.read_bytes()
 
     def test_hist_map_warns(self, tmp_path, dataset, hist_sketch, capsys):
         out, _ = hist_sketch

@@ -8,7 +8,6 @@ import pytest
 
 from dpsketch import (
     Domain,
-    GdConfig,
     Moment,
     PrivateSketch,
     SyntheticFeatures,
@@ -24,7 +23,12 @@ from dpsketch import (
     sketch_exact,
 )
 from dpsketch.harness import gen_separable_classification
-from dpsketch.reweighting import FitDivergenceError, evaluate_auc
+from dpsketch.reweighting import (
+    GRAD_TOLERANCE,
+    NEWTON_ITERS,
+    RIDGE,
+    evaluate_auc,
+)
 
 
 def _label_domain(d):
@@ -110,11 +114,14 @@ class TestWeightedSamples:
 
 def _quadratic(weighted):
     # sum_i w_i (theta - x_i1)^2 with gradient sum_i w_i 2(theta - x_i1)
+    # and Hessian 2 sum_i w_i
     x, w = weighted.points[:, 0], weighted.weights
 
-    def objective(theta):
+    def objective(theta, curvature=False):
         diffs = theta[0] - x
-        return float(w @ diffs ** 2), np.array([2 * (w @ diffs)])
+        value, grad = float(w @ diffs ** 2), np.array([2 * (w @ diffs)])
+        return (value, grad, np.array([[2 * w.sum()]])) if curvature \
+            else (value, grad)
 
     return objective
 
@@ -126,10 +133,21 @@ class TestFitWeighted:
         weighted = WeightedSamples(pts, np.full(200, 1 / 200))
         theta, obj, info = fit_weighted(
             weighted, _quadratic(weighted), np.array([0.0]),
-            GdConfig(step=0.5, iters=2000, tolerance=1e-10))
+            iters=2000, tolerance=1e-10)
         assert theta[0] == pytest.approx(pts[:, 0].mean(), abs=1e-6)
         assert info["converged"]
         assert obj == pytest.approx(pts[:, 0].var(), abs=1e-6)
+
+    def test_one_newton_step_minimizes_a_quadratic(self):
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(size=(200, 2))
+        w = rng.uniform(0.5, 1.5, size=200)
+        weighted = WeightedSamples(pts, w)
+        objective = _quadratic(weighted)
+        theta, _, _ = fit_weighted(weighted, objective, np.array([5.0]),
+                                   iters=1)
+        assert theta[0] == pytest.approx(w @ pts[:, 0] / w.sum(), rel=1e-12)
+        assert abs(objective(theta)[1][0]) <= GRAD_TOLERANCE * w.sum()
 
     def test_zero_gradient_stops_immediately(self):
         pts = np.full((10, 1), 0.3)
@@ -137,24 +155,45 @@ class TestFitWeighted:
         theta, _, info = fit_weighted(weighted, _quadratic(weighted),
                                       np.array([0.3]))
         assert theta[0] == 0.3
-        assert info["iterations"] == 1 and info["converged"]
-
-    def test_divergent_step_raises(self):
-        pts = np.array([[1.0]])
-        weighted = WeightedSamples(pts, np.array([1.0]))
-        with pytest.raises(FitDivergenceError):
-            fit_weighted(weighted, _quadratic(weighted), np.array([10.0]),
-                         GdConfig(step=1000.0, iters=200))
+        assert info["iterations"] == 0 and info["converged"]
 
     def test_negative_weights_supported(self):
         # a negative-weight copy of a sample cancels a positive one
         pts = np.array([[0.2], [0.2], [0.9]])
         weighted = WeightedSamples(pts, np.array([1.0, -1.0, 0.5]))
         theta, _, _ = fit_weighted(weighted, _quadratic(weighted),
-                                   np.array([0.0]),
-                                   GdConfig(step=0.5, iters=2000,
-                                            tolerance=1e-12))
+                                   np.array([0.0]), iters=2000,
+                                   tolerance=1e-12)
         assert theta[0] == pytest.approx(0.9, abs=1e-6)
+
+    def test_penalty_bounds_the_log_loss_under_negative_weights(self):
+        # 35% of the samples carry negative weight and the opposite label
+        # of the rest, so the unpenalized weighted log-loss decreases
+        # without bound along x_1; rho/2 ||theta||^2 gives it a minimum
+        rng = np.random.default_rng(0)
+        n = 20_000
+        x = rng.uniform(size=(n, 5))
+        negative = rng.uniform(size=n) < 0.35
+        pts = np.column_stack([x, (x[:, 0] > 0.5) ^ negative])
+        w = rng.uniform(0.5, 1.5, size=n) / n * np.where(negative, -1, 1)
+        weighted = WeightedSamples(pts, w)
+        goal = GRAD_TOLERANCE * np.abs(w).sum()
+
+        _, _, info = fit_weighted(weighted, logistic_objective(weighted),
+                                  np.zeros(6))
+        assert not info["converged"]
+
+        objective = logistic_objective(weighted, RIDGE * np.abs(w).sum())
+        theta, value, info = fit_weighted(weighted, objective, np.zeros(6))
+        assert info["converged"] and info["iterations"] <= NEWTON_ITERS
+        assert np.linalg.norm(objective(theta)[1]) <= goal
+        assert np.all(np.isfinite(theta)) and math.isfinite(value)
+
+    def test_rejects_a_cap_below_one(self):
+        weighted = WeightedSamples(np.array([[0.5]]), np.array([1.0]))
+        with pytest.raises(ValueError, match="iters"):
+            fit_weighted(weighted, _quadratic(weighted), np.array([0.0]),
+                         iters=0)
 
     def test_independent_of_blas_thread_count(self, child_env):
         # BLAS dot/gemv split reductions over many samples by thread, so
@@ -162,15 +201,16 @@ class TestFitWeighted:
         code = textwrap.dedent("""
             import numpy as np
             from dpsketch.reweighting import (
-                GdConfig, WeightedSamples, fit_weighted, logistic_objective)
+                RIDGE, WeightedSamples, fit_weighted, logistic_objective)
             rng = np.random.default_rng(0)
             n = 20_000
             pts = np.column_stack([rng.uniform(size=(n, 5)),
                                    rng.integers(0, 2, size=n)])
             weighted = WeightedSamples(pts, rng.normal(size=n) / n)
-            theta, obj, _ = fit_weighted(weighted,
-                                         logistic_objective(weighted),
-                                         np.zeros(6), GdConfig(iters=50))
+            rho = RIDGE * np.abs(weighted.weights).sum()
+            theta, obj, _ = fit_weighted(
+                weighted, logistic_objective(weighted, rho), np.zeros(6),
+                iters=50)
             print(obj.hex(), *(t.hex() for t in theta))
         """)
         outputs = []
@@ -182,9 +222,38 @@ class TestFitWeighted:
             outputs.append(res.stdout)
         assert outputs[0] == outputs[1]
 
+    def test_fit_logreg_model_independent_of_blas_thread_count(
+            self, tmp_path, child_env):
+        # the same check end to end: fit-logreg on an RFF m=60 sketch
+        data = gen_separable_classification(2000, 4, seed=1)
+        csv_path = tmp_path / "data.csv"
+        np.savetxt(csv_path, data, delimiter=",", header="a,b,c,y",
+                   comments="", fmt="%.17g")
+        sketch = tmp_path / "sketch.json"
+        cli = [sys.executable, "-m", "dpsketch.cli"]
+        res = subprocess.run(
+            cli + ["sketch", str(csv_path), "--out", str(sketch), "--map",
+                   "rff", "--m", "60", "--epsilon", "10", "--map-seed", "2",
+                   "--noise-seed", "3"],
+            env=child_env(1), capture_output=True, text=True, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        models = []
+        for threads in (1, 2):
+            model = tmp_path / f"model{threads}.json"
+            res = subprocess.run(
+                cli + ["fit-logreg", str(sketch), str(csv_path),
+                       "--model-out", str(model), "--n-synth", "5000",
+                       "--synth-seed", "4"],
+                env=child_env(threads), capture_output=True, text=True,
+                cwd=tmp_path)
+            assert res.returncode == 0, res.stderr
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
 
-def _log_loss(pts, weights):
-    return logistic_objective(WeightedSamples(pts, np.asarray(weights, float)))
+
+def _log_loss(pts, weights, rho=0.0):
+    return logistic_objective(WeightedSamples(pts, np.asarray(weights, float)),
+                              rho)
 
 
 class TestLogisticLoss:
@@ -207,6 +276,43 @@ class TestLogisticLoss:
             down[k] -= h
             num = (objective(up)[0] - objective(down)[0]) / (2 * h)
             np.testing.assert_allclose(grad[k], num, atol=1e-5)
+
+    def test_hessian_matches_finite_differences(self):
+        # criterion 8's data, with the penalty of fit_logistic_from_sketch
+        rng = np.random.default_rng(8)
+        pts = np.column_stack([rng.uniform(size=(50, 5)),
+                               rng.integers(0, 2, size=50)])
+        worst = 0.0
+        for trial in range(5):
+            theta = rng.normal(0.0, 1.0, size=6)
+            w = rng.normal(0.0, 1.0, size=50)
+            objective = _log_loss(pts, w, RIDGE * np.abs(w).sum())
+            _, _, analytic = objective(theta, True)
+            h = 1e-6
+            numeric = np.empty_like(analytic)
+            for k in range(6):
+                up, dn = theta.copy(), theta.copy()
+                up[k] += h
+                dn[k] -= h
+                numeric[:, k] = (objective(up)[1] - objective(dn)[1]) / (2 * h)
+            worst = max(worst, float(np.linalg.norm(analytic - numeric)
+                                     / np.linalg.norm(numeric)))
+        assert worst < 1e-5
+
+    def test_penalty_adds_to_value_gradient_and_hessian(self):
+        rng = np.random.default_rng(4)
+        pts = np.column_stack([rng.uniform(size=(30, 2)),
+                               rng.integers(0, 2, size=30)])
+        w = rng.normal(size=30)
+        theta = rng.normal(size=3)
+        plain = _log_loss(pts, w)(theta, True)
+        penalized = _log_loss(pts, w, 0.5)(theta, True)
+        assert penalized[0] == pytest.approx(plain[0] + 0.25 * theta @ theta,
+                                             rel=1e-12)
+        np.testing.assert_allclose(penalized[1], plain[1] + 0.5 * theta,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(penalized[2], plain[2] + 0.5 * np.eye(3),
+                                   rtol=1e-12)
 
     def test_extreme_margins_are_stable(self):
         pts = np.array([[1.0, 1.0], [1.0, 0.0]])
@@ -255,13 +361,41 @@ class TestLogisticFromSketch:
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         model = fit_logistic_from_sketch(
             SyntheticFeatures(spec, TrainConfig(n_synth=20_000, seed=2)), sk,
-            GdConfig(step=2.0, iters=400, seed=3))
+            iters=400)
         train_auc = evaluate_auc(model, X)
         assert train_auc > 0.95
         # decision direction should agree in sign with the generator
         cos = model.theta @ direction / (
             np.linalg.norm(model.theta) * np.linalg.norm(direction))
         assert cos > 0.8
+
+    def test_reports_the_penalized_fit(self):
+        d = 3
+        X = gen_separable_classification(500, d, seed=5)
+        spec = build_rff(d, 40, 1.0, seed=6, domain=_label_domain(d))
+        sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=7)
+        features = SyntheticFeatures(spec, TrainConfig(n_synth=4000, seed=8))
+        model = fit_logistic_from_sketch(features, sk)
+        fit = model.diagnostics
+        w = features.weights(sk, fit["lambda"])
+        assert fit["rho"] == RIDGE * np.abs(w).sum()
+        assert fit["converged"] and 1 <= fit["iterations"] <= NEWTON_ITERS
+        theta = np.append(model.theta, model.intercept)
+        assert fit["penalized_objective"] == pytest.approx(
+            model.objective + fit["rho"] / 2 * theta @ theta, rel=1e-12)
+
+    def test_minimizer_invariant_to_weight_scale(self):
+        rng = np.random.default_rng(6)
+        pts = np.column_stack([rng.uniform(size=(500, 3)),
+                               rng.integers(0, 2, size=500)])
+        w = rng.normal(0.3, 1.0, size=500) / 500
+        thetas = []
+        for scale in (1.0, 1000.0):
+            weighted = WeightedSamples(pts, scale * w)
+            objective = logistic_objective(
+                weighted, RIDGE * np.abs(weighted.weights).sum())
+            thetas.append(fit_weighted(weighted, objective, np.zeros(4))[0])
+        np.testing.assert_allclose(thetas[0], thetas[1], rtol=1e-7)
 
     def test_requires_binary_last_attribute(self):
         spec = build_rff(3, 20, 1.0, seed=0)
@@ -277,8 +411,7 @@ class TestLogisticFromSketch:
         spec = build_rff(d, 40, 1.0, seed=6, domain=dom)
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=7)
         cfg = TrainConfig(n_synth=4000, seed=8)
-        gd = GdConfig(step=1.0, iters=100, seed=9)
-        a = fit_logistic_from_sketch(SyntheticFeatures(spec, cfg), sk, gd)
-        b = fit_logistic_from_sketch(SyntheticFeatures(spec, cfg), sk, gd)
+        a = fit_logistic_from_sketch(SyntheticFeatures(spec, cfg), sk, 100)
+        b = fit_logistic_from_sketch(SyntheticFeatures(spec, cfg), sk, 100)
         np.testing.assert_array_equal(a.theta, b.theta)
         assert a.intercept == b.intercept
