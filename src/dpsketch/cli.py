@@ -202,18 +202,23 @@ def cmd_sketch(args) -> int:
     except OSError as err:
         raise CliError(str(err), EXIT_IO)
 
-    delta = spec.sensitivity_l1()
-    sum_scale = delta / sketch.epsilon_num if math.isfinite(sketch.epsilon_num) else 0.0
-    count_scale = 1.0 / sketch.epsilon_den if math.isfinite(sketch.epsilon_den) else 0.0
+    sum_scale, count_scale = _noise_scales(sketch, spec)
     writer = _out_writer()
     writer.writerow(["sensitivity_l1", "noise_scale_sum", "noise_scale_count",
                      "noisy_count"])
-    writer.writerow([repr(delta), repr(sum_scale), repr(count_scale),
-                     repr(sketch.noisy_count)])
+    writer.writerow([repr(spec.sensitivity_l1()), repr(sum_scale),
+                     repr(count_scale), repr(sketch.noisy_count)])
     print(f"wrote {args.out} ({spec.variant}, m={spec.m}, "
           f"epsilon={'inf' if math.isinf(epsilon) else epsilon})",
           file=sys.stderr)
     return EXIT_OK
+
+
+def _noise_scales(sketch, spec) -> tuple[float, float]:
+    """Laplace scales of the noise on the sum and on the count (0.0 at eps = inf)."""
+    num, den = sketch.epsilon_num, sketch.epsilon_den
+    return (spec.sensitivity_l1() / num if math.isfinite(num) else 0.0,
+            1.0 / den if math.isfinite(den) else 0.0)
 
 
 def _load_sketch_file(path):
@@ -428,6 +433,7 @@ def cmd_fit_logreg(args) -> int:
 
 def cmd_inspect(args) -> int:
     sketch, spec, doc = _load_sketch_file(args.sketch)
+    sum_scale, count_scale = _noise_scales(sketch, spec)
     writer = _out_writer()
     writer.writerow(["field", "value"])
     rows = [
@@ -441,6 +447,8 @@ def cmd_inspect(args) -> int:
          else repr(sketch.epsilon_den)),
         ("noisy_count", repr(sketch.noisy_count)),
         ("spec_id", sketch.spec_id),
+        ("noise_scale_sum", repr(sum_scale)),
+        ("noise_scale_count", repr(count_scale)),
     ]
     if "normalization" in doc:
         rows.append(("normalized", "true"))

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .domain import Domain
 from .feature_maps import FeatureMap
@@ -103,12 +104,15 @@ class SyntheticFeatures:
     The single estimation object: the ridge estimate <fit(f), sketch> of
     any target f equals w @ f(points) for per-sample weights w that depend
     only on the sketch and the penalty, so one solve per sketch answers
-    every target.  The Gram matrix G is built once, on the first solve,
-    into the one m x m buffer this object holds (about 8 m^2 bytes, 328 MB
-    at m = 6400): G stays in its strict upper triangle and the Cholesky
-    factor of G + lam I at the last penalty lam sits in its lower triangle,
-    so many targets and many sketches share one sample set and one
-    buffer.  Samples are drawn deterministically from the config seed.
+    every target.  Only the m_occ features that some synthetic sample
+    activates enter the factorization: on the others G is zero, so
+    G + lam I is lam I there (one-hot maps leave buckets empty; dense maps
+    activate every feature).  G over those features is built once, on the
+    first solve, into the one m_occ x m_occ buffer this object holds
+    (8 m_occ^2 bytes): G stays in its strict upper triangle and the
+    Cholesky factor of G + lam I at the last penalty lam sits in its lower
+    triangle, so many targets and many sketches share one sample set and
+    one buffer.  Samples are drawn deterministically from the config seed.
     """
 
     def __init__(self, spec: FeatureMap, config: TrainConfig | None = None):
@@ -141,6 +145,11 @@ class SyntheticFeatures:
                 stacklevel=3,
             )
         self._P = spec.encode_batch(points)
+        self._cols = None  # occupied columns of P; None when all are
+        if scipy.sparse.issparse(self._P):
+            occupied = np.bincount(self._P.indices, minlength=spec.m) > 0
+            if not occupied.all():
+                self._cols = np.flatnonzero(occupied)
         self._buf = None  # Fortran order; filled by the first factorization
         self._gram_diag = None  # diag(G), which each factor overwrites
         self._factor = None  # (lam, factorization) of the last penalty
@@ -150,7 +159,8 @@ class SyntheticFeatures:
         return self.points.shape[0]
 
     def gram(self) -> np.ndarray:
-        """The Gram matrix (1/n) P^T P, computed afresh on every call."""
+        """The full m x m Gram matrix (1/n) P^T P, computed afresh on every
+        call; the solve factors only its occupied block."""
         return self.spec.gram(self._P)
 
     def dot_targets(self, F) -> np.ndarray:
@@ -164,25 +174,35 @@ class SyntheticFeatures:
     def solve(self, rhs: np.ndarray, lam: float) -> np.ndarray:
         """Solve (Gram + lam I) x = rhs with a cached SPD factorization.
 
-        Only the last penalty's factor is kept, in place in the one m x m
-        buffer: every estimate from one sketch uses one penalty, and a new
-        penalty copies G back from the buffer's other triangle and factors
-        again, so a sweep over sketches never holds a second m x m array.
-        Falls back to a jittered factorization and finally to a
-        rank-revealing least-squares solve if the matrix is numerically
-        indefinite.
+        Only the occupied columns are factored; on the others the system
+        reads lam x = rhs.  Only the last penalty's factor is kept, in
+        place in the one buffer: every estimate from one sketch uses one
+        penalty, and a new penalty copies G back from the buffer's other
+        triangle and factors again, so a sweep over sketches never holds a
+        second buffer.  Falls back to a jittered factorization and finally
+        to a rank-revealing least-squares solve if the matrix is
+        numerically indefinite.
         """
         if self._factor is None or self._factor[0] != lam:
             self._factor = None  # the buffer is about to change under it
             self._factor = (lam, self._factorize(lam))
         kind, data = self._factor[1]
+        cols = self._cols
+        b = rhs if cols is None else np.asarray(rhs, dtype=float)[cols]
         if kind == "cho":
-            return scipy.linalg.cho_solve(data, rhs)
-        return np.linalg.lstsq(data, rhs, rcond=None)[0]
+            x = scipy.linalg.cho_solve(data, b)
+        else:
+            x = np.linalg.lstsq(data, b, rcond=None)[0]
+        if cols is None:
+            return x
+        # lam x = rhs off the occupied block (minimum norm: 0 at lam = 0)
+        full = np.divide(rhs, lam) if lam > 0 else np.zeros(np.shape(rhs))
+        full[cols] = x
+        return full
 
     def _factorize(self, lam: float):
         if self._buf is None:
-            G = self.gram()
+            G = self.spec.gram(self._P, self._cols)
             self._gram_diag = G.diagonal().copy()
             # G is exactly symmetric, so G.T is the same matrix in Fortran
             # order, which potrf factors in place without a copy.
@@ -192,7 +212,7 @@ class SyntheticFeatures:
         A = self._buf
         diag = np.arange(A.shape[0])
         # plain, then jittered by 1e-10 trace(G) / m
-        for jitter in (0.0, 1e-10 * self._gram_diag.sum() / A.shape[0]):
+        for jitter in (0.0, 1e-10 * self._gram_diag.sum() / self.spec.m):
             A[diag, diag] = self._gram_diag + lam + jitter
             try:
                 # lower=True with clean=False reads and writes only the

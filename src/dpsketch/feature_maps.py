@@ -73,9 +73,14 @@ class FeatureMap:
         one-hot maps, a dense array otherwise."""
         raise NotImplementedError
 
-    def gram(self, P) -> np.ndarray:
+    def gram(self, P, cols=None) -> np.ndarray:
         """(1/n) P^T P as a dense (m, m) array, exactly symmetric: the
-        estimator factors its transpose in place as the same matrix."""
+        estimator factors its transpose in place as the same matrix.
+
+        With cols, sorted column indices that include every column in
+        which P has a nonzero entry, only those rows and columns: the
+        (k, k) matrix (1/n) P[:, cols]^T P[:, cols].
+        """
         raise NotImplementedError
 
     # -- serialization ----------------------------------------------------
@@ -116,23 +121,32 @@ class _OneHotBlocks:
             (np.ones(n * B), idx.ravel(), np.arange(0, n * B + 1, B)),
             shape=(n, B * self.width))
 
-    def gram(self, P: scipy.sparse.csr_array) -> np.ndarray:
+    def gram(self, P: scipy.sparse.csr_array, cols=None) -> np.ndarray:
         # Blockwise joint bucket counts; at the sizes used here this beats
-        # a sparse P.T @ P.  Column-major indices, so that each bincount
-        # reads its two block columns from contiguous memory.
+        # a sparse P.T @ P.  Each bucket is numbered within its block among
+        # the kept columns only, so every bincount is as small as the kept
+        # part of its two blocks.  Column-major indices, so that each
+        # bincount reads its two block columns from contiguous memory.
         n = P.shape[0]
         B, W = self.n_blocks, self.width
-        idx = np.asfortranarray(P.indices.reshape(n, B) - W * np.arange(B))
-        m = B * W
-        G = np.zeros((m, m))
+        kept = np.arange(B * W) if cols is None else np.asarray(cols)
+        edges = np.searchsorted(kept, W * np.arange(B + 1)).tolist()
+        # int32 is wide enough: a pair of blocks has at most W^2 cells
+        local = np.zeros(B * W, dtype=np.int32)
+        local[kept] = np.arange(kept.size) - np.repeat(edges[:-1],
+                                                      np.diff(edges))
+        idx = np.asfortranarray(local[P.indices].reshape(n, B))
+        G = np.zeros((kept.size, kept.size))
         for a in range(B):
-            ia = idx[:, a]
+            ia, a0, a1 = idx[:, a], edges[a], edges[a + 1]
             for b in range(a, B):
-                joint = np.bincount(ia * W + idx[:, b], minlength=W * W)
-                block = joint.reshape(W, W).astype(float)
-                G[a * W:(a + 1) * W, b * W:(b + 1) * W] = block
+                b0, b1 = edges[b], edges[b + 1]
+                joint = np.bincount(ia * (b1 - b0) + idx[:, b],
+                                    minlength=(a1 - a0) * (b1 - b0))
+                block = joint.reshape(a1 - a0, b1 - b0).astype(float)
+                G[a0:a1, b0:b1] = block
                 if b != a:
-                    G[b * W:(b + 1) * W, a * W:(a + 1) * W] = block.T
+                    G[b0:b1, a0:a1] = block.T
         G /= n
         return G
 
@@ -222,7 +236,9 @@ class RffMap(FeatureMap):
     def kernel_scale(self) -> float:
         return float(self.m_half)
 
-    def gram(self, P: np.ndarray) -> np.ndarray:
+    def gram(self, P: np.ndarray, cols=None) -> np.ndarray:
+        if cols is not None:
+            P = P[:, cols]
         G = P.T @ P
         G /= P.shape[0]
         return G

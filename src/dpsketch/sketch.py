@@ -162,8 +162,22 @@ def _encode_inf(obj):
     return obj
 
 
-def _decode_eps(value) -> float:
-    return math.inf if value == "inf" else float(value)
+def _json_number(value) -> float:
+    """A JSON number as a float; NaN for anything else (strings, booleans)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf
+
+
+def _decode_eps(doc: dict, key: str) -> float:
+    value = math.inf if doc[key] == "inf" else _json_number(doc[key])
+    if not value > 0:
+        raise SketchError(f'{key} must be a positive number or "inf", '
+                          f"not {doc[key]!r}")
+    return value
 
 
 def save_sketch(path, sketch: PrivateSketch, spec: FeatureMap,
@@ -190,7 +204,10 @@ def sketch_from_dict(doc: dict) -> tuple[PrivateSketch, FeatureMap]:
     """Rebuild a sketch and its feature map from a file document.
 
     Files written before the noise seed was dropped from the format may
-    still carry it under "rng_seed_of_noise"; the key is ignored.
+    still carry it under "rng_seed_of_noise"; the key is ignored.  A sum
+    or count that is not a finite number, or a budget share that is
+    neither a positive number nor "inf", raises SketchError: the solve
+    never reads some sum entries, so it would not catch them.
     """
     if doc.get("version") != SKETCH_FILE_VERSION:
         raise SketchError(
@@ -205,11 +222,17 @@ def sketch_from_dict(doc: dict) -> tuple[PrivateSketch, FeatureMap]:
         noisy_sum = None
     if noisy_sum is None or noisy_sum.shape != (spec.m,):
         raise SketchError(f"noisy_sum must be a list of {spec.m} numbers")
+    if not np.all(np.isfinite(noisy_sum)):
+        raise SketchError("noisy_sum entries must be finite")
+    noisy_count = _json_number(doc["noisy_count"])
+    if not math.isfinite(noisy_count):
+        raise SketchError("noisy_count must be a finite number, "
+                          f"not {doc['noisy_count']!r}")
     sketch = PrivateSketch(
         noisy_sum,
-        float(doc["noisy_count"]),
-        _decode_eps(doc["epsilon_num"]),
-        _decode_eps(doc["epsilon_den"]),
+        noisy_count,
+        _decode_eps(doc, "epsilon_num"),
+        _decode_eps(doc, "epsilon_den"),
         doc["spec_id"],
     )
     if spec.spec_id != sketch.spec_id:

@@ -469,6 +469,26 @@ class TestInspect:
         assert float(fields["noisy_count"]) == data.shape[0]
 
 
+    @pytest.mark.parametrize("epsilon", ["1.0", "inf"])
+    def test_noise_scales_match_sketch_output(self, tmp_path, dataset, capsys,
+                                              epsilon):
+        path, _ = dataset
+        out = tmp_path / "s.json"
+        code, stdout, _ = run_cli(
+            capsys, "sketch", str(path), "--out", str(out), "--map", "race",
+            "--hashes", "4", "--buckets", "6", "--epsilon", epsilon,
+            "--noise-seed", "5", "--map-seed", "6")
+        assert code == 0
+        sketch_row = dict(zip(*parse_csv(stdout)))
+        code, stdout, _ = run_cli(capsys, "inspect", str(out))
+        assert code == 0
+        fields = dict(parse_csv(stdout)[1:])
+        for key in ("noise_scale_sum", "noise_scale_count"):
+            assert fields[key] == sketch_row[key]
+        if epsilon == "inf":
+            assert fields["noise_scale_sum"] == "0.0"
+
+
 class TestEval:
     def test_quick_plan_run(self, tmp_path, capsys):
         plan = tmp_path / "plan.cfg"
@@ -650,6 +670,32 @@ class TestRffOutput:
         fields = dict(parse_csv(stdout)[1:])
         assert float(fields["sensitivity_l1"]) == pytest.approx(
             10 * 2 ** 0.5)
+
+
+class TestMalformedSketchValues:
+    @pytest.mark.parametrize("command", ["estimate", "inspect"])
+    @pytest.mark.parametrize("key, value", [
+        ("noisy_sum", float("nan")),
+        ("noisy_count", float("inf")),
+        ("noisy_count", "abc"),
+        ("epsilon_num", -1),
+    ], ids=["sum-nan", "count-inf", "count-text", "eps-num-negative"])
+    def test_exits_2_naming_the_file(self, tmp_path, hist_sketch, capsys,
+                                     command, key, value):
+        out, _ = hist_sketch
+        doc = json.loads(out.read_text())
+        if key == "noisy_sum":
+            doc[key][7] = value
+        else:
+            doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        extra = ["moment 1 1", "--n-synth", "500"] if command == "estimate" \
+            else []
+        code, stdout, stderr = run_cli(capsys, command, str(bad), *extra)
+        assert code == 2
+        assert stdout == ""
+        assert str(bad) in stderr and key in stderr
 
 
 class TestTruncatedSketch:

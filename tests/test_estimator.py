@@ -374,7 +374,7 @@ class TestFactorBuffer:
         M = (Q * eigs) @ Q.T
         M = (M + M.T) / 2
         jitter = 1e-10 * np.trace(M) / m
-        monkeypatch.setattr(spec, "gram", lambda P: M.copy())
+        monkeypatch.setattr(spec, "gram", lambda P, cols=None: M.copy())
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=500, seed=10))
         rhs = rng.normal(size=m)
 
@@ -390,3 +390,72 @@ class TestFactorBuffer:
         assert feats.solve(rhs, 5.0).tobytes() == \
             scipy.linalg.cho_solve(fresh, rhs).tobytes()
         np.testing.assert_allclose(feats.solve(rhs, lam), x, rtol=1e-12)
+
+
+class TestOccupiedColumns:
+    """RACE 40x40 at n_synth 4000 occupies 464 of its 1600 buckets."""
+
+    spec = build_race(3, 40, 40, 0.2, seed=5)
+    config = TrainConfig(n_synth=4000, seed=8)
+
+    def _sketch(self):
+        X = np.random.default_rng(6).uniform(size=(2000, 3))
+        return privatize(sketch_exact(self.spec, X), self.spec, 1.0, seed=7)
+
+    def _occupied(self, feats):
+        return np.diagonal(feats.gram()) > 0
+
+    def test_weights_match_full_system(self, monkeypatch):
+        feats = SyntheticFeatures(self.spec, self.config)
+        sk = self._sketch()
+        occupied = self._occupied(feats)
+        assert occupied.sum() == 464
+        assert np.all(sk.normalized[~occupied] != 0)
+        orders = []
+        cho_factor = scipy.linalg.cho_factor
+
+        def recording_cho_factor(a, *args, **kwargs):
+            orders.append(a.shape[0])
+            return cho_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", recording_cho_factor)
+        lam = feats.penalty(sk)
+        w = feats.weights(sk, lam)
+        assert orders == [464]
+        G = feats.gram()
+        P = self.spec.embed_batch(feats.points)
+        ref = P @ np.linalg.solve(G + lam * np.eye(self.spec.m),
+                                  sk.normalized) / feats.n
+        assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_refactoring_matches_fresh_instances(self):
+        sk = self._sketch()
+        feats = SyntheticFeatures(self.spec, self.config)
+        for lam in (1e-3, 0.2, 1e-3):
+            fresh = SyntheticFeatures(self.spec, self.config).weights(sk, lam)
+            assert feats.weights(sk, lam).tobytes() == fresh.tobytes()
+
+    def test_first_solve_holds_one_occupied_buffer(self):
+        sk = self._sketch()
+        feats = SyntheticFeatures(self.spec, self.config)
+        m_occ = int(self._occupied(feats).sum())
+        lam = feats.penalty(sk)
+        tracemalloc.start()
+        try:
+            feats.weights(sk, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer_bytes = 8 * m_occ * m_occ
+        assert peak <= 1.5 * buffer_bytes, peak / buffer_bytes
+
+    def test_fit_is_zero_on_empty_buckets(self):
+        feats = SyntheticFeatures(self.spec, self.config)
+        occupied = self._occupied(feats)
+        lam = 0.01
+        model = feats.fit(Moment(1, 2), lam)
+        assert np.all(model.coef[~occupied] == 0)
+        G = feats.gram()
+        rhs = feats.dot_targets(Moment(1, 2)(feats.points))
+        lhs = (G + lam * np.eye(self.spec.m)) @ model.coef
+        assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-10

@@ -289,3 +289,34 @@ class TestFileFormat:
         doc["noisy_sum"] = noisy_sum
         with pytest.raises(SketchError):
             sketch_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("noisy_sum", [1.0, math.nan, 2.0, 3.0]),
+        ("noisy_sum", [1.0, 2.0, -math.inf, 3.0]),
+        ("noisy_count", math.inf),
+        ("noisy_count", math.nan),
+        ("noisy_count", "abc"),
+        ("noisy_count", None),
+        ("epsilon_num", -1),
+        ("epsilon_num", 0.0),
+        ("epsilon_num", math.nan),
+        ("epsilon_num", "abc"),
+        ("epsilon_den", -0.5),
+        ("epsilon_den", "0.02"),
+    ], ids=["sum-nan", "sum-inf", "count-inf", "count-nan", "count-text",
+            "count-null", "eps-num-negative", "eps-num-zero", "eps-num-nan",
+            "eps-num-text", "eps-den-negative", "eps-den-quoted"])
+    def test_rejects_malformed_values(self, hist2, key, value):
+        sk = privatize(sketch_exact(hist2, [[0.1, 0.9]]), hist2, 1.0, seed=0)
+        doc = json.loads(json.dumps(sk.to_dict(hist2)))
+        doc[key] = value
+        with pytest.raises(SketchError, match=key):
+            sketch_from_dict(doc)
+
+    def test_accepts_integer_count_and_budget(self, hist2):
+        sk = privatize(sketch_exact(hist2, [[0.1, 0.9]]), hist2, 1.0, seed=0)
+        doc = json.loads(json.dumps(sk.to_dict(hist2)))
+        doc.update(noisy_count=3, epsilon_num=1, epsilon_den="inf")
+        loaded, _ = sketch_from_dict(doc)
+        assert (loaded.noisy_count, loaded.epsilon_num) == (3.0, 1.0)
+        assert math.isinf(loaded.epsilon_den)
