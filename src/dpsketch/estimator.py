@@ -18,16 +18,71 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .domain import Domain
-from .feature_maps import FeatureMap
+from .feature_maps import FeatureMap, OneHotMatrix
 from .sketch import PrivateSketch, SketchError
 
 LAMBDA_FLOOR = 1e-9  # numeric-stability regularization when there is no noise
 
 COND_WARN_THRESHOLD = 1e12
+
+# Cholesky blocking: leaves stay under 100 columns, the order below which
+# OpenBLAS's potrf runs unblocked on one thread; block columns PANEL wide
+# are brought up to date from their left by one matmul.
+LEAF = 96
+PANEL = 576
+
+
+def cholesky_in_place(A: np.ndarray) -> np.ndarray:
+    """Overwrite the lower triangle of the symmetric positive definite A
+    with its Cholesky factor L, A = L L^T, and return A.
+
+    Only the lower triangle is used and nothing above the diagonal is
+    written, so a copy of A kept in its strict upper triangle survives.
+    Left-looking and blocked: each PANEL-wide block column takes one
+    matmul update from every column to its left, then its LEAF-wide
+    blocks are factored in turn by np.linalg.cholesky and applied below
+    the diagonal through the leaf's inverse (X L^T = B as X = B L^-T).
+    The leaves are unblocked and single-threaded and OpenBLAS's matmuls
+    split only their outputs among threads, so the factor does not
+    depend on the BLAS thread count.  Raises np.linalg.LinAlgError if a
+    leaf is not positive definite; the upper triangle is intact then.
+    """
+    m = A.shape[0]
+    for p0 in range(0, m, PANEL):
+        p1 = min(p0 + PANEL, m)
+        if p0:  # rows below the panel, from every column left of it
+            A[p1:, p0:p1] -= A[p1:, :p0] @ A[p0:p1, :p0].T
+        for j0 in range(p0, p1, LEAF):
+            j1 = min(j0 + LEAF, p1)
+            left = A[j0:j1, :j0]
+            L = np.linalg.cholesky(A[j0:j1, j0:j1] - left @ left.T)
+            A[j1:p1, j0:j1] -= A[j1:p1, :j0] @ left.T
+            # below the panel, the panel's own columns left of the leaf
+            A[p1:, j0:j1] -= A[p1:, p0:j0] @ A[j0:j1, p0:j0].T
+            np.copyto(A[j0:j1, j0:j1], L, where=np.tri(j1 - j0, dtype=bool))
+            A[j1:, j0:j1] = A[j1:, j0:j1] @ np.linalg.inv(L).T
+    return A
+
+
+def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = b for the Cholesky factor L in the lower triangle
+    of L (whatever lies above the diagonal is ignored); b is (m,) or
+    (m, t).  Blocked by LEAF like the factorization: each leaf is solved
+    on its own and the rest of x updated by a matmul over the leaf."""
+    m = L.shape[0]
+    x = np.array(b, dtype=float)
+    starts = range(0, m, LEAF)
+    for j0 in starts:  # L y = b
+        j1 = min(j0 + LEAF, m)
+        x[j0:j1] = np.linalg.solve(np.tril(L[j0:j1, j0:j1]), x[j0:j1])
+        x[j1:] -= L[j1:, j0:j1] @ x[j0:j1]
+    for j0 in reversed(starts):  # L^T x = y
+        j1 = min(j0 + LEAF, m)
+        x[j0:j1] = np.linalg.solve(np.tril(L[j0:j1, j0:j1]).T, x[j0:j1])
+        x[:j0] -= L[j0:j1, :j0].T @ x[j0:j1]
+    return x
 
 
 @dataclass
@@ -146,8 +201,8 @@ class SyntheticFeatures:
             )
         self._P = spec.encode_batch(points)
         self._cols = None  # occupied columns of P; None when all are
-        if scipy.sparse.issparse(self._P):
-            occupied = np.bincount(self._P.indices, minlength=spec.m) > 0
+        if isinstance(self._P, OneHotMatrix):
+            occupied = self._P.sum(axis=0) > 0
             if not occupied.all():
                 self._cols = np.flatnonzero(occupied)
         self._buf = None  # Fortran order; filled by the first factorization
@@ -190,7 +245,7 @@ class SyntheticFeatures:
         cols = self._cols
         b = rhs if cols is None else np.asarray(rhs, dtype=float)[cols]
         if kind == "cho":
-            x = scipy.linalg.cho_solve(data, b)
+            x = cholesky_solve(data, b)
         else:
             x = np.linalg.lstsq(data, b, rcond=None)[0]
         if cols is None:
@@ -205,7 +260,8 @@ class SyntheticFeatures:
             G = self.spec.gram(self._P, self._cols)
             self._gram_diag = G.diagonal().copy()
             # G is exactly symmetric, so G.T is the same matrix in Fortran
-            # order, which potrf factors in place without a copy.
+            # order, whose block columns the factorization reads
+            # contiguously.
             self._buf = G.T
         else:
             self._restore_gram()
@@ -215,15 +271,14 @@ class SyntheticFeatures:
         for jitter in (0.0, 1e-10 * self._gram_diag.sum() / self.spec.m):
             A[diag, diag] = self._gram_diag + lam + jitter
             try:
-                # lower=True with clean=False reads and writes only the
-                # lower triangle, so G survives in the strict upper one.
-                c = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True,
-                                            check_finite=False)
+                # writes only the lower triangle, so G survives in the
+                # strict upper one
+                cholesky_in_place(A)
             except np.linalg.LinAlgError:
                 self._restore_gram()
                 continue
-            self._warn_condition(c[0])
-            return ("cho", c)
+            self._warn_condition(A)
+            return ("cho", A)
         A[diag, diag] = self._gram_diag + lam
         return ("lstsq", A)
 

@@ -5,8 +5,8 @@ Each map embeds points of R^d into R^m.  The batch encoding of n points
 is the (n, m) feature matrix P itself; the estimator and the sketch only
 need plain matrix products with it (P.T @ F, P @ v, column sums) and the
 averaged Gram matrix, which each map computes its own way.  One-hot maps
-(HIST, RACE) encode to a sparse CSR matrix with one 1.0 per block; RFF
-encodes to a dense array.
+(HIST, RACE) encode to a OneHotMatrix, which holds the one active column
+of each block; RFF encodes to a dense array.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import hashlib
 import json
 
 import numpy as np
-import scipy.sparse
 
 from .domain import Domain
 
@@ -53,7 +52,7 @@ class FeatureMap:
     def embed_batch(self, X) -> np.ndarray:
         """Embed an (n, d) batch into a dense (n, m) matrix."""
         P = self.encode_batch(X)
-        return P.toarray() if scipy.sparse.issparse(P) else P
+        return P.toarray() if isinstance(P, OneHotMatrix) else P
 
     def sensitivity_l1(self) -> float:
         """max_x ||Phi(x)||_1, the L1 sensitivity of the feature sum."""
@@ -69,8 +68,8 @@ class FeatureMap:
     # -- batch encoding used by the estimator -----------------------------
 
     def encode_batch(self, X):
-        """The (n, m) feature matrix P of an (n, d) batch: sparse CSR for
-        one-hot maps, a dense array otherwise."""
+        """The (n, m) feature matrix P of an (n, d) batch: a OneHotMatrix
+        for one-hot maps, a dense array otherwise."""
         raise NotImplementedError
 
     def gram(self, P, cols=None) -> np.ndarray:
@@ -96,14 +95,74 @@ class FeatureMap:
         return isinstance(other, FeatureMap) and self.to_dict() == other.to_dict()
 
 
+class OneHotMatrix:
+    """An (n, m) matrix of zeros with one 1.0 per row in each block.
+
+    indices is the (n, B) array of the columns that hold the ones, sorted
+    within each row.  The products follow the order of a compressed
+    sparse row (CSR) kernel, so they round the same way: P @ v adds the
+    B picked entries of each row to zero in column order, and P.T @ F and
+    the column sums accumulate row by row through np.bincount.
+    """
+
+    def __init__(self, indices: np.ndarray, m: int):
+        self.indices = indices
+        self.shape = (indices.shape[0], m)
+
+    def __matmul__(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.ndim == 0 or v.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by "
+                             f"shape {v.shape}")
+        out = np.zeros((self.shape[0],) + v.shape[1:])
+        for col in self.indices.T:
+            out += v[col]
+        return out
+
+    @property
+    def T(self) -> "_TransposedOneHot":
+        return _TransposedOneHot(self)
+
+    def sum(self, axis) -> np.ndarray:
+        """Column sums (axis=0): how many rows hold a 1 in each column."""
+        if axis != 0:
+            raise ValueError("only column sums (axis=0) are supported")
+        return np.bincount(self.indices.ravel(),
+                           minlength=self.shape[1]).astype(float)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.put_along_axis(out, self.indices, 1.0, axis=1)
+        return out
+
+
+class _TransposedOneHot:
+    """P.T of a OneHotMatrix P, for the product P.T @ F."""
+
+    def __init__(self, P: OneHotMatrix):
+        self.P = P
+
+    def __matmul__(self, F) -> np.ndarray:
+        F = np.asarray(F, dtype=float)
+        flat = self.P.indices.ravel()
+        B, m = self.P.indices.shape[1], self.P.shape[1]
+
+        def column(f):
+            return np.bincount(flat, np.repeat(f, B), minlength=m)
+
+        if F.ndim == 1:
+            return column(F)
+        return np.stack([column(f) for f in F.T], axis=1)
+
+
 class _OneHotBlocks:
     """Shared batch machinery for maps that concatenate one-hot blocks.
 
     HIST concatenates d blocks of width n_bins (one active bin per
     attribute); RACE concatenates R blocks of width W (one active bucket
-    per hash).  P is a CSR matrix with one 1.0 per block, at column
-    a * W + (active position in block a), so the column indices of each
-    row are sorted.
+    per hash).  P is a OneHotMatrix whose 1 in block a sits at column
+    a * W + (active position in block a), so the columns of each row are
+    sorted.
     """
 
     n_blocks: int
@@ -112,16 +171,13 @@ class _OneHotBlocks:
     def _indices(self, X) -> np.ndarray:
         raise NotImplementedError
 
-    def encode_batch(self, X) -> scipy.sparse.csr_array:
+    def encode_batch(self, X) -> OneHotMatrix:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         idx = self._indices(X)
-        n, B = idx.shape
-        idx += self.width * np.arange(B)  # in place: now the column indices
-        return scipy.sparse.csr_array(
-            (np.ones(n * B), idx.ravel(), np.arange(0, n * B + 1, B)),
-            shape=(n, B * self.width))
+        idx += self.width * np.arange(idx.shape[1])  # now the column indices
+        return OneHotMatrix(idx, self.n_blocks * self.width)
 
-    def gram(self, P: scipy.sparse.csr_array, cols=None) -> np.ndarray:
+    def gram(self, P: OneHotMatrix, cols=None) -> np.ndarray:
         # Blockwise joint bucket counts; at the sizes used here this beats
         # a sparse P.T @ P.  Each bucket is numbered within its block among
         # the kept columns only, so every bincount is as small as the kept
@@ -135,7 +191,7 @@ class _OneHotBlocks:
         local = np.zeros(B * W, dtype=np.int32)
         local[kept] = np.arange(kept.size) - np.repeat(edges[:-1],
                                                       np.diff(edges))
-        idx = np.asfortranarray(local[P.indices].reshape(n, B))
+        idx = np.asfortranarray(local[P.indices])
         G = np.zeros((kept.size, kept.size))
         for a in range(B):
             ia, a0, a1 = idx[:, a], edges[a], edges[a + 1]

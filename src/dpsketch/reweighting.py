@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .domain import BINARY
-from .estimator import SyntheticFeatures
+from .estimator import SyntheticFeatures, cholesky_solve
 from .metrics import auc
 from .sketch import PrivateSketch
 
@@ -100,7 +99,7 @@ def _newton_direction(hess, grad):
     while True:
         try:
             factor = np.linalg.cholesky(hess + shift * np.eye(len(grad)))
-            return -scipy.linalg.cho_solve((factor, True), grad)
+            return -cholesky_solve(factor, grad)
         except np.linalg.LinAlgError:
             shift = max(2.0 * shift, floor)
 

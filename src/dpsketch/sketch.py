@@ -92,7 +92,7 @@ def sketch_exact(spec: FeatureMap, records) -> ExactSketch:
         return ExactSketch(np.zeros(spec.m), 0)
     records = spec.domain.validate(records)
     P = spec.encode_batch(records)
-    return ExactSketch(np.asarray(P.sum(axis=0)).ravel(), records.shape[0])
+    return ExactSketch(P.sum(axis=0), records.shape[0])
 
 
 def sample_laplace(scale: float, rng: np.random.Generator) -> float:
@@ -205,9 +205,10 @@ def sketch_from_dict(doc: dict) -> tuple[PrivateSketch, FeatureMap]:
 
     Files written before the noise seed was dropped from the format may
     still carry it under "rng_seed_of_noise"; the key is ignored.  A sum
-    or count that is not a finite number, or a budget share that is
-    neither a positive number nor "inf", raises SketchError: the solve
-    never reads some sum entries, so it would not catch them.
+    entry or count that is not a finite JSON number (numeric strings and
+    booleans included), or a budget share that is neither a positive
+    number nor "inf", raises SketchError: the solve never reads some sum
+    entries, so it would not catch them.
     """
     if doc.get("version") != SKETCH_FILE_VERSION:
         raise SketchError(
@@ -216,14 +217,15 @@ def sketch_from_dict(doc: dict) -> tuple[PrivateSketch, FeatureMap]:
     if "spec" not in doc:
         raise SketchError("sketch file does not embed its feature-map spec")
     spec = feature_map_from_dict(doc["spec"])
-    try:
-        noisy_sum = np.asarray(doc["noisy_sum"], dtype=float)
-    except (TypeError, ValueError):  # ragged or non-numeric entries
-        noisy_sum = None
-    if noisy_sum is None or noisy_sum.shape != (spec.m,):
+    raw_sum = doc["noisy_sum"]
+    if not isinstance(raw_sum, list) or len(raw_sum) != spec.m:
         raise SketchError(f"noisy_sum must be a list of {spec.m} numbers")
-    if not np.all(np.isfinite(noisy_sum)):
-        raise SketchError("noisy_sum entries must be finite")
+    # entry by entry: numpy would parse numeric strings and booleans
+    noisy_sum = np.array([_json_number(v) for v in raw_sum])
+    bad = np.flatnonzero(~np.isfinite(noisy_sum))
+    if bad.size:
+        raise SketchError("noisy_sum entries must be finite numbers, not "
+                          f"{raw_sum[bad[0]]!r} at index {bad[0]}")
     noisy_count = _json_number(doc["noisy_count"])
     if not math.isfinite(noisy_count):
         raise SketchError("noisy_count must be a finite number, "

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -676,10 +677,13 @@ class TestMalformedSketchValues:
     @pytest.mark.parametrize("command", ["estimate", "inspect"])
     @pytest.mark.parametrize("key, value", [
         ("noisy_sum", float("nan")),
+        ("noisy_sum", "1.65"),
+        ("noisy_sum", True),
         ("noisy_count", float("inf")),
         ("noisy_count", "abc"),
         ("epsilon_num", -1),
-    ], ids=["sum-nan", "count-inf", "count-text", "eps-num-negative"])
+    ], ids=["sum-nan", "sum-text", "sum-bool", "count-inf", "count-text",
+            "eps-num-negative"])
     def test_exits_2_naming_the_file(self, tmp_path, hist_sketch, capsys,
                                      command, key, value):
         out, _ = hist_sketch
@@ -711,12 +715,43 @@ class TestTruncatedSketch:
         assert "noisy_sum" in stderr
 
 
-def test_cli_import_skips_scipy_stats_and_optimize(child_env):
-    # each of these adds about a second of start-up to every command
-    code = ("import sys, dpsketch.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
-            "if m in sys.modules))")
+def test_cli_never_loads_scipy(tmp_path, child_env):
+    # importing scipy takes longer than importing numpy, on every command
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from dpsketch.cli import main
+
+        def report():
+            print("scipy modules:", sorted(
+                m for m in sys.modules if m.split(".")[0] == "scipy"))
+
+        report()
+        rng = np.random.default_rng(0)
+        X = rng.uniform(size=(1500, 3))
+        X[:, 2] = X[:, 0] + X[:, 1] > 1.0
+        np.savetxt("data.csv", X, delimiter=",", header="a,b,y",
+                   comments="", fmt="%.17g")
+        with open("schema.json", "w") as fh:
+            fh.write('{"columns": [{"name": "a"}, {"name": "b"},'
+                     ' {"name": "y", "kind": "binary"}]}')
+        for argv in (
+                ["sketch", "data.csv", "--out", "race.json", "--map", "race",
+                 "--hashes", "40", "--buckets", "40", "--r-width", "0.2",
+                 "--epsilon", "1", "--map-seed", "1", "--noise-seed", "2"],
+                ["estimate", "race.json", "moment 1 1", "--n-synth", "4000",
+                 "--synth-seed", "3"],
+                ["sketch", "data.csv", "--out", "rff.json", "--map", "rff",
+                 "--m", "20", "--epsilon", "10", "--schema", "schema.json",
+                 "--map-seed", "4", "--noise-seed", "5"],
+                ["fit-logreg", "rff.json", "data.csv", "--n-synth", "2000",
+                 "--synth-seed", "6"]):
+            assert main(argv) == 0, argv
+        report()
+    """)
     res = subprocess.run([sys.executable, "-c", code], env=child_env(1),
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, cwd=tmp_path)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    reports = [line for line in res.stdout.splitlines()
+               if line.startswith("scipy modules:")]
+    assert reports == ["scipy modules: []"] * 2

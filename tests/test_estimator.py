@@ -23,7 +23,9 @@ from dpsketch import (
     sketch_exact,
     theorem_lambda,
 )
-from dpsketch.estimator import LAMBDA_FLOOR
+from dpsketch import estimator
+from dpsketch.estimator import (LAMBDA_FLOOR, cholesky_in_place,
+                                cholesky_solve)
 from dpsketch.sketch import SketchError
 
 
@@ -300,21 +302,27 @@ class TestWeightsPath:
         assert growth < 256 * 1024, retained
 
     def test_weights_independent_of_blas_thread_count(self, child_env):
-        # one-hot P @ v is a sparse product and m=60 keeps the Cholesky
-        # below OpenBLAS's thread-dependent blocking
+        # one-hot P @ v needs no BLAS, and the blocked Cholesky factors
+        # leaves below OpenBLAS's thread-dependent blocking; the last two
+        # factor orders 400 and 464 span several leaves
         code = textwrap.dedent("""
             import numpy as np
             from dpsketch import (Domain, SyntheticFeatures, TrainConfig,
                                   build_hist, build_race, privatize,
                                   sketch_exact)
-            X = np.random.default_rng(0).uniform(size=(3000, 3))
-            for spec in (build_hist(Domain.unit(3), 20),
-                         build_race(3, 6, 10, 0.2, seed=1)):
+            rng = np.random.default_rng(0)
+            for spec, n_synth, seed in (
+                    (build_hist(Domain.unit(3), 20), 20_000, 3),
+                    (build_race(3, 6, 10, 0.2, seed=1), 20_000, 3),
+                    (build_hist(Domain.unit(4), 100), 20_000, 3),
+                    (build_race(3, 40, 40, 0.2, seed=5), 4000, 8)):
+                X = rng.uniform(size=(3000, spec.d))
                 sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=2)
-                feats = SyntheticFeatures(spec,
-                                          TrainConfig(n_synth=20_000, seed=3))
+                feats = SyntheticFeatures(
+                    spec, TrainConfig(n_synth=n_synth, seed=seed))
                 w = feats.weights(sk, feats.penalty(sk))
-                print(spec.m, w.tobytes().hex())
+                order = np.count_nonzero(np.diagonal(feats.gram()))
+                print(order, w.tobytes().hex())
         """)
         outputs = []
         for threads in (1, 2):
@@ -325,7 +333,39 @@ class TestWeightsPath:
             outputs.append(res.stdout)
         assert outputs[0] == outputs[1]
         assert [line.split()[0] for line in outputs[0].splitlines()] == \
-            ["60", "60"]
+            ["60", "45", "400", "464"]
+
+
+def _spd(m, seed):
+    X = np.random.default_rng(seed).normal(size=(m + 20, m))
+    G = X.T @ X / m + 1e-3 * np.eye(m)
+    return (G + G.T) / 2
+
+
+class TestBlockedCholesky:
+    # orders around the leaf (96) and panel (576) edges
+    @pytest.mark.parametrize("m", [1, 7, 95, 96, 97, 200, 576, 577, 700])
+    def test_matches_lapack_and_keeps_upper_triangle(self, m):
+        G = _spd(m, m)
+        A = np.asfortranarray(G.copy())
+        assert cholesky_in_place(A) is A
+        assert np.triu(A, 1).tobytes() == np.triu(G, 1).tobytes()
+        ref = scipy.linalg.cholesky(G, lower=True)
+        np.testing.assert_allclose(np.tril(A), ref, rtol=0, atol=1e-12)
+        b = np.random.default_rng(1).normal(size=(m, 3))
+        x = cholesky_solve(A, b)
+        x_ref = scipy.linalg.cho_solve((ref, True), b)
+        assert np.linalg.norm(x - x_ref) <= 1e-11 * np.linalg.norm(x_ref)
+        x0 = cholesky_solve(A, b[:, 0])
+        assert np.linalg.norm(x0 - x[:, 0]) <= 1e-11 * np.linalg.norm(x0)
+
+    def test_indefinite_raises_with_upper_triangle_intact(self):
+        G = _spd(300, 3)
+        G[250, 250] = -1.0
+        A = np.asfortranarray(G.copy())
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky_in_place(A)
+        assert np.triu(A, 1).tobytes() == np.triu(G, 1).tobytes()
 
 
 class TestFactorBuffer:
@@ -385,10 +425,12 @@ class TestFactorBuffer:
         assert np.linalg.norm(x - ref) < 1e-6 * np.linalg.norm(ref)
 
         # a positive definite penalty factors again from the same buffer,
-        # bit for bit as a fresh factorization of M + 5 I
-        fresh = scipy.linalg.cho_factor(M + 5.0 * np.eye(m), lower=True)
-        assert feats.solve(rhs, 5.0).tobytes() == \
-            scipy.linalg.cho_solve(fresh, rhs).tobytes()
+        # bit for bit as a fresh instance at that penalty
+        fresh = SyntheticFeatures(spec, TrainConfig(n_synth=500, seed=10))
+        x5 = feats.solve(rhs, 5.0)
+        assert x5.tobytes() == fresh.solve(rhs, 5.0).tobytes()
+        ref5 = np.linalg.solve(M + 5.0 * np.eye(m), rhs)
+        assert np.linalg.norm(x5 - ref5) < 1e-6 * np.linalg.norm(ref5)
         np.testing.assert_allclose(feats.solve(rhs, lam), x, rtol=1e-12)
 
 
@@ -412,13 +454,13 @@ class TestOccupiedColumns:
         assert occupied.sum() == 464
         assert np.all(sk.normalized[~occupied] != 0)
         orders = []
-        cho_factor = scipy.linalg.cho_factor
+        factor = estimator.cholesky_in_place
 
-        def recording_cho_factor(a, *args, **kwargs):
+        def recording_factor(a):
             orders.append(a.shape[0])
-            return cho_factor(a, *args, **kwargs)
+            return factor(a)
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", recording_cho_factor)
+        monkeypatch.setattr(estimator, "cholesky_in_place", recording_factor)
         lam = feats.penalty(sk)
         w = feats.weights(sk, lam)
         assert orders == [464]

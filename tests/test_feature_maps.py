@@ -15,7 +15,7 @@ from dpsketch import (
     feature_map_from_dict,
     sketch_exact,
 )
-from dpsketch.feature_maps import FeatureMapError, RaceMap
+from dpsketch.feature_maps import FeatureMapError, OneHotMatrix, RaceMap
 
 
 class TestHist:
@@ -252,7 +252,44 @@ class TestBatchPathsAgreeWithDense:
         spec = build()
         X = np.random.default_rng(6).uniform(size=(50, 3))
         P = spec.encode_batch(X)
-        assert scipy.sparse.issparse(P)
+        assert isinstance(P, OneHotMatrix)
         assert P.shape == (50, spec.m)
-        np.testing.assert_array_equal(P.count_nonzero(axis=1), spec.n_blocks)
-        np.testing.assert_array_equal(P.data, 1.0)
+        assert P.indices.shape == (50, spec.n_blocks)
+        # column a * width + position: one per block, sorted in each row
+        np.testing.assert_array_equal(P.indices // spec.width,
+                                      np.tile(np.arange(spec.n_blocks), (50, 1)))
+        assert np.all(np.diff(P.indices, axis=1) > 0)
+        dense = P.toarray()
+        np.testing.assert_array_equal(dense.sum(axis=1), spec.n_blocks)
+        assert set(np.unique(dense)) == {0.0, 1.0}
+        np.testing.assert_array_equal(
+            dense, np.array([spec.embed(x) for x in X]))
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_hist(Domain.unit(3), 7),
+        lambda: build_race(3, 6, 9, 0.3, seed=0),
+    ])
+    def test_one_hot_products_match_csr_bit_for_bit(self, build):
+        # the same sums in the same order as a compressed sparse row matrix
+        spec = build()
+        rng = np.random.default_rng(7)
+        P = spec.encode_batch(rng.uniform(size=(300, 3)))
+        n, B = P.indices.shape
+        csr = scipy.sparse.csr_array(
+            (np.ones(n * B), P.indices.ravel(), np.arange(0, n * B + 1, B)),
+            shape=P.shape)
+        v = rng.normal(size=spec.m)
+        V = rng.normal(size=(spec.m, 3))
+        F = rng.normal(size=n)
+        F2 = rng.normal(size=(n, 4))
+        for ours, ref in ((P @ v, csr @ v), (P @ V, csr @ V),
+                          (P.T @ F, csr.T @ F), (P.T @ F2, csr.T @ F2),
+                          (P.sum(axis=0), csr.sum(axis=0))):
+            assert ours.shape == ref.shape
+            assert ours.tobytes() == np.ascontiguousarray(ref).tobytes()
+        np.testing.assert_array_equal(P.toarray(), csr.toarray())
+        for bad in (np.ones(spec.m + 1), np.ones(n)):
+            with pytest.raises(ValueError):
+                P @ bad
+            with pytest.raises(ValueError):
+                csr @ bad

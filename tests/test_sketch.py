@@ -293,6 +293,12 @@ class TestFileFormat:
     @pytest.mark.parametrize("key, value", [
         ("noisy_sum", [1.0, math.nan, 2.0, 3.0]),
         ("noisy_sum", [1.0, 2.0, -math.inf, 3.0]),
+        ("noisy_sum", [1.0, "1.65", 2.0, 3.0]),
+        ("noisy_sum", [1.0, 2.0, " 1e3 ", 3.0]),
+        ("noisy_sum", [1.0, 2.0, 3.0, True]),
+        ("noisy_sum", [False, 1.0, 2.0, 3.0]),
+        ("noisy_sum", [1.0, 2.0, 10 ** 400, 3.0]),
+        ("noisy_sum", [1.0, None, 2.0, 3.0]),
         ("noisy_count", math.inf),
         ("noisy_count", math.nan),
         ("noisy_count", "abc"),
@@ -303,7 +309,8 @@ class TestFileFormat:
         ("epsilon_num", "abc"),
         ("epsilon_den", -0.5),
         ("epsilon_den", "0.02"),
-    ], ids=["sum-nan", "sum-inf", "count-inf", "count-nan", "count-text",
+    ], ids=["sum-nan", "sum-inf", "sum-text", "sum-padded-text", "sum-true",
+            "sum-false", "sum-huge-int", "sum-null", "count-inf", "count-nan", "count-text",
             "count-null", "eps-num-negative", "eps-num-zero", "eps-num-nan",
             "eps-num-text", "eps-den-negative", "eps-den-quoted"])
     def test_rejects_malformed_values(self, hist2, key, value):
