@@ -13,7 +13,7 @@ from .feature_maps import (
     HistMap,
     RffMap,
     RaceMap,
-    build_hist,
+    build_map,
     build_race,
     build_rff,
     feature_map_from_dict,
@@ -23,9 +23,9 @@ from .sketch import (
     PrivateSketch,
     SketchError,
     load_sketch,
+    laplace_noise,
     merge,
     privatize,
-    sample_laplace,
     save_sketch,
     sketch_exact,
     sketch_from_dict,

@@ -20,10 +20,18 @@ EXIT_VALIDATION = 2
 
 SEED_ENV_VAR = "DPSKETCH_SEED"
 
+# `sketch` flags and config keys that set a feature-map parameter:
+# name -> (parameter of feature_maps.build_map, type)
+MAP_OPTIONS = {
+    "bins": ("n_bins", int), "m": ("m", int), "sigma": ("sigma", float),
+    "hashes": ("n_hashes", int), "buckets": ("n_buckets", int),
+    "r_width": ("r_width", float),
+}
+
 # keys accepted in a key=value config file for `sketch`
 SKETCH_CONFIG_KEYS = {
-    "map", "bins", "m", "sigma", "hashes", "buckets", "r_width",
-    "epsilon", "split", "map_seed", "noise_seed", "normalize",
+    "map", *MAP_OPTIONS, "epsilon", "split", "map_seed", "noise_seed",
+    "normalize",
 }
 
 
@@ -133,9 +141,9 @@ def cmd_sketch(args) -> int:
     import numpy as np
 
     from .domain import DomainError
-    from .feature_maps import FeatureMapError, build_hist, build_race, build_rff
-    from .sketch import (DEFAULT_SPLIT, SketchError, privatize, save_sketch,
-                         sketch_exact)
+    from .feature_maps import FeatureMapError, build_map
+    from .sketch import (DEFAULT_SPLIT, SketchError, noise_scales, privatize,
+                         save_sketch, sketch_exact)
 
     config = _read_key_values(args.config, SKETCH_CONFIG_KEYS) if args.config else {}
 
@@ -163,23 +171,12 @@ def cmd_sketch(args) -> int:
               "data and recorded in the sketch file; they leak information "
               "outside the stated privacy budget", file=sys.stderr)
 
-    map_kind = opt("map", args.map, str, "hist").lower()
+    map_kind = opt("map", args.map, str, "hist")
     map_seed = opt("map_seed", args.map_seed, int, _default_seed())
-    d = data.shape[1]
+    params = {param: opt(name, getattr(args, name), cast, None)
+              for name, (param, cast) in MAP_OPTIONS.items()}
     try:
-        if map_kind == "hist":
-            spec = build_hist(domain, opt("bins", args.bins, int, 100))
-        elif map_kind == "rff":
-            spec = build_rff(d, opt("m", args.m, int, 200),
-                             opt("sigma", args.sigma, float, 1.0),
-                             map_seed, domain)
-        elif map_kind == "race":
-            spec = build_race(d, opt("hashes", args.hashes, int, 80),
-                              opt("buckets", args.buckets, int, 80),
-                              opt("r_width", args.r_width, float, 0.1),
-                              map_seed, domain)
-        else:
-            raise CliError(f"unknown feature map {map_kind!r}")
+        spec = build_map(map_kind, domain, map_seed, params)
     except FeatureMapError as err:
         raise CliError(str(err))
 
@@ -202,7 +199,8 @@ def cmd_sketch(args) -> int:
     except OSError as err:
         raise CliError(str(err), EXIT_IO)
 
-    sum_scale, count_scale = _noise_scales(sketch, spec)
+    sum_scale, count_scale = noise_scales(spec, sketch.epsilon_num,
+                                          sketch.epsilon_den)
     writer = _out_writer()
     writer.writerow(["sensitivity_l1", "noise_scale_sum", "noise_scale_count",
                      "noisy_count"])
@@ -212,13 +210,6 @@ def cmd_sketch(args) -> int:
           f"epsilon={'inf' if math.isinf(epsilon) else epsilon})",
           file=sys.stderr)
     return EXIT_OK
-
-
-def _noise_scales(sketch, spec) -> tuple[float, float]:
-    """Laplace scales of the noise on the sum and on the count (0.0 at eps = inf)."""
-    num, den = sketch.epsilon_num, sketch.epsilon_den
-    return (spec.sensitivity_l1() / num if math.isfinite(num) else 0.0,
-            1.0 / den if math.isfinite(den) else 0.0)
 
 
 def _load_sketch_file(path):
@@ -368,6 +359,9 @@ def cmd_fit_logreg(args) -> int:
 
     if args.iters < 1:
         raise CliError(f"--iters must be at least 1, got {args.iters}")
+    if args.step is not None:
+        print("note: --step is ignored; the fit takes Newton steps",
+              file=sys.stderr)
     sketch, spec, _doc = _load_sketch_file(args.sketch)
     test_data, _ = _read_csv(args.test)
     if spec.variant == "HIST":
@@ -432,8 +426,11 @@ def cmd_fit_logreg(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    from .sketch import noise_scales
+
     sketch, spec, doc = _load_sketch_file(args.sketch)
-    sum_scale, count_scale = _noise_scales(sketch, spec)
+    sum_scale, count_scale = noise_scales(spec, sketch.epsilon_num,
+                                          sketch.epsilon_den)
     writer = _out_writer()
     writer.writerow(["field", "value"])
     rows = [
@@ -526,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sketch", help="sketch a CSV dataset")
     p.add_argument("input")
     p.add_argument("--out", required=True)
-    p.add_argument("--map", choices=["hist", "rff", "race"], default=None)
+    p.add_argument("--map", default=None, help="hist (default), rff or race")
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--sigma", type=float, default=None)
@@ -575,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sketch")
     p.add_argument("test")
     p.add_argument("--model-out", default=None)
-    p.add_argument("--step", type=float, default=0.1,
+    p.add_argument("--step", type=float, default=None,
                    help="accepted for compatibility; unused")
     p.add_argument("--iters", type=int, default=100,
                    help="cap on Newton steps (default 100)")

@@ -25,22 +25,35 @@ class FeatureMapError(ValueError):
     """Invalid feature-map parameters or inputs."""
 
 
-def _canonical_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 class FeatureMap:
     """Common interface of all feature maps.
 
     Instances are immutable after construction: randomness is drawn once
     and stored, so embedding the same point twice yields identical vectors
-    and specs serialize to self-contained documents.
+    and specs serialize to self-contained documents.  The constructors
+    check every parameter, so a map rebuilt from a document meets the
+    same checks as one built from arguments.
     """
 
     variant: str
+    param_names: tuple[str, ...] = ()  # scalar attributes under "params"
+    matrix_names: tuple[str, ...] = ()  # random arrays under "matrices"
     d: int
     m: int
     domain: Domain
+    seed: object
+
+    def _finish(self, domain: Domain | None, seed=None) -> None:
+        """The constructors' shared checks, once d is set: finite random
+        matrices and a domain of dimension d (the unit box if None)."""
+        self.seed = seed
+        for name in self.matrix_names:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise FeatureMapError(f"{name} must be finite")
+        self.domain = Domain.unit(self.d) if domain is None else domain
+        if self.domain.d != self.d:
+            raise FeatureMapError(f"the domain has {self.domain.d} attributes "
+                                  f"but the map has d={self.d}")
 
     # -- per-point API ----------------------------------------------------
 
@@ -85,11 +98,22 @@ class FeatureMap:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        return {
+            "version": SERIALIZATION_VERSION,
+            "variant": self.variant,
+            "d": self.d,
+            "m": self.m,
+            "params": {name: getattr(self, name) for name in self.param_names},
+            "matrices": {name: getattr(self, name).ravel().tolist()
+                         for name in self.matrix_names},
+            "seed": self.seed,
+            "domain": self.domain.to_dict(),
+        }
 
     @property
     def spec_id(self) -> str:
-        return hashlib.sha256(_canonical_json(self.to_dict()).encode()).hexdigest()
+        doc = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(doc.encode()).hexdigest()
 
     def __eq__(self, other):
         return isinstance(other, FeatureMap) and self.to_dict() == other.to_dict()
@@ -216,16 +240,17 @@ class HistMap(_OneHotBlocks, FeatureMap):
     """
 
     variant = "HIST"
+    param_names = ("n_bins",)
 
     def __init__(self, domain: Domain, n_bins: int):
-        if n_bins < 1:
-            raise FeatureMapError("n_bins must be >= 1")
-        self.domain = domain
         self.n_bins = int(n_bins)
+        if not self.n_bins >= 1:
+            raise FeatureMapError("n_bins must be >= 1")
         self.d = domain.d
         self.m = self.d * self.n_bins
         self.n_blocks = self.d
         self.width = self.n_bins
+        self._finish(domain)
 
     def _indices(self, X) -> np.ndarray:
         X = self.domain.validate(X)
@@ -239,18 +264,6 @@ class HistMap(_OneHotBlocks, FeatureMap):
 
     def kernel_scale(self) -> float:
         return float(self.d)
-
-    def to_dict(self) -> dict:
-        return {
-            "version": SERIALIZATION_VERSION,
-            "variant": self.variant,
-            "d": self.d,
-            "m": self.m,
-            "params": {"n_bins": self.n_bins},
-            "matrices": {},
-            "seed": None,
-            "domain": self.domain.to_dict(),
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "HistMap":
@@ -266,24 +279,27 @@ class RffMap(FeatureMap):
     """
 
     variant = "RFF"
+    param_names = ("sigma",)
+    matrix_names = ("frequencies",)
 
     def __init__(self, frequencies: np.ndarray, sigma: float,
                  domain: Domain | None = None, seed=None):
-        frequencies = np.asarray(frequencies, dtype=float)
-        if frequencies.ndim != 2:
-            raise FeatureMapError("frequencies must be a (d, m/2) matrix")
-        self.freqs = frequencies
+        self.frequencies = np.asarray(frequencies, dtype=float)
         self.sigma = float(sigma)
-        self.d, self.m_half = frequencies.shape
+        if self.frequencies.ndim != 2 or 0 in self.frequencies.shape:
+            raise FeatureMapError("frequencies must be a (d, m/2) matrix "
+                                  "with d >= 1 and m >= 2")
+        if not self.sigma > 0:
+            raise FeatureMapError("sigma must be positive")
+        self.d, self.m_half = self.frequencies.shape
         self.m = 2 * self.m_half
-        self.domain = domain if domain is not None else Domain.unit(self.d)
-        self.seed = seed
+        self._finish(domain, seed)
 
     def encode_batch(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if not np.all(np.isfinite(X)):
             raise FeatureMapError("points must be finite")
-        Z = X @ self.freqs
+        Z = X @ self.frequencies
         return np.concatenate([np.cos(Z), np.sin(Z)], axis=1)
 
     def sensitivity_l1(self) -> float:
@@ -299,22 +315,10 @@ class RffMap(FeatureMap):
         G /= P.shape[0]
         return G
 
-    def to_dict(self) -> dict:
-        return {
-            "version": SERIALIZATION_VERSION,
-            "variant": self.variant,
-            "d": self.d,
-            "m": self.m,
-            "params": {"sigma": self.sigma},
-            "matrices": {"frequencies": self.freqs.ravel(order="C").tolist()},
-            "seed": self.seed,
-            "domain": self.domain.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "RffMap":
-        d, m = data["d"], data["m"]
-        freqs = np.asarray(data["matrices"]["frequencies"]).reshape(d, m // 2)
+        freqs = np.reshape(data["matrices"]["frequencies"],
+                           (data["d"], data["m"] // 2))
         return cls(freqs, data["params"]["sigma"],
                    Domain.from_dict(data["domain"]), data["seed"])
 
@@ -329,28 +333,30 @@ class RaceMap(_OneHotBlocks, FeatureMap):
     """
 
     variant = "RACE"
+    param_names = ("n_hashes", "n_buckets", "r_width")
+    matrix_names = ("projections", "offsets")
 
     def __init__(self, projections: np.ndarray, offsets: np.ndarray,
                  n_buckets: int, r_width: float,
                  domain: Domain | None = None, seed=None):
-        projections = np.asarray(projections, dtype=float)
-        offsets = np.asarray(offsets, dtype=float)
-        if projections.ndim != 2 or offsets.shape != (projections.shape[0],):
-            raise FeatureMapError("projections must be (R, d), offsets (R,)")
-        if n_buckets < 2:
-            raise FeatureMapError("need at least 2 buckets")
-        if r_width <= 0:
-            raise FeatureMapError("r_width must be positive")
-        self.projections = projections
-        self.offsets = offsets
-        self.n_hashes, self.d = projections.shape
+        self.projections = np.asarray(projections, dtype=float)
+        self.offsets = np.asarray(offsets, dtype=float)
         self.n_buckets = int(n_buckets)
         self.r_width = float(r_width)
+        if (self.projections.ndim != 2
+                or self.offsets.shape != self.projections.shape[:1]):
+            raise FeatureMapError("projections must be (R, d), offsets (R,)")
+        if not self.projections.shape[0] >= 1:
+            raise FeatureMapError("need at least one hash")
+        if not self.n_buckets >= 2:
+            raise FeatureMapError("need at least 2 buckets")
+        if not self.r_width > 0:
+            raise FeatureMapError("r_width must be positive")
+        self.n_hashes, self.d = self.projections.shape
         self.m = self.n_hashes * self.n_buckets
         self.n_blocks = self.n_hashes
         self.width = self.n_buckets
-        self.domain = domain if domain is not None else Domain.unit(self.d)
-        self.seed = seed
+        self._finish(domain, seed)
 
     def _indices(self, X) -> np.ndarray:
         if not np.all(np.isfinite(X)):
@@ -364,72 +370,77 @@ class RaceMap(_OneHotBlocks, FeatureMap):
     def kernel_scale(self) -> float:
         return float(self.n_hashes)
 
-    def to_dict(self) -> dict:
-        return {
-            "version": SERIALIZATION_VERSION,
-            "variant": self.variant,
-            "d": self.d,
-            "m": self.m,
-            "params": {
-                "n_hashes": self.n_hashes,
-                "n_buckets": self.n_buckets,
-                "r_width": self.r_width,
-            },
-            "matrices": {
-                "projections": self.projections.ravel(order="C").tolist(),
-                "offsets": self.offsets.tolist(),
-            },
-            "seed": self.seed,
-            "domain": self.domain.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "RaceMap":
-        p = data["params"]
-        proj = np.asarray(data["matrices"]["projections"]).reshape(
-            p["n_hashes"], data["d"]
-        )
-        return cls(proj, np.asarray(data["matrices"]["offsets"]),
-                   p["n_buckets"], p["r_width"],
+        p, mats = data["params"], data["matrices"]
+        proj = np.reshape(mats["projections"], (p["n_hashes"], data["d"]))
+        return cls(proj, mats["offsets"], p["n_buckets"], p["r_width"],
                    Domain.from_dict(data["domain"]), data["seed"])
 
 
 # -- constructors ---------------------------------------------------------
 
+# the parameters of each kind of map, with their defaults
+MAP_DEFAULTS = {
+    "hist": {"n_bins": 100},
+    "rff": {"m": 200, "sigma": 1.0},
+    "race": {"n_hashes": 80, "n_buckets": 80, "r_width": 0.1},
+}
 
-def build_hist(domain: Domain, n_bins: int) -> HistMap:
-    """Equal-width marginal histogram map over the given domain."""
-    return HistMap(domain, n_bins)
+
+def map_kind(kind: str) -> str:
+    """kind in lower case; FeatureMapError if it names no map."""
+    if str(kind).lower() not in MAP_DEFAULTS:
+        raise FeatureMapError(f"unknown feature map {kind!r}; expected one "
+                              f"of {', '.join(MAP_DEFAULTS)}")
+    return str(kind).lower()
+
+
+def build_map(kind: str, domain: Domain, seed,
+              params: dict | None = None) -> FeatureMap:
+    """A map of the given kind over domain.  It reads only its kind's keys
+    of MAP_DEFAULTS from params; one left out or None takes its default."""
+    kind, params = map_kind(kind), params or {}
+    params = {key: default if params.get(key) is None else params[key]
+              for key, default in MAP_DEFAULTS[kind].items()}
+    if kind == "hist":
+        return HistMap(domain, **params)
+    builder = build_rff if kind == "rff" else build_race
+    return builder(domain.d, seed=seed, domain=domain, **params)
 
 
 def build_rff(d: int, m: int, sigma: float, seed,
               domain: Domain | None = None) -> RffMap:
     """Random Fourier feature map with m/2 frequencies ~ N(0, sigma^-2 I_d)."""
-    if m % 2 != 0 or m <= 0:
-        raise FeatureMapError("m must be a positive even integer")
-    if sigma <= 0:
-        raise FeatureMapError("sigma must be positive")
+    if m % 2 != 0:
+        raise FeatureMapError("m must be an even integer")
     rng = np.random.default_rng(seed)
-    freqs = rng.normal(0.0, 1.0 / sigma, size=(d, m // 2))
-    return RffMap(freqs, sigma, domain, seed)
+    # the constructor checks sigma and m >= 2 (m < 0 draws nothing) before
+    # the draw is scaled the way rng.normal(0, 1 / sigma) scales it
+    spec = RffMap(rng.standard_normal((d, max(m // 2, 0))), sigma, domain,
+                  seed)
+    spec.frequencies *= 1.0 / spec.sigma
+    return spec
 
 
 def build_race(d: int, n_hashes: int, n_buckets: int, r_width: float, seed,
                domain: Domain | None = None) -> RaceMap:
     """RACE map: n_hashes Gaussian-projection LSH functions into n_buckets each."""
-    if n_hashes < 1:
-        raise FeatureMapError("need at least one hash")
-    if n_buckets < 2:
-        raise FeatureMapError("need at least 2 buckets")
-    if r_width <= 0:
-        raise FeatureMapError("r_width must be positive")
     rng = np.random.default_rng(seed)
-    proj = rng.normal(0.0, 1.0, size=(n_hashes, d))
-    offsets = rng.uniform(0.0, r_width, size=n_hashes)
-    return RaceMap(proj, offsets, n_buckets, r_width, domain, seed)
+    # the constructor checks the parameters (n_hashes < 0 draws nothing)
+    # before the offsets are scaled the way rng.uniform(0, r_width) does
+    proj = rng.standard_normal((max(int(n_hashes), 0), d))
+    spec = RaceMap(proj, rng.random(proj.shape[0]), n_buckets, r_width,
+                   domain, seed)
+    spec.offsets *= spec.r_width
+    return spec
 
 
 def feature_map_from_dict(data: dict) -> FeatureMap:
+    """Rebuild a map from its spec document; FeatureMapError if it is not
+    a JSON object or its values fail the constructor's checks."""
+    if not isinstance(data, dict):
+        raise FeatureMapError("a feature-map spec must be a JSON object")
     if data.get("version") != SERIALIZATION_VERSION:
         raise FeatureMapError(
             f"unsupported feature-map document version {data.get('version')!r}"
@@ -438,4 +449,7 @@ def feature_map_from_dict(data: dict) -> FeatureMap:
     cls = {"HIST": HistMap, "RFF": RffMap, "RACE": RaceMap}.get(variant)
     if cls is None:
         raise FeatureMapError(f"unknown feature-map variant {variant!r}")
-    return cls.from_dict(data)
+    try:
+        return cls.from_dict(data)
+    except (TypeError, ValueError, OverflowError) as err:  # DomainError too
+        raise FeatureMapError(f"invalid {variant} spec: {err}") from None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .domain import BINARY, CONTINUOUS, Domain, DomainError, read_csv
 from .estimator import SyntheticFeatures, TrainConfig
-from .feature_maps import FeatureMap, build_hist, build_race, build_rff
+from .feature_maps import build_map, map_kind
 from .metrics import emd_1d, frobenius, mae, mre
 from .reweighting import evaluate_auc, fit_logistic_from_sketch
 from .sketch import privatize, sketch_exact
@@ -59,9 +59,7 @@ class ExperimentPlan:
         if not self.sketches or not self.epsilons or not self.tasks:
             raise ValueError("sketch, epsilon and task grids must be non-empty")
         for kind in self.sketches:
-            if kind.lower() not in DEFAULT_SKETCHES:
-                raise ValueError(f"unknown sketch kind {kind!r}; expected one "
-                                 f"of {', '.join(DEFAULT_SKETCHES)}")
+            map_kind(kind)  # FeatureMapError, a ValueError, if unknown
         for task in self.tasks:
             if task not in DEFAULT_TASKS:
                 raise ValueError(f"unknown task {task!r}; expected one of "
@@ -122,23 +120,6 @@ def write_dataset_csv(path, data: np.ndarray, header=None) -> None:
         writer.writerow(header)
         for row in data:
             writer.writerow([repr(float(v)) for v in row])
-
-
-def build_sketch_spec(kind: str, domain: Domain, seed,
-                      params: dict | None = None) -> FeatureMap:
-    """Instantiate a grid sketch: rff (m=200, sigma=1), race (80x80), hist (100 bins)."""
-    params = params or {}
-    kind = kind.lower()
-    if kind == "rff":
-        return build_rff(domain.d, params.get("m", 200),
-                         params.get("sigma", 1.0), seed, domain)
-    if kind == "race":
-        return build_race(domain.d, params.get("n_hashes", 80),
-                          params.get("n_buckets", 80),
-                          params.get("r_width", 0.1), seed, domain)
-    if kind == "hist":
-        return build_hist(domain, params.get("n_bins", 100))
-    raise ValueError(f"unknown sketch kind {kind!r}")
 
 
 def _random_queries(domain: Domain, n_queries: int, rng) -> list[BoxIndicator]:
@@ -243,8 +224,8 @@ def run_plan(plan: ExperimentPlan, out_dir) -> str:
         writer = csv.writer(fh)
         writer.writerow(RESULT_FIELDS)
         for si, kind in enumerate(plan.sketches):
-            spec = build_sketch_spec(kind, domain, (plan.seed, 3, si),
-                                     plan.sketch_params.get(kind))
+            spec = build_map(kind, domain, (plan.seed, 3, si),
+                             plan.sketch_params.get(kind))
             exact = sketch_exact(spec, data)
             config = TrainConfig(n_synth=plan.n_synth,
                                  extra_reg=plan.extra_reg,
@@ -291,7 +272,7 @@ def logistic_sweep(epsilons, n: int = 20_000, d: int = 6, margin: float = 50.0,
     test, train = data[:n_test], data[n_test:]
     kinds = (CONTINUOUS,) * (d - 1) + (BINARY,)
     domain = Domain.unit(d, kinds)
-    spec = build_sketch_spec(sketch_kind, domain, (seed, 2), sketch_params)
+    spec = build_map(sketch_kind, domain, (seed, 2), sketch_params)
     exact = sketch_exact(spec, train)
     results = {}
     for ei, eps in enumerate(epsilons):

@@ -35,9 +35,6 @@ class ExactSketch:
     sum_features: np.ndarray
     count: int
 
-    def normalized(self) -> np.ndarray:
-        return self.sum_features / max(self.count, 1)
-
 
 @dataclass(frozen=True)
 class PrivateSketch:
@@ -95,19 +92,24 @@ def sketch_exact(spec: FeatureMap, records) -> ExactSketch:
     return ExactSketch(P.sum(axis=0), records.shape[0])
 
 
-def sample_laplace(scale: float, rng: np.random.Generator) -> float:
-    """One draw from the centered Laplace distribution; scale=inf means no noise."""
-    if math.isinf(scale):
-        return 0.0
-    if scale <= 0:
-        raise SketchError("Laplace scale must be positive or inf")
-    return float(rng.laplace(0.0, scale))
+def noise_scales(spec: FeatureMap, eps_num: float,
+                 eps_den: float) -> tuple[float, float]:
+    """Laplace scales of the noise on the sum and on the count; 0.0 for an
+    infinite budget share."""
+    return (spec.sensitivity_l1() / eps_num if math.isfinite(eps_num) else 0.0,
+            1.0 / eps_den if math.isfinite(eps_den) else 0.0)
 
 
-def _laplace_vector(scale: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    if math.isinf(scale):
-        return np.zeros(size)
-    return rng.laplace(0.0, scale, size=size)
+def laplace_noise(scale: float, rng: np.random.Generator, size=None):
+    """Centered Laplace noise: one float, or an array of `size` draws.
+    Scale 0 gives zeros without drawing; a negative, infinite or NaN
+    scale raises SketchError."""
+    if not 0.0 <= scale < math.inf:
+        raise SketchError(f"Laplace scale must be a finite number >= 0, "
+                          f"not {scale!r}")
+    if scale == 0.0:
+        return 0.0 if size is None else np.zeros(size)
+    return rng.laplace(0.0, scale, size)
 
 
 def privatize(exact: ExactSketch, spec: FeatureMap, epsilon: float,
@@ -122,7 +124,7 @@ def privatize(exact: ExactSketch, spec: FeatureMap, epsilon: float,
     """
     if not (0.0 < split_num < 1.0):
         raise SketchError("split_num must lie strictly between 0 and 1")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise SketchError("epsilon must be positive (or inf)")
     rng = np.random.default_rng(seed)
     if math.isinf(epsilon):
@@ -130,10 +132,9 @@ def privatize(exact: ExactSketch, spec: FeatureMap, epsilon: float,
     else:
         eps_num = split_num * epsilon
         eps_den = (1.0 - split_num) * epsilon
-    sum_scale = spec.sensitivity_l1() / eps_num if math.isfinite(eps_num) else math.inf
-    count_scale = 1.0 / eps_den if math.isfinite(eps_den) else math.inf
-    noisy_sum = exact.sum_features + _laplace_vector(sum_scale, spec.m, rng)
-    noisy_count = exact.count + sample_laplace(count_scale, rng)
+    sum_scale, count_scale = noise_scales(spec, eps_num, eps_den)
+    noisy_sum = exact.sum_features + laplace_noise(sum_scale, rng, spec.m)
+    noisy_count = exact.count + laplace_noise(count_scale, rng)
     return PrivateSketch(noisy_sum, noisy_count, eps_num, eps_den,
                          spec.spec_id)
 
@@ -208,8 +209,11 @@ def sketch_from_dict(doc: dict) -> tuple[PrivateSketch, FeatureMap]:
     entry or count that is not a finite JSON number (numeric strings and
     booleans included), or a budget share that is neither a positive
     number nor "inf", raises SketchError: the solve never reads some sum
-    entries, so it would not catch them.
+    entries, so it would not catch them.  A document or spec that is not
+    a JSON object raises SketchError or FeatureMapError.
     """
+    if not isinstance(doc, dict):
+        raise SketchError("a sketch file must hold a JSON object")
     if doc.get("version") != SKETCH_FILE_VERSION:
         raise SketchError(
             f"unsupported sketch file version {doc.get('version')!r}"

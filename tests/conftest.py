@@ -1,5 +1,9 @@
+import hashlib
+import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 import dpsketch
@@ -28,3 +32,55 @@ def child_env():
         return env
 
     return make
+
+
+@pytest.fixture(params=[
+    "race-d", "rff-truncated-frequencies", "domain-unknown-kind",
+    "domain-upper-below-lower", "domain-dimension", "race-zero-hashes",
+    "race-r-width-string", "rff-nan-frequency", "rff-negative-sigma",
+    "file-array", "spec-array",
+])
+def malformed_sketch_doc(request):
+    """A sketch-file document whose embedded spec is malformed.
+
+    spec_id is recomputed from the changed spec, so that only the spec
+    is at fault.
+    """
+    case = request.param
+    if case.startswith("rff"):
+        spec = dpsketch.build_rff(3, 8, 1.0, seed=0)
+    else:
+        spec = dpsketch.build_race(3, 4, 5, 0.3, seed=0)
+    data = np.random.default_rng(0).uniform(size=(50, 3))
+    sketch = dpsketch.privatize(dpsketch.sketch_exact(spec, data), spec, 1.0,
+                                seed=1)
+    doc = json.loads(json.dumps(sketch.to_dict(spec)))
+    if case == "file-array":
+        return [doc]
+    s = doc["spec"]
+    if case == "race-d":
+        s["d"] = 4
+    elif case == "rff-truncated-frequencies":
+        s["matrices"]["frequencies"].pop()
+    elif case == "domain-unknown-kind":
+        s["domain"]["kinds"][0] = "ordinal"
+    elif case == "domain-upper-below-lower":
+        s["domain"]["upper"][0] = -1.0
+    elif case == "domain-dimension":
+        for key in ("lower", "upper", "kinds"):
+            s["domain"][key].pop()
+    elif case == "race-zero-hashes":
+        s.update(m=0, matrices={"projections": [], "offsets": []})
+        s["params"]["n_hashes"] = 0
+        doc["noisy_sum"] = []
+    elif case == "race-r-width-string":
+        s["params"]["r_width"] = "0.3"
+    elif case == "rff-nan-frequency":
+        s["matrices"]["frequencies"][0] = math.nan
+    elif case == "rff-negative-sigma":
+        s["params"]["sigma"] = -1.0
+    elif case == "spec-array":
+        doc["spec"] = [s]
+    canonical = json.dumps(doc["spec"], sort_keys=True, separators=(",", ":"))
+    doc["spec_id"] = hashlib.sha256(canonical.encode()).hexdigest()
+    return doc

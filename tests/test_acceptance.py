@@ -16,10 +16,10 @@ import pytest
 
 from dpsketch import (
     Domain,
+    HistMap,
     Moment,
     SyntheticFeatures,
     TrainConfig,
-    build_hist,
     build_race,
     build_rff,
     mre,
@@ -46,7 +46,7 @@ def _table1_mre(kind, eps, n_trials=100):
     if kind == "rff":
         spec = build_rff(d, 200, 1.0, seed=42, domain=domain)
     else:
-        spec = build_hist(domain, 100)
+        spec = HistMap(domain, 100)
     feats = SyntheticFeatures(spec, TrainConfig(n_synth=100_000, seed=7))
     moments = [Moment(j, 1) for j in range(1, d + 1)]
     trial_means = []
@@ -114,7 +114,7 @@ def _bound_check(spec, f, eps_num, n_a, seed):
 def test_criterion_2_risk_bound():
     f = Moment(1, 1)
     cases = _bound_check(build_rff(2, 16, 1.0, seed=0), f, 1.0, 10, seed=1)
-    cases += _bound_check(build_hist(Domain.unit(2), 8), f, 1.0, 10, seed=2)
+    cases += _bound_check(HistMap(Domain.unit(2), 8), f, 1.0, 10, seed=2)
     worst = max((mc - J) / se for mc, J, se in cases)
     ok = all(mc <= J + 3 * se for mc, J, se in cases)
     _report(2, "risk bound", ok,
@@ -131,7 +131,7 @@ def test_criterion_3_exact_recovery():
     worst = 0.0
     for spec, components in [
         (build_rff(3, 50, 1.0, seed=0), [0, 7, 30, 49]),
-        (build_hist(Domain.unit(3), 8), [0, 5, 12, 23]),
+        (HistMap(Domain.unit(3), 8), [0, 5, 12, 23]),
         (build_race(3, 6, 5, 0.3, seed=1), [0, 9, 17, 29]),
     ]:
         X = rng.uniform(size=(1000, 3))
@@ -183,7 +183,7 @@ def test_criterion_4_kernel_fidelity():
 
 def test_criterion_5_sensitivity():
     rng = np.random.default_rng(5)
-    specs = [build_hist(Domain.unit(3), 6), build_rff(3, 30, 1.0, seed=0),
+    specs = [HistMap(Domain.unit(3), 6), build_rff(3, 30, 1.0, seed=0),
              build_race(3, 5, 4, 0.25, seed=1)]
     ok = True
     equality = {"HIST": False, "RACE": False}
@@ -218,7 +218,7 @@ def test_criterion_6_duality():
     rng = np.random.default_rng(6)
     X = rng.uniform(size=(500, 3))
     worst = 0.0
-    for spec in (build_hist(Domain.unit(3), 5), build_rff(3, 24, 1.0, seed=0),
+    for spec in (HistMap(Domain.unit(3), 5), build_rff(3, 24, 1.0, seed=0),
                  build_race(3, 5, 4, 0.3, seed=1)):
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=2)
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=2000, seed=3))

@@ -8,6 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from dpsketch import Domain, build_map
 from dpsketch.cli import main
 
 
@@ -184,6 +185,20 @@ class TestSketchCommand:
         doc = json.loads(out.read_text())
         assert doc["normalization"]["min"] == [5.0, 0.2]
         assert doc["normalization"]["max"] == [9.0, 0.9]
+
+    @pytest.mark.parametrize("kind", ["hist", "rff", "race"])
+    def test_map_defaults_are_the_library_defaults(self, tmp_path, dataset,
+                                                   capsys, kind):
+        path, data = dataset
+        out = tmp_path / "s.json"
+        code, _, stderr = run_cli(capsys, "sketch", str(path), "--out",
+                                  str(out), "--map", kind, "--map-seed", "5",
+                                  "--epsilon", "inf")
+        assert code == 0, stderr
+        doc = json.loads(out.read_text())
+        spec = build_map(kind, Domain.unit(data.shape[1]), 5, {})
+        assert doc["spec"] == spec.to_dict()
+        assert doc["spec_id"] == spec.spec_id
 
     def test_byte_identical_reruns(self, tmp_path, dataset, capsys):
         path, _ = dataset
@@ -387,11 +402,16 @@ class TestFitLogreg:
     def test_step_is_accepted_and_unused(self, tmp_path, rff_logreg, capsys,
                                          step):
         plain, stepped = tmp_path / "plain.json", tmp_path / "stepped.json"
-        assert self._fit(capsys, rff_logreg, plain)[0] == 0
-        code, _, stderr = self._fit(capsys, rff_logreg, stepped,
-                                    "--step", step)
+        code, plain_out, plain_err = self._fit(capsys, rff_logreg, plain)
+        assert code == 0 and "note:" not in plain_err
+        code, stdout, stderr = self._fit(capsys, rff_logreg, stepped,
+                                         "--step", step)
         assert code == 0, stderr
         assert stepped.read_bytes() == plain.read_bytes()
+        assert stdout == plain_out
+        notes = [line for line in stderr.splitlines()
+                 if line.startswith("note:")]
+        assert len(notes) == 1 and "--step" in notes[0]
 
     def test_step_cap_warns_once(self, tmp_path, rff_logreg, capsys):
         model_out = tmp_path / "model.json"
@@ -551,7 +571,7 @@ class TestEval:
 class TestBadOptionValues:
     @pytest.mark.parametrize("case", [
         "epsilon", "split", "config-bins", "schema-array", "schema-columns",
-        "schema-lower", "plan-n", "n-synth",
+        "schema-lower", "plan-n", "n-synth", "map",
     ])
     def test_exits_2_with_message(self, tmp_path, dataset, hist_sketch,
                                   capsys, case):
@@ -571,6 +591,7 @@ class TestBadOptionValues:
             cfg.write_text("n=abc\n")
         argv = {
             "epsilon": sketch + ["--epsilon", "abc"],
+            "map": sketch + ["--map", "wavelet"],
             "split": sketch + ["--split", "1.5", "--epsilon", "1"],
             "config-bins": sketch + ["--config", str(cfg)],
             "schema-array": sketch + ["--schema", str(cfg)],
@@ -700,6 +721,21 @@ class TestMalformedSketchValues:
         assert code == 2
         assert stdout == ""
         assert str(bad) in stderr and key in stderr
+
+
+class TestMalformedSpec:
+    @pytest.mark.parametrize("command", ["estimate", "inspect"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command,
+                                     malformed_sketch_doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(malformed_sketch_doc))
+        extra = ["moment 1 1", "--n-synth", "500"] if command == "estimate" \
+            else []
+        code, stdout, stderr = run_cli(capsys, command, str(bad), *extra)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: {bad}: ")
+        assert len(stderr.splitlines()) == 1
 
 
 class TestTruncatedSketch:

@@ -10,10 +10,10 @@ import scipy.linalg
 
 from dpsketch import (
     Domain,
+    HistMap,
     Moment,
     SyntheticFeatures,
     TrainConfig,
-    build_hist,
     build_race,
     build_rff,
     estimate_covariance,
@@ -69,7 +69,7 @@ class TestLambda:
     def test_large_count_keeps_stability_floor(self):
         # HIST d=10 at eps 1: 2 * 10^2 / count^2 falls below the floor
         # once the count passes about 4.5e5.
-        spec = build_hist(Domain.unit(10), 4)
+        spec = HistMap(Domain.unit(10), 4)
         assert regularization_lambda(spec, 1.0, 1e5) == \
             pytest.approx(2 * 100 / 1e10)
         assert regularization_lambda(spec, 1.0, 1e7) == LAMBDA_FLOOR
@@ -80,23 +80,23 @@ class TestLambda:
         # The name predates the noise-variance penalty: lambda scales as
         # 1/count^2, so doubling the count quarters it.  The name is kept
         # so that the test's id stays stable.
-        spec = build_hist(Domain.unit(5), 10)
+        spec = HistMap(Domain.unit(5), 10)
         a = regularization_lambda(spec, 0.98, 1000.0)
         b = regularization_lambda(spec, 0.98, 2000.0)
         assert a == pytest.approx(4 * b)
 
     def test_extra_reg_scales_linearly(self):
-        spec = build_hist(Domain.unit(5), 10)
+        spec = HistMap(Domain.unit(5), 10)
         assert regularization_lambda(spec, 0.5, 100.0, extra_reg=3.0) == \
             pytest.approx(3 * regularization_lambda(spec, 0.5, 100.0))
 
     def test_count_clamped_below_one(self):
-        spec = build_hist(Domain.unit(2), 4)
+        spec = HistMap(Domain.unit(2), 4)
         assert regularization_lambda(spec, 1.0, -5.0) == \
             regularization_lambda(spec, 1.0, 1.0)
 
     def test_theorem_variant(self):
-        spec = build_hist(Domain.unit(3), 4)  # delta = 3
+        spec = HistMap(Domain.unit(3), 4)  # delta = 3
         lam = theorem_lambda(spec, 1.0, 50.0)
         assert lam == pytest.approx(2 * 9 / 2500)
 
@@ -112,14 +112,14 @@ class TestFit:
         np.testing.assert_allclose(model.coef, expected, atol=2e-4)
 
     def test_zero_target_gives_zero_coefficients(self):
-        spec = build_hist(Domain.unit(2), 5)
+        spec = HistMap(Domain.unit(2), 5)
         synth = Domain.unit(2).sample(500, np.random.default_rng(2))
         model = SyntheticFeatures.from_points(spec, synth).fit(
             lambda X: np.zeros(X.shape[0]), 0.5)
         np.testing.assert_array_equal(model.coef, np.zeros(10))
 
     def test_span_member_has_tiny_residual(self):
-        spec = build_hist(Domain.unit(2), 4)
+        spec = HistMap(Domain.unit(2), 4)
         synth = Domain.unit(2).sample(4000, np.random.default_rng(3))
         # indicator of x1 <= 0.5 is the sum of the first two bins
         model = SyntheticFeatures.from_points(spec, synth).fit(
@@ -155,7 +155,7 @@ class TestFit:
             assert loss_value(spec, probe, Moment(2, 1), pts, lam) >= best
 
     def test_reproducible_bitwise(self):
-        spec = build_hist(Domain.unit(3), 6)
+        spec = HistMap(Domain.unit(3), 6)
         cfg = TrainConfig(n_synth=1000, seed=8)
         a = SyntheticFeatures(spec, cfg).fit(Moment(1, 1), 0.01)
         b = SyntheticFeatures(spec, cfg).fit(Moment(1, 1), 0.01)
@@ -169,13 +169,13 @@ class TestFit:
 
 class TestLoss:
     def test_zero_coef_constant_target(self):
-        spec = build_hist(Domain.unit(2), 3)
+        spec = HistMap(Domain.unit(2), 3)
         pts = Domain.unit(2).sample(100, np.random.default_rng(0))
         f = lambda X: np.ones(X.shape[0])
         assert loss_value(spec, np.zeros(6), f, pts, 0.7) == pytest.approx(1.0)
 
     def test_lambda_term_isolated(self):
-        spec = build_hist(Domain.unit(2), 3)
+        spec = HistMap(Domain.unit(2), 3)
         pts = Domain.unit(2).sample(100, np.random.default_rng(0))
         a = np.ones(6) / 6
         f = lambda X: np.zeros(X.shape[0])
@@ -186,7 +186,7 @@ class TestLoss:
 
 class TestEstimate:
     def test_single_component_reads_sketch_entry(self):
-        spec = build_hist(Domain.unit(2), 4)
+        spec = HistMap(Domain.unit(2), 4)
         X = np.random.default_rng(1).uniform(size=(100, 2))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=2000, seed=0))
@@ -194,8 +194,8 @@ class TestEstimate:
         assert est == pytest.approx(sk.normalized[2])
 
     def test_spec_mismatch_rejected(self):
-        spec = build_hist(Domain.unit(2), 4)
-        other = build_hist(Domain.unit(2), 5)
+        spec = HistMap(Domain.unit(2), 4)
+        other = HistMap(Domain.unit(2), 5)
         X = np.random.default_rng(1).uniform(size=(10, 2))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         pts = Domain.unit(2).sample(200, np.random.default_rng(0))
@@ -205,7 +205,7 @@ class TestEstimate:
 
 class TestLearnAndEstimate:
     def test_noiseless_mean_recovery(self):
-        spec = build_hist(Domain.unit(3), 50)
+        spec = HistMap(Domain.unit(3), 50)
         X = np.random.default_rng(2).uniform(size=(1000, 3))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         cfg = TrainConfig(n_synth=50_000, seed=0)
@@ -225,7 +225,7 @@ class TestLearnAndEstimate:
         assert ec == pytest.approx(2.0 * ef - 0.5 * eg, abs=1e-10)
 
     def test_return_model_diagnostics(self):
-        spec = build_hist(Domain.unit(2), 5)
+        spec = HistMap(Domain.unit(2), 5)
         X = np.random.default_rng(4).uniform(size=(50, 2))
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=0)
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=2000, seed=0))
@@ -236,7 +236,7 @@ class TestLearnAndEstimate:
         assert "train_loss" in model.diagnostics
 
     def test_noise_degrades_estimate_on_average(self):
-        spec = build_hist(Domain.unit(2), 10)
+        spec = HistMap(Domain.unit(2), 10)
         X = np.random.default_rng(5).uniform(size=(500, 2))
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=10_000, seed=0))
         exact = sketch_exact(spec, X)
@@ -250,7 +250,7 @@ class TestLearnAndEstimate:
 
 
 _MAPS = [
-    build_hist(Domain.unit(3), 6),
+    HistMap(Domain.unit(3), 6),
     build_rff(3, 40, 1.0, seed=11),
     build_race(3, 6, 5, 0.3, seed=12),
 ]
@@ -283,7 +283,7 @@ class TestWeightsPath:
     def test_retained_memory_flat_in_number_of_sketches(self):
         # Estimating from many sketches on one SyntheticFeatures must not
         # keep per-sketch state (target values, factors) alive.
-        spec = build_hist(Domain.unit(10), 20)
+        spec = HistMap(Domain.unit(10), 20)
         exact = sketch_exact(
             spec, np.random.default_rng(16).uniform(size=(2000, 10)))
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=20_000, seed=17))
@@ -308,13 +308,13 @@ class TestWeightsPath:
         code = textwrap.dedent("""
             import numpy as np
             from dpsketch import (Domain, SyntheticFeatures, TrainConfig,
-                                  build_hist, build_race, privatize,
+                                  HistMap, build_race, privatize,
                                   sketch_exact)
             rng = np.random.default_rng(0)
             for spec, n_synth, seed in (
-                    (build_hist(Domain.unit(3), 20), 20_000, 3),
+                    (HistMap(Domain.unit(3), 20), 20_000, 3),
                     (build_race(3, 6, 10, 0.2, seed=1), 20_000, 3),
-                    (build_hist(Domain.unit(4), 100), 20_000, 3),
+                    (HistMap(Domain.unit(4), 100), 20_000, 3),
                     (build_race(3, 40, 40, 0.2, seed=5), 4000, 8)):
                 X = rng.uniform(size=(3000, spec.d))
                 sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=2)
@@ -403,7 +403,7 @@ class TestFactorBuffer:
     @pytest.mark.parametrize("path", ["lstsq", "jitter"])
     def test_indefinite_gram_falls_back_then_refactors(self, monkeypatch,
                                                        path):
-        spec = build_hist(Domain.unit(3), 6)
+        spec = HistMap(Domain.unit(3), 6)
         m = spec.m
         rng = np.random.default_rng(9)
         Q = np.linalg.qr(rng.normal(size=(m, m)))[0]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from dpsketch import (
     Domain,
+    HistMap,
     SyntheticFeatures,
-    build_hist,
     build_race,
     build_rff,
     feature_map_from_dict,
@@ -20,32 +20,32 @@ from dpsketch.feature_maps import FeatureMapError, OneHotMatrix, RaceMap
 
 class TestHist:
     def test_basic_one_hot(self):
-        h = build_hist(Domain.unit(1), 4)
+        h = HistMap(Domain.unit(1), 4)
         assert h.embed([0.3]).tolist() == [0, 1, 0, 0]
 
     def test_upper_edge_clamps_into_last_bin(self):
-        h = build_hist(Domain.unit(1), 4)
+        h = HistMap(Domain.unit(1), 4)
         assert h.embed([1.0]).tolist() == [0, 0, 0, 1]
 
     def test_concatenated_per_attribute_one_hots(self):
-        h = build_hist(Domain.unit(2), 2)
+        h = HistMap(Domain.unit(2), 2)
         assert h.embed([0.1, 0.9]).tolist() == [1, 0, 0, 1]
 
     def test_rejects_zero_bins(self):
         with pytest.raises(FeatureMapError):
-            build_hist(Domain.unit(2), 0)
+            HistMap(Domain.unit(2), 0)
 
     def test_rejects_out_of_domain(self):
-        h = build_hist(Domain.unit(2), 4)
+        h = HistMap(Domain.unit(2), 4)
         with pytest.raises(Exception):
             h.embed([0.5, 1.5])
 
     def test_sensitivity_is_dimension(self):
         for n_bins in (1, 7, 100):
-            assert build_hist(Domain.unit(10), n_bins).sensitivity_l1() == 10.0
+            assert HistMap(Domain.unit(10), n_bins).sensitivity_l1() == 10.0
 
     def test_nonunit_domain_binning(self):
-        h = build_hist(Domain((-2.0,), (2.0,)), 4)
+        h = HistMap(Domain((-2.0,), (2.0,)), 4)
         assert h.embed([-2.0]).tolist() == [1, 0, 0, 0]
         assert h.embed([0.5]).tolist() == [0, 0, 1, 0]
 
@@ -53,18 +53,18 @@ class TestHist:
 class TestRff:
     def test_shape_and_empirical_variance(self):
         r = build_rff(10, 200, 1.0, seed=0)
-        assert r.freqs.shape == (10, 100)
-        assert r.freqs.var() == pytest.approx(1.0, rel=0.05)
+        assert r.frequencies.shape == (10, 100)
+        assert r.frequencies.var() == pytest.approx(1.0, rel=0.05)
 
     def test_same_seed_reproduces_frequencies(self):
         a = build_rff(3, 40, 2.0, seed=123)
         b = build_rff(3, 40, 2.0, seed=123)
-        np.testing.assert_array_equal(a.freqs, b.freqs)
+        np.testing.assert_array_equal(a.frequencies, b.frequencies)
 
     def test_sigma_scales_frequencies_inversely(self):
         a = build_rff(3, 40, 1.0, seed=5)
         b = build_rff(3, 40, 2.0, seed=5)
-        np.testing.assert_allclose(b.freqs, a.freqs / 2.0, rtol=1e-12)
+        np.testing.assert_allclose(b.frequencies, a.frequencies / 2.0, rtol=1e-12)
 
     def test_rejects_odd_m(self):
         with pytest.raises(FeatureMapError):
@@ -137,7 +137,7 @@ class TestRace:
 class TestKernelEstimates:
     def test_identical_points_hist_race(self):
         x = np.array([0.3, 0.8])
-        for spec in (build_hist(Domain.unit(2), 5),
+        for spec in (HistMap(Domain.unit(2), 5),
                      build_race(2, 6, 4, 0.3, seed=0)):
             assert spec.kernel_estimate(x, x) == pytest.approx(1.0)
 
@@ -178,7 +178,7 @@ class TestL1NormBound:
     def test_hist_race_exact_l1(self, seed):
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(50, 3))
-        h = build_hist(Domain.unit(3), 6)
+        h = HistMap(Domain.unit(3), 6)
         race = build_race(3, 4, 5, 0.2, seed=1)
         np.testing.assert_array_equal(
             np.abs(h.embed_batch(X)).sum(axis=1), 3.0)
@@ -194,7 +194,7 @@ class TestL1NormBound:
 
 class TestSerialization:
     @pytest.mark.parametrize("build", [
-        lambda: build_hist(Domain.unit(3), 7),
+        lambda: HistMap(Domain.unit(3), 7),
         lambda: build_rff(3, 20, 0.7, seed=5),
         lambda: build_race(3, 4, 6, 0.15, seed=6),
     ])
@@ -209,13 +209,13 @@ class TestSerialization:
                                       spec.embed_batch(X))
 
     def test_rejects_unknown_version(self):
-        doc = build_hist(Domain.unit(2), 3).to_dict()
+        doc = HistMap(Domain.unit(2), 3).to_dict()
         doc["version"] = 99
         with pytest.raises(FeatureMapError):
             feature_map_from_dict(doc)
 
     def test_rejects_unknown_variant(self):
-        doc = build_hist(Domain.unit(2), 3).to_dict()
+        doc = HistMap(Domain.unit(2), 3).to_dict()
         doc["variant"] = "WAVELET"
         with pytest.raises(FeatureMapError):
             feature_map_from_dict(doc)
@@ -226,7 +226,7 @@ class TestBatchPathsAgreeWithDense:
     match the dense feature matrix."""
 
     @pytest.mark.parametrize("build", [
-        lambda: build_hist(Domain.unit(3), 4),
+        lambda: HistMap(Domain.unit(3), 4),
         lambda: build_rff(3, 16, 1.0, seed=0),
         lambda: build_race(3, 5, 4, 0.3, seed=0),
     ])
@@ -245,7 +245,7 @@ class TestBatchPathsAgreeWithDense:
                                    P.sum(axis=0), atol=1e-12)
 
     @pytest.mark.parametrize("build", [
-        lambda: build_hist(Domain.unit(3), 4),
+        lambda: HistMap(Domain.unit(3), 4),
         lambda: build_race(3, 5, 4, 0.3, seed=0),
     ])
     def test_one_hot_encoding_is_sparse_with_one_per_block(self, build):
@@ -266,7 +266,7 @@ class TestBatchPathsAgreeWithDense:
             dense, np.array([spec.embed(x) for x in X]))
 
     @pytest.mark.parametrize("build", [
-        lambda: build_hist(Domain.unit(3), 7),
+        lambda: HistMap(Domain.unit(3), 7),
         lambda: build_race(3, 6, 9, 0.3, seed=0),
     ])
     def test_one_hot_products_match_csr_bit_for_bit(self, build):

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from dpsketch import Domain, SyntheticFeatures, read_csv
+from dpsketch import Domain, SyntheticFeatures, build_map, read_csv
+from dpsketch.feature_maps import FeatureMapError
 from dpsketch.harness import (
     ExperimentPlan,
-    build_sketch_spec,
     gen_random10,
     gen_separable_classification,
     run_plan,
@@ -74,24 +74,31 @@ class TestDatasetCsv:
 
 
 class TestBuildSketchSpec:
+    """build_map, which builds every grid sketch's spec."""
+
     def test_grid_defaults(self):
         dom = Domain.unit(10)
-        rff = build_sketch_spec("rff", dom, 0)
+        rff = build_map("rff", dom, 0)
         assert rff.variant == "RFF" and rff.m == 200 and rff.sigma == 1.0
-        race = build_sketch_spec("race", dom, 0)
+        race = build_map("RACE", dom, 0)
         assert race.variant == "RACE" and race.m == 80 * 80
         assert race.r_width == 0.1
-        hist = build_sketch_spec("hist", dom, 0)
+        hist = build_map("hist", dom, 0)
         assert hist.variant == "HIST" and hist.m == 1000
 
     def test_param_overrides(self):
         dom = Domain.unit(3)
-        rff = build_sketch_spec("rff", dom, 0, {"m": 40, "sigma": 2.0})
+        # keys of other kinds are ignored, and None takes the default
+        params = {"m": 40, "sigma": 2.0, "n_bins": 0, "r_width": None}
+        rff = build_map("rff", dom, 0, params)
         assert rff.m == 40 and rff.sigma == 2.0
+        assert build_map("race", dom, 0, params).r_width == 0.1
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            build_sketch_spec("wavelet", Domain.unit(3), 0)
+        with pytest.raises(FeatureMapError, match="wavelet"):
+            build_map("wavelet", Domain.unit(3), 0)
+        with pytest.raises(FeatureMapError, match="wavelet"):
+            ExperimentPlan(sketches=("hist", "wavelet"))
 
 
 class TestPlan:

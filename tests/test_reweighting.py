@@ -8,12 +8,12 @@ import pytest
 
 from dpsketch import (
     Domain,
+    HistMap,
     Moment,
     PrivateSketch,
     SyntheticFeatures,
     TrainConfig,
     WeightedSamples,
-    build_hist,
     build_race,
     build_rff,
     fit_logistic_from_sketch,
@@ -41,7 +41,7 @@ class TestComputeWeights:
         # HIST with one bin is the constant map Phi(x) = [1]: the Gram is
         # 1, so with sketch value s and N points each weight is
         # s / (N * (1 + lambda))
-        spec = build_hist(Domain.unit(1), 1)
+        spec = HistMap(Domain.unit(1), 1)
         sk = PrivateSketch(np.array([3.0]), 2.0, math.inf, math.inf,
                            spec.spec_id)
         lam = 0.5
@@ -55,7 +55,7 @@ class TestComputeWeights:
         # sum_i w_i L(x_i) must equal <ridge_fit(L), normalized sketch>
         rng = np.random.default_rng(0)
         X = rng.uniform(size=(300, 3))
-        for spec in (build_hist(Domain.unit(3), 5),
+        for spec in (HistMap(Domain.unit(3), 5),
                      build_rff(3, 30, 1.0, seed=1),
                      build_race(3, 6, 4, 0.25, seed=2)):
             sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=3)
@@ -70,7 +70,7 @@ class TestComputeWeights:
                 assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_huge_lambda_kills_weights(self):
-        spec = build_hist(Domain.unit(2), 4)
+        spec = HistMap(Domain.unit(2), 4)
         X = np.random.default_rng(1).uniform(size=(50, 2))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=500, seed=0))
@@ -78,15 +78,15 @@ class TestComputeWeights:
         assert np.abs(w).max() < 1e-9
 
     def test_rejects_nonpositive_lambda(self):
-        spec = build_hist(Domain.unit(2), 4)
+        spec = HistMap(Domain.unit(2), 4)
         sk = privatize(sketch_exact(spec, [[0.5, 0.5]]), spec, math.inf)
         with pytest.raises(ValueError):
             SyntheticFeatures.from_points(
                 spec, np.array([[0.5, 0.5]])).weights(sk, 0.0)
 
     def test_rejects_mismatched_sketch(self):
-        spec = build_hist(Domain.unit(2), 4)
-        other = build_hist(Domain.unit(2), 5)
+        spec = HistMap(Domain.unit(2), 4)
+        other = HistMap(Domain.unit(2), 5)
         sk = privatize(sketch_exact(other, [[0.5, 0.5]]), other, math.inf)
         with pytest.raises(Exception):
             SyntheticFeatures.from_points(

@@ -6,23 +6,24 @@ import pytest
 
 from dpsketch import (
     Domain,
+    HistMap,
     DomainError,
-    build_hist,
     build_race,
     build_rff,
     load_sketch,
     merge,
+    laplace_noise,
     privatize,
-    sample_laplace,
     save_sketch,
     sketch_exact,
 )
+from dpsketch.feature_maps import FeatureMapError
 from dpsketch.sketch import SketchError, sketch_from_dict
 
 
 @pytest.fixture
 def hist2():
-    return build_hist(Domain.unit(2), 2)
+    return HistMap(Domain.unit(2), 2)
 
 
 class TestExactSketch:
@@ -42,7 +43,6 @@ class TestExactSketch:
         ex = sketch_exact(hist2, np.empty((0, 2)))
         assert ex.count == 0
         np.testing.assert_array_equal(ex.sum_features, np.zeros(4))
-        np.testing.assert_array_equal(ex.normalized(), np.zeros(4))
 
     def test_order_invariance(self, hist2):
         X = np.random.default_rng(0).uniform(size=(50, 2))
@@ -52,7 +52,7 @@ class TestExactSketch:
 
 
     @pytest.mark.parametrize("build", [
-        lambda: build_hist(Domain.unit(2), 4),
+        lambda: HistMap(Domain.unit(2), 4),
         lambda: build_rff(2, 20, 1.0, seed=0),
         lambda: build_race(2, 5, 4, 0.3, seed=0),
     ])
@@ -62,16 +62,21 @@ class TestExactSketch:
 
 
 class TestLaplace:
-    def test_infinite_scale_is_zero(self):
-        assert sample_laplace(math.inf, np.random.default_rng(0)) == 0.0
+    def test_zero_scale_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        assert laplace_noise(0.0, rng) == 0.0
+        np.testing.assert_array_equal(laplace_noise(0.0, rng, 3), np.zeros(3))
+        assert rng.random() == np.random.default_rng(0).random()
 
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(SketchError):
-            sample_laplace(0.0, np.random.default_rng(0))
+    def test_rejects_negative_nan_or_infinite_scale(self):
+        for scale in (-1.0, math.nan, math.inf):
+            with pytest.raises(SketchError, match="scale"):
+                laplace_noise(scale, np.random.default_rng(0))
 
     def test_moments(self):
         rng = np.random.default_rng(7)
-        draws = np.array([sample_laplace(2.0, rng) for _ in range(200_000)])
+        assert isinstance(laplace_noise(2.0, rng), float)
+        draws = laplace_noise(2.0, rng, 200_000)
         assert abs(draws.mean()) < 0.02
         # Var = 2 b^2 = 8
         assert draws.var() == pytest.approx(8.0, rel=0.02)
@@ -93,7 +98,7 @@ class TestPrivatize:
 
     def test_noise_scale_matches_sensitivity(self):
         # d=10, 100 bins -> m=1000 entries, noise scale 10/0.98
-        spec = build_hist(Domain.unit(10), 100)
+        spec = HistMap(Domain.unit(10), 100)
         ex = sketch_exact(spec, np.random.default_rng(0).uniform(size=(20, 10)))
         sk = privatize(ex, spec, 1.0, seed=11)
         noise = sk.noisy_sum - ex.sum_features
@@ -122,6 +127,8 @@ class TestPrivatize:
         with pytest.raises(SketchError):
             privatize(ex, hist2, 0.0)
         with pytest.raises(SketchError):
+            privatize(ex, hist2, math.nan)
+        with pytest.raises(SketchError):
             privatize(ex, hist2, 1.0, split_num=1.0)
 
     def test_normalization_clamps_small_counts(self, hist2):
@@ -139,7 +146,7 @@ class TestNeighboringSensitivity:
     """Removing one record moves the exact sum by at most the L1 sensitivity."""
 
     @pytest.mark.parametrize("build", [
-        lambda: build_hist(Domain.unit(3), 5),
+        lambda: HistMap(Domain.unit(3), 5),
         lambda: build_rff(3, 30, 1.0, seed=0),
         lambda: build_race(3, 6, 4, 0.2, seed=0),
     ])
@@ -155,7 +162,7 @@ class TestNeighboringSensitivity:
 
     def test_hist_race_achieve_equality(self):
         X = np.random.default_rng(6).uniform(size=(4, 3))
-        for spec in (build_hist(Domain.unit(3), 5),
+        for spec in (HistMap(Domain.unit(3), 5),
                      build_race(3, 6, 4, 0.2, seed=0)):
             full = sketch_exact(spec, X).sum_features
             rest = sketch_exact(spec, X[1:]).sum_features
@@ -193,7 +200,7 @@ class TestMerge:
         assert ratio == pytest.approx(2.0, rel=0.15)
 
     def test_mismatched_spec_rejected(self, hist2):
-        other = build_hist(Domain.unit(2), 3)
+        other = HistMap(Domain.unit(2), 3)
         sa = privatize(sketch_exact(hist2, [[0.1, 0.1]]), hist2, 1.0, seed=0)
         sb = privatize(sketch_exact(other, [[0.1, 0.1]]), other, 1.0, seed=0)
         with pytest.raises(SketchError):
@@ -327,3 +334,7 @@ class TestFileFormat:
         loaded, _ = sketch_from_dict(doc)
         assert (loaded.noisy_count, loaded.epsilon_num) == (3.0, 1.0)
         assert math.isinf(loaded.epsilon_den)
+
+    def test_rejects_malformed_spec(self, malformed_sketch_doc):
+        with pytest.raises((SketchError, FeatureMapError)):
+            sketch_from_dict(malformed_sketch_doc)

@@ -8,13 +8,13 @@ from dpsketch import (
     CdfThreshold,
     CenteredProduct,
     Domain,
+    HistMap,
     Moment,
     Predicate,
     SyntheticFeatures,
     TargetError,
     TrainConfig,
     answer_queries,
-    build_hist,
     build_rff,
     estimate_cdf,
     estimate_covariance,
@@ -147,12 +147,12 @@ class TestGrammar:
 
 class TestCdfPipeline:
     def test_default_thresholds(self):
-        spec = build_hist(Domain.unit(2), 4)
+        spec = HistMap(Domain.unit(2), 4)
         np.testing.assert_allclose(default_thresholds(spec, 1),
                                    np.arange(1, 11) / 10)
 
     def test_noiseless_cdf_on_bin_boundaries(self):
-        spec = build_hist(Domain.unit(2), 10)
+        spec = HistMap(Domain.unit(2), 10)
         X = np.random.default_rng(0).uniform(size=(500, 2))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         res = estimate_cdf(*_features_and_weights(spec, sk, 20_000, 1), 1)
@@ -162,14 +162,14 @@ class TestCdfPipeline:
 
     def test_point_mass_at_zero(self):
         # 10 bins so the default thresholds land on bin boundaries
-        spec = build_hist(Domain.unit(1), 10)
+        spec = HistMap(Domain.unit(1), 10)
         X = np.zeros((50, 1))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         res = estimate_cdf(*_features_and_weights(spec, sk, 10_000, 2), 1)
         np.testing.assert_allclose(res.values, 1.0, atol=1e-6)
 
     def test_values_clamped_raw_kept(self):
-        spec = build_hist(Domain.unit(1), 5)
+        spec = HistMap(Domain.unit(1), 5)
         X = np.random.default_rng(1).uniform(size=(20, 1))
         sk = privatize(sketch_exact(spec, X), spec, 0.1, seed=5)
         res = estimate_cdf(*_features_and_weights(spec, sk, 5000, 0), 1)
@@ -177,7 +177,7 @@ class TestCdfPipeline:
         assert res.raw.shape == res.values.shape
 
     def test_rejects_attribute_out_of_range(self):
-        spec = build_hist(Domain.unit(2), 5)
+        spec = HistMap(Domain.unit(2), 5)
         sk = privatize(sketch_exact(spec, [[0.5, 0.5]]), spec, math.inf)
         with pytest.raises(TargetError, match="out of range"):
             estimate_cdf(*_features_and_weights(spec, sk, 500, 0), 3)
@@ -238,7 +238,7 @@ class TestCountingQueries:
         ]
 
     def test_noiseless_fractions_match_data(self):
-        spec = build_hist(Domain.unit(3), 10)
+        spec = HistMap(Domain.unit(3), 10)
         X = np.random.default_rng(7).uniform(size=(1000, 3))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         queries = self._queries()
@@ -250,7 +250,7 @@ class TestCountingQueries:
         np.testing.assert_allclose(res.fractions, truth, atol=0.02)
 
     def test_whole_domain_box_counts_everything(self):
-        spec = build_hist(Domain.unit(3), 8)
+        spec = HistMap(Domain.unit(3), 8)
         X = np.random.default_rng(8).uniform(size=(200, 3))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         box = BoxIndicator((Predicate(1, "<=", 1.0), Predicate(2, "<=", 1.0),
@@ -259,14 +259,14 @@ class TestCountingQueries:
         assert res.fractions[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_rejects_wrong_predicate_count(self):
-        spec = build_hist(Domain.unit(3), 4)
+        spec = HistMap(Domain.unit(3), 4)
         sk = privatize(sketch_exact(spec, [[0.5, 0.5, 0.5]]), spec, math.inf)
         box = BoxIndicator((Predicate(1, "<=", 0.5),))
         with pytest.raises(TargetError):
             answer_queries(*_features_and_weights(spec, sk, 500, 0), [box])
 
     def test_rejects_repeated_attribute(self):
-        spec = build_hist(Domain.unit(3), 4)
+        spec = HistMap(Domain.unit(3), 4)
         sk = privatize(sketch_exact(spec, [[0.5, 0.5, 0.5]]), spec, math.inf)
         box = BoxIndicator((Predicate(1, "<=", 0.5), Predicate(1, ">=", 0.1),
                             Predicate(2, "<=", 0.9)))
@@ -274,7 +274,7 @@ class TestCountingQueries:
             answer_queries(*_features_and_weights(spec, sk, 500, 0), [box])
 
     def test_rejects_attribute_out_of_range(self):
-        spec = build_hist(Domain.unit(3), 4)
+        spec = HistMap(Domain.unit(3), 4)
         sk = privatize(sketch_exact(spec, [[0.5, 0.5, 0.5]]), spec, math.inf)
         box = BoxIndicator((Predicate(1, "<=", 0.5), Predicate(2, ">=", 0.1),
                             Predicate(9, "<=", 0.9)))
