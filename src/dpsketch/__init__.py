@@ -34,6 +34,7 @@ from .estimator import (
     SketchModel,
     SyntheticFeatures,
     TrainConfig,
+    WeightedSamples,
     loss_value,
     regularization_lambda,
     theorem_lambda,
@@ -52,7 +53,6 @@ from .targets import (
 from .metrics import auc, emd_1d, frobenius, mae, mre
 from .reweighting import (
     LogisticModel,
-    WeightedSamples,
     fit_logistic_from_sketch,
     fit_weighted,
     logistic_objective,

@@ -41,15 +41,20 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_seed(fallback=0):
-    """DPSKETCH_SEED as an int, or fallback when it is unset."""
-    value = os.environ.get(SEED_ENV_VAR)
+def _seed(name, value, fallback=0):
+    """The seed given as name, else DPSKETCH_SEED, else fallback; CliError
+    unless the seed is a non-negative integer."""
     if value is None:
-        return fallback
-    try:
-        return int(value)
-    except ValueError:
-        raise CliError(f"{SEED_ENV_VAR} must be an integer, got {value!r}")
+        text = os.environ.get(SEED_ENV_VAR)
+        if text is None:
+            return fallback
+        try:
+            name, value = SEED_ENV_VAR, int(text)
+        except ValueError:
+            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {text!r}")
+    if value < 0:
+        raise CliError(f"{name} must be a non-negative integer, got {value}")
+    return value
 
 
 def _parse_epsilon(text: str) -> float:
@@ -172,7 +177,7 @@ def cmd_sketch(args) -> int:
               "outside the stated privacy budget", file=sys.stderr)
 
     map_kind = opt("map", args.map, str, "hist")
-    map_seed = opt("map_seed", args.map_seed, int, _default_seed())
+    map_seed = _seed("map seed", opt("map_seed", args.map_seed, int, None))
     params = {param: opt(name, getattr(args, name), cast, None)
               for name, (param, cast) in MAP_OPTIONS.items()}
     try:
@@ -183,7 +188,8 @@ def cmd_sketch(args) -> int:
     epsilon = _parse_epsilon(opt("epsilon", args.epsilon, str, "inf"))
     split = opt("split", args.split, float, DEFAULT_SPLIT)
     # without an explicit seed the noise comes from OS entropy
-    noise_seed = opt("noise_seed", args.noise_seed, int, _default_seed(None))
+    noise_seed = _seed("noise seed",
+                       opt("noise_seed", args.noise_seed, int, None), None)
 
     try:
         exact = sketch_exact(spec, data)
@@ -220,8 +226,10 @@ def _load_sketch_file(path):
         return load_sketch(path)
     except OSError as err:
         raise CliError(str(err), EXIT_IO)
-    except (json.JSONDecodeError, SketchError, FeatureMapError, KeyError) as err:
+    except (json.JSONDecodeError, SketchError, FeatureMapError) as err:
         raise CliError(f"{path}: {err}")
+    except KeyError as err:
+        raise CliError(f"{path}: missing key {err.args[0]!r}")
 
 
 def _train_config(args, domain=None):
@@ -231,74 +239,80 @@ def _train_config(args, domain=None):
         return TrainConfig(
             n_synth=args.n_synth,
             extra_reg=args.extra_reg,
-            seed=args.synth_seed if args.synth_seed is not None else _default_seed(),
+            seed=_seed("synth seed", args.synth_seed),
             domain=domain,
         )
     except ValueError as err:
         raise CliError(str(err))
 
 
-def cmd_estimate(args) -> int:
-    import numpy as np
+def _read_truth(path, domain):
+    """The records of a --truth file weighted 1/n each, or None without
+    one; CliError naming the file unless they have domain.d attributes."""
+    if path is None:
+        return None
+    from .domain import DomainError
+    from .estimator import WeightedSamples
 
+    data, _ = _read_csv(path)
+    try:
+        return WeightedSamples.uniform(data, domain)
+    except DomainError as err:
+        raise CliError(f"{path}: {err}")
+
+
+def cmd_estimate(args) -> int:
     from .estimator import SyntheticFeatures
-    from .metrics import emd_1d, mre
-    from .targets import TargetError, estimate_cdf, estimate_covariance, parse_target
+    from .metrics import emd_1d, frobenius, mre
+    from .targets import (TargetError, default_thresholds, estimate_cdf,
+                          estimate_covariance, parse_target)
 
     sketch, spec, _doc = _load_sketch_file(args.sketch)
     try:
         kind, payload = parse_target(args.target, spec.d)
     except TargetError as err:
         raise CliError(f"target parse error: {err}")
+    truth = _read_truth(args.truth, spec.domain)
 
-    truth_data = None
-    if args.truth:
-        truth_data, _ = _read_csv(args.truth)
+    def answer(samples):
+        if kind == "cdf":
+            return estimate_cdf(samples, payload).values
+        if kind == "cov":
+            return estimate_covariance(samples)
+        return float(samples.sums([payload])[0])
 
     features = SyntheticFeatures(spec, _train_config(args))
-    w = features.weights(sketch, features.penalty(sketch))
+    value = answer(features.weighted(sketch))
+    true = None if truth is None else answer(truth)
+    target = args.target.strip()
     writer = _out_writer()
 
-    if kind in ("moment", "count"):
-        value = float(features.weighted_sums(w, [payload])[0])
-        row = [args.target.strip(), repr(value)]
+    if kind == "cdf":
+        header = ["target", "threshold", "estimate"]
+        writer.writerow(header if true is None else header + ["true_value"])
+        for i, s in enumerate(default_thresholds(spec.domain, payload)):
+            row = [target, repr(float(s)), repr(float(value[i]))]
+            if true is not None:
+                row.append(repr(float(true[i])))
+            writer.writerow(row)
+        if true is not None:
+            print(f"emd={emd_1d(value, true)!r}", file=sys.stderr)
+    elif kind == "cov":
+        for row in value:
+            writer.writerow([repr(float(v)) for v in row])
+        if true is not None:
+            print(f"frobenius={frobenius(value, true)!r}", file=sys.stderr)
+    else:
         header = ["target", "estimate"]
-        if truth_data is not None:
-            true_value = float(np.mean(payload(truth_data)))
+        row = [target, repr(value)]
+        if true is not None:
             header += ["true_value", "metric", "metric_value"]
-            if true_value != 0:
-                row += [repr(true_value), "mre", repr(mre(value, true_value))]
+            if true != 0:
+                row += [repr(true), "mre", repr(mre(value, true))]
             else:
-                row += [repr(true_value), "abs_error", repr(abs(value - true_value))]
+                row += [repr(true), "abs_error", repr(abs(value - true))]
         writer.writerow(header)
         writer.writerow(row)
-    elif kind == "cdf":
-        est = estimate_cdf(features, w, payload)
-        header = ["target", "threshold", "estimate"]
-        true_cdf = None
-        if truth_data is not None:
-            true_cdf = [(truth_data[:, payload - 1] <= s).mean()
-                        for s in est.thresholds]
-            header.append("true_value")
-        writer.writerow(header)
-        for i, (s, v) in enumerate(zip(est.thresholds, est.values)):
-            row = [args.target.strip(), repr(float(s)), repr(float(v))]
-            if true_cdf is not None:
-                row.append(repr(float(true_cdf[i])))
-            writer.writerow(row)
-        if true_cdf is not None:
-            print(f"emd={emd_1d(est.values, true_cdf)!r}", file=sys.stderr)
-    elif kind == "cov":
-        cov = estimate_covariance(features, w)
-        for row in cov:
-            writer.writerow([repr(float(v)) for v in row])
-        if truth_data is not None:
-            from .metrics import frobenius
-
-            mu = truth_data.mean(axis=0)
-            c = truth_data - mu
-            true_cov = c.T @ c / truth_data.shape[0]
-            print(f"frobenius={frobenius(cov, true_cov)!r}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -313,8 +327,6 @@ def cmd_cov(args) -> int:
 
 
 def cmd_query_batch(args) -> int:
-    import numpy as np
-
     from .estimator import SyntheticFeatures
     from .targets import (TargetError, _check_queries, answer_queries,
                           parse_predicates)
@@ -330,24 +342,21 @@ def cmd_query_batch(args) -> int:
         _check_queries(queries, spec.d)  # before any solve
     except TargetError as err:
         raise CliError(f"query parse error: {err}")
-
-    truth_data = None
-    if args.truth:
-        truth_data, _ = _read_csv(args.truth)
+    truth = _read_truth(args.truth, spec.domain)
 
     features = SyntheticFeatures(spec, _train_config(args))
-    w = features.weights(sketch, features.penalty(sketch))
-    answers = answer_queries(features, w, queries)
+    answers = answer_queries(features.weighted(sketch), queries)
     counts = answers.fractions * max(sketch.noisy_count, 1.0)
     writer = _out_writer()
     header = ["query", "fraction", "count"]
-    if truth_data is not None:
+    if truth is not None:
+        true = answer_queries(truth, queries).fractions
         header.append("true_fraction")
     writer.writerow(header)
     for i, line in enumerate(lines):
         row = [line, repr(float(answers.fractions[i])), repr(float(counts[i]))]
-        if truth_data is not None:
-            row.append(repr(float(np.mean(queries[i](truth_data)))))
+        if truth is not None:
+            row.append(repr(float(true[i])))
         writer.writerow(row)
     return EXIT_OK
 
@@ -356,6 +365,7 @@ def cmd_fit_logreg(args) -> int:
     from .domain import BINARY, DomainError
     from .estimator import SyntheticFeatures
     from .reweighting import evaluate_auc, fit_logistic_from_sketch
+    from .sketch import write_json
 
     if args.iters < 1:
         raise CliError(f"--iters must be at least 1, got {args.iters}")
@@ -410,12 +420,8 @@ def cmd_fit_logreg(args) -> int:
             "config": {"n_synth": config.n_synth, "iters": args.iters,
                        "lambda": fit["lambda"]},
         }
-        tmp = args.model_out + ".tmp"
         try:
-            with open(tmp, "w") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=1)
-                fh.write("\n")
-            os.replace(tmp, args.model_out)
+            write_json(args.model_out, doc)
         except OSError as err:
             raise CliError(str(err), EXIT_IO)
 
@@ -454,9 +460,16 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+def _split(text) -> tuple:
+    return tuple(s.strip() for s in text.split(","))
+
+
+# keys accepted in a plan file, with the reader of each value
 PLAN_KEYS = {
-    "dataset", "n", "d", "sketches", "epsilons", "repetitions", "tasks",
-    "n_synth", "n_queries", "extra_reg", "seed",
+    "dataset": str, "n": int, "d": int, "repetitions": int, "n_synth": int,
+    "n_queries": int, "seed": int, "extra_reg": float, "sketches": _split,
+    "tasks": _split,
+    "epsilons": lambda text: tuple(_parse_epsilon(s) for s in _split(text)),
 }
 
 
@@ -464,24 +477,9 @@ def _read_plan(path):
     from .harness import ExperimentPlan
 
     values = _read_key_values(path, PLAN_KEYS)
-    kwargs = {}
-    if "dataset" in values:
-        kwargs["dataset"] = values["dataset"]
-    for key in ("n", "d", "repetitions", "n_synth", "n_queries", "seed"):
-        if key in values:
-            kwargs[key] = _convert(path, key, values[key], int)
-    if "extra_reg" in values:
-        kwargs["extra_reg"] = _convert(path, "extra_reg", values["extra_reg"],
-                                       float)
-    if "sketches" in values:
-        kwargs["sketches"] = tuple(s.strip() for s in values["sketches"].split(","))
-    if "tasks" in values:
-        kwargs["tasks"] = tuple(s.strip() for s in values["tasks"].split(","))
-    if "epsilons" in values:
-        kwargs["epsilons"] = tuple(
-            _parse_epsilon(s) for s in values["epsilons"].split(","))
     try:
-        return ExperimentPlan(**kwargs)
+        return ExperimentPlan(**{key: _convert(path, key, text, PLAN_KEYS[key])
+                                 for key, text in values.items()})
     except ValueError as err:
         raise CliError(f"{path}: {err}")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Domain
+from .domain import Domain, DomainError
 from .feature_maps import FeatureMap, OneHotMatrix
 from .sketch import PrivateSketch, SketchError
 
@@ -97,7 +97,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.n_synth < 1:
             raise ValueError("n_synth must be >= 1")
-        if self.extra_reg <= 0:
+        if not self.extra_reg > 0:
             raise ValueError("extra_reg must be positive")
 
 
@@ -151,6 +151,47 @@ def _evaluate_target(f, points: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError("target function produced non-finite values")
     return values
+
+
+@dataclass(frozen=True)
+class WeightedSamples:
+    """Points in a domain with one weight each: weights @ f(points)
+    estimates the dataset average of a target f.  A sketch weights the
+    synthetic samples (SyntheticFeatures.weighted; weights may be
+    negative); a dataset's records weighted 1/n (uniform) give the average
+    itself, so estimates and truths come from the same pipelines."""
+
+    points: np.ndarray
+    weights: np.ndarray
+    domain: Domain | None = None
+
+    def __post_init__(self):
+        if self.points.shape[0] != self.weights.shape[0]:
+            raise ValueError("points and weights must have equal length")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("weights must be finite")
+
+    @classmethod
+    def uniform(cls, records, domain: Domain) -> "WeightedSamples":
+        """The records weighted 1/n each; DomainError unless they have
+        domain.d attributes."""
+        records = np.atleast_2d(np.asarray(records, dtype=float))
+        if records.shape[1] != domain.d:
+            raise DomainError(f"expected {domain.d} attributes, "
+                              f"got {records.shape[1]}")
+        n = records.shape[0]
+        return cls(records, np.full(n, 1.0 / n), domain)
+
+    def sums(self, targets) -> np.ndarray:
+        """weights @ f(points) for each target f.
+
+        Targets are evaluated one at a time, so no (n, targets) matrix is
+        built, and each sum runs through einsum, whose order does not
+        depend on the BLAS thread count.
+        """
+        return np.array([np.einsum("i,i->", self.weights,
+                                   _evaluate_target(f, self.points))
+                         for f in targets], dtype=float)
 
 
 class SyntheticFeatures:
@@ -212,11 +253,6 @@ class SyntheticFeatures:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-    def gram(self) -> np.ndarray:
-        """The full m x m Gram matrix (1/n) P^T P, computed afresh on every
-        call; the solve factors only its occupied block."""
-        return self.spec.gram(self._P)
 
     def dot_targets(self, F) -> np.ndarray:
         """(1/n) P^T F for target values F of shape (n,) or (n, t)."""
@@ -323,27 +359,22 @@ class SyntheticFeatures:
             raise ValueError("lambda must be positive for the weight computation")
         return self.apply(self.solve(sketch.normalized, lam)) / self.n
 
-    def weighted_sums(self, w: np.ndarray, targets) -> np.ndarray:
-        """w @ f(points) for each target f.
-
-        Targets are evaluated one at a time, so no (n_synth, targets)
-        matrix is built, and each sum runs through einsum, whose order does
-        not depend on the BLAS thread count.
-        """
-        return np.array([np.einsum("i,i->", w, _evaluate_target(f, self.points))
-                         for f in targets], dtype=float)
-
     def penalty(self, sketch: PrivateSketch) -> float:
         """The sketch's ridge penalty: regularization_lambda of its privacy
         budget and noisy count, scaled by the config's extra_reg."""
         return regularization_lambda(self.spec, sketch.epsilon_num,
                                      sketch.noisy_count, self.config.extra_reg)
 
+    def weighted(self, sketch: PrivateSketch) -> "WeightedSamples":
+        """The synthetic points with the sketch's weights at its own
+        penalty; the one place a sketch's weights are solved for."""
+        return WeightedSamples(self.points,
+                               self.weights(sketch, self.penalty(sketch)),
+                               self.domain)
+
     def estimate(self, sketch: PrivateSketch, targets) -> np.ndarray:
-        """Estimated dataset averages of the targets, one per target, from
-        one weight solve at the sketch's own penalty."""
-        return self.weighted_sums(self.weights(sketch, self.penalty(sketch)),
-                                  targets)
+        """Estimated dataset averages of the targets, one per target."""
+        return self.weighted(sketch).sums(targets)
 
     def fit(self, f, lam: float) -> SketchModel:
         """Ridge-fit coefficients so that <coef, Phi(x)> approximates f(x).

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .domain import BINARY, CONTINUOUS, Domain, DomainError, read_csv
-from .estimator import SyntheticFeatures, TrainConfig
+from .estimator import SyntheticFeatures, TrainConfig, WeightedSamples
 from .feature_maps import build_map, map_kind
 from .metrics import emd_1d, frobenius, mae, mre
 from .reweighting import evaluate_auc, fit_logistic_from_sketch
@@ -56,6 +56,11 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        TrainConfig(self.n_synth, self.extra_reg)  # checks both
+        if self.n_queries < 1:
+            raise ValueError("n_queries must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.sketches or not self.epsilons or not self.tasks:
             raise ValueError("sketch, epsilon and task grids must be non-empty")
         for kind in self.sketches:
@@ -137,52 +142,33 @@ def _random_queries(domain: Domain, n_queries: int, rng) -> list[BoxIndicator]:
     return queries
 
 
-def _truths(data: np.ndarray, domain: Domain, tasks, queries) -> dict:
-    d = data.shape[1]
-    truth = {}
-    if "mean" in tasks:
-        truth["mean"] = data.mean(axis=0)
-    if "moment2" in tasks:
-        truth["moment2"] = (data ** 2).mean(axis=0)
-    if "cdf" in tasks:
-        lo, hi = domain.lower_arr, domain.upper_arr
-        cdfs = []
-        for j in range(d):
-            ts = lo[j] + (hi[j] - lo[j]) * np.arange(1, 11) / 10
-            cdfs.append([(data[:, j] <= s).mean() for s in ts])
-        truth["cdf"] = np.asarray(cdfs)
-    if "cov" in tasks:
-        mu = data.mean(axis=0)
-        centered = data - mu
-        truth["cov"] = centered.T @ centered / data.shape[0]
-    if "queries" in tasks:
-        truth["queries"] = np.array([q(data).mean() for q in queries])
-    return truth
-
-
-def _run_cell_tasks(features, sketch, tasks, truth, queries):
-    """Yield (task, metric, value) rows for one (sketch, epsilon, rep) cell.
-
-    Every task reads the cell's one weight vector.
-    """
-    d = features.spec.d
-    w = features.weights(sketch, features.penalty(sketch))
+def _task_values(samples: WeightedSamples, tasks, queries) -> dict:
+    """Each task's statistic from one set of weighted samples, in a fixed
+    task order: estimates from a cell's sketch, truths from the records."""
+    d = samples.domain.d
+    values = {}
     for task, power in (("mean", 1), ("moment2", 2)):
         if task in tasks:
-            est = features.weighted_sums(w, [Moment(j, power)
-                                             for j in range(1, d + 1)])
-            errs = [mre(e, t) for e, t in zip(est, truth[task])]
-            yield task, "mre", float(np.mean(errs))
+            values[task] = samples.sums([Moment(j, power)
+                                         for j in range(1, d + 1)])
     if "cdf" in tasks:
-        errs = [emd_1d(estimate_cdf(features, w, j).values, truth["cdf"][j - 1])
-                for j in range(1, d + 1)]
-        yield "cdf", "emd", float(np.mean(errs))
+        values["cdf"] = [estimate_cdf(samples, j).values
+                         for j in range(1, d + 1)]
     if "cov" in tasks:
-        yield "cov", "frobenius", frobenius(estimate_covariance(features, w),
-                                            truth["cov"])
+        values["cov"] = estimate_covariance(samples)
     if "queries" in tasks:
-        yield "queries", "mae", mae(answer_queries(features, w, queries).fractions,
-                                    truth["queries"])
+        values["queries"] = answer_queries(samples, queries).fractions
+    return values
+
+
+def _score(task: str, est, true) -> tuple[str, float]:
+    """The metric of a task and its value for an estimate against its truth."""
+    if task == "cov":
+        return "frobenius", frobenius(est, true)
+    if task == "queries":
+        return "mae", mae(est, true)
+    name, metric = ("emd", emd_1d) if task == "cdf" else ("mre", mre)
+    return name, float(np.mean([metric(e, t) for e, t in zip(est, true)]))
 
 
 RESULT_FIELDS = ("dataset", "sketch", "epsilon", "task", "repetition",
@@ -216,10 +202,11 @@ def run_plan(plan: ExperimentPlan, out_dir) -> str:
             raise DomainError(f"{plan.dataset}: {_QUERIES_NEED_3}")
         queries = _random_queries(domain, plan.n_queries,
                                   np.random.default_rng((plan.seed, 2)))
-    truth = _truths(data, domain, plan.tasks, queries)
+    truth = _task_values(WeightedSamples.uniform(data, domain), plan.tasks,
+                         queries)
 
     results_path = os.path.join(out_dir, "results.csv")
-    rows_for_aggregate = []
+    cells: dict[tuple, list[float]] = {}  # each cell's values, in row order
     with open(results_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_FIELDS)
@@ -235,20 +222,17 @@ def run_plan(plan: ExperimentPlan, out_dir) -> str:
                 for rep in range(plan.repetitions):
                     sketch = privatize(exact, spec, eps,
                                        seed=(plan.seed, 5, si, ei, rep))
-                    for task, metric, value in _run_cell_tasks(
-                            features, sketch, plan.tasks, truth, queries):
-                        row = (dataset_name, kind, _eps_label(eps), task,
-                               rep, metric, repr(value))
-                        writer.writerow(row)
-                        rows_for_aggregate.append(
-                            (dataset_name, kind, _eps_label(eps), task,
-                             metric, value))
+                    estimates = _task_values(features.weighted(sketch),
+                                             plan.tasks, queries)
+                    for task, est in estimates.items():
+                        metric, value = _score(task, est, truth[task])
+                        cell = (dataset_name, kind, _eps_label(eps), task,
+                                metric)
+                        writer.writerow(cell[:4] + (rep, metric, repr(value)))
+                        cells.setdefault(cell, []).append(value)
                     fh.flush()
 
     aggregate_path = os.path.join(out_dir, "aggregate.csv")
-    cells: dict[tuple, list[float]] = {}
-    for ds, kind, eps, task, metric, value in rows_for_aggregate:
-        cells.setdefault((ds, kind, eps, task, metric), []).append(value)
     with open(aggregate_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("dataset", "sketch", "epsilon", "task", "metric",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import BINARY
-from .estimator import SyntheticFeatures, cholesky_solve
+from .estimator import SyntheticFeatures, WeightedSamples, cholesky_solve
 from .metrics import auc
 from .sketch import PrivateSketch
 
@@ -26,20 +26,6 @@ from .sketch import PrivateSketch
 RIDGE = 1e-3
 NEWTON_ITERS = 100  # default cap on Newton steps
 GRAD_TOLERANCE = 1e-8  # converged once ||gradient|| <= this * sum|w|
-
-
-@dataclass(frozen=True)
-class WeightedSamples:
-    """Synthetic points with their sketch-derived weights (may be negative)."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.points.shape[0] != self.weights.shape[0]:
-            raise ValueError("points and weights must have equal length")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite")
 
 
 @dataclass(frozen=True)
@@ -176,15 +162,14 @@ def fit_logistic_from_sketch(features: SyntheticFeatures, sketch: PrivateSketch,
     """
     if features.domain.kinds[-1] != BINARY:
         raise ValueError("the domain's last attribute must be the binary label")
-    lam = features.penalty(sketch)
-    weighted = WeightedSamples(features.points, features.weights(sketch, lam))
+    weighted = features.weighted(sketch)
     rho = RIDGE * float(np.abs(weighted.weights).sum())
     p = features.spec.d  # d-1 feature coefficients plus intercept
     theta, value, info = fit_weighted(
         weighted, logistic_objective(weighted, rho), np.zeros(p), iters)
     loss = value - 0.5 * rho * float(theta @ theta)
     return LogisticModel(theta[:-1], float(theta[-1]), loss,
-                         {"lambda": lam, "rho": rho,
+                         {"lambda": features.penalty(sketch), "rho": rho,
                           "penalized_objective": value, **info})
 
 

@@ -181,17 +181,22 @@ def _decode_eps(doc: dict, key: str) -> float:
     return value
 
 
-def save_sketch(path, sketch: PrivateSketch, spec: FeatureMap,
-                extra: dict | None = None) -> None:
-    """Write a sketch file atomically (write-then-rename)."""
-    doc = _encode_inf(sketch.to_dict(spec))
-    if extra:
-        doc.update(_encode_inf(extra))
+def write_json(path, doc) -> None:
+    """Write a JSON document atomically (write-then-rename), keys sorted."""
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
     os.replace(tmp, path)
+
+
+def save_sketch(path, sketch: PrivateSketch, spec: FeatureMap,
+                extra: dict | None = None) -> None:
+    """Write a sketch file atomically."""
+    doc = _encode_inf(sketch.to_dict(spec))
+    if extra:
+        doc.update(_encode_inf(extra))
+    write_json(path, doc)
 
 
 def load_sketch(path) -> tuple[PrivateSketch, FeatureMap, dict]:

@@ -5,11 +5,11 @@ attribute moments, box-membership indicators (counting queries), CDF
 thresholds and centered cross products.  Attribute numbers are 1-based,
 matching the CLI grammar (x1 is the first column).
 
-Pipelines answer groups of targets from the synthetic features and one
-sketch's weight vector (SyntheticFeatures.weights), so a sketch is solved
-for once whatever is asked of it: per-attribute CDF vectors, the
-covariance matrix (via plug-in first moments), and batched counting
-queries.
+Pipelines answer groups of targets from one WeightedSamples: a sketch's
+(SyntheticFeatures.weighted, one solve whatever is asked of it) or a
+dataset's records weighted 1/n, which gives the true statistics.  They
+compute per-attribute CDF vectors, the covariance matrix (via plug-in
+first moments), and batched counting queries.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import SyntheticFeatures
-from .feature_maps import FeatureMap
+from .domain import Domain
+from .estimator import WeightedSamples
 
 _QUERY_PREDICATES = 3  # predicates per counting query, on distinct attributes
 
@@ -221,8 +221,7 @@ def parse_target(text: str, d: int | None = None):
 
 # -- pipelines ------------------------------------------------------------
 #
-# Each takes the synthetic features and the weight vector
-# w = features.weights(sketch, features.penalty(sketch)) of one sketch.
+# Each takes one WeightedSamples with its domain.
 
 
 @dataclass(frozen=True)
@@ -238,38 +237,35 @@ class QueryAnswers:
     raw: np.ndarray = field(compare=False)
 
 
-def default_thresholds(spec: FeatureMap, attr: int, k: int = 10) -> np.ndarray:
-    """k equi-spaced CDF evaluation points over the attribute's range."""
-    lo = spec.domain.lower[attr - 1]
-    hi = spec.domain.upper[attr - 1]
-    return lo + (hi - lo) * np.arange(1, k + 1) / k
+def default_thresholds(domain: Domain, attr: int) -> np.ndarray:
+    """Ten equi-spaced CDF evaluation points over the attribute's range."""
+    lo = domain.lower[attr - 1]
+    hi = domain.upper[attr - 1]
+    return lo + (hi - lo) * np.arange(1, 11) / 10
 
 
-def estimate_cdf(features: SyntheticFeatures, w: np.ndarray,
-                 attr: int) -> CdfEstimate:
+def estimate_cdf(samples: WeightedSamples, attr: int) -> CdfEstimate:
     """Estimate the empirical CDF of one attribute at default_thresholds.
 
     Raw per-threshold estimates are kept alongside the [0, 1]-clamped
     values; no monotonicity correction is applied.
     """
-    _check_attr(attr, features.spec.d)
-    thresholds = default_thresholds(features.spec, attr)
-    raw = features.weighted_sums(w, [CdfThreshold(attr, float(s))
-                                     for s in thresholds])
+    _check_attr(attr, samples.domain.d)
+    thresholds = default_thresholds(samples.domain, attr)
+    raw = samples.sums([CdfThreshold(attr, float(s)) for s in thresholds])
     return CdfEstimate(thresholds, np.clip(raw, 0.0, 1.0), raw)
 
 
-def estimate_covariance(features: SyntheticFeatures,
-                        w: np.ndarray) -> np.ndarray:
+def estimate_covariance(samples: WeightedSamples) -> np.ndarray:
     """Two-pass covariance estimate: first moments, then centered products.
 
-    The plug-in means come from the same sketch, so no extra privacy
+    The plug-in means come from the same samples, so no extra privacy
     budget is spent; the result is symmetric by construction.
     """
-    d = features.spec.d
-    means = features.weighted_sums(w, [Moment(j, 1) for j in range(1, d + 1)])
+    d = samples.domain.d
+    means = samples.sums([Moment(j, 1) for j in range(1, d + 1)])
     pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    values = features.weighted_sums(w, [
+    values = samples.sums([
         CenteredProduct(i + 1, j + 1, float(means[i]), float(means[j]))
         for i, j in pairs
     ])
@@ -295,14 +291,13 @@ def _check_queries(queries, d: int) -> None:
             raise TargetError("query predicates must touch distinct attributes")
 
 
-def answer_queries(features: SyntheticFeatures, w: np.ndarray,
-                   queries) -> QueryAnswers:
+def answer_queries(samples: WeightedSamples, queries) -> QueryAnswers:
     """Batch-estimate counting queries that are conjunctions of predicates.
 
     Each query must have exactly three predicates, on distinct attributes
-    of the features' domain.  Answers come as fractions of records
+    of the samples' domain.  Answers come as fractions of records
     (clamped), with the raw estimates alongside.
     """
-    _check_queries(queries, features.spec.d)
-    raw = features.weighted_sums(w, queries)
+    _check_queries(queries, samples.domain.d)
+    raw = samples.sums(queries)
     return QueryAnswers(np.clip(raw, 0.0, 1.0), raw)

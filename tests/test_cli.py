@@ -363,6 +363,10 @@ class TestFitLogreg:
         assert 1 <= doc["newton_steps"] <= 300
         assert doc["rho"] > 0
         assert doc["penalized_objective"] >= doc["objective"]
+        # written like a sketch file, and the temporary file renamed away
+        assert model_out.read_text() == json.dumps(doc, sort_keys=True,
+                                                   indent=1) + "\n"
+        assert not (tmp_path / "model.json.tmp").exists()
 
     @pytest.fixture
     def rff_logreg(self, tmp_path, capsys):
@@ -538,12 +542,15 @@ class TestEval:
 
     @pytest.mark.parametrize("case", [
         "sketches=wavelet", "n=0", "d=2", "tasks=foo", "csv-d=2",
+        "n_synth=0", "extra_reg=0", "seed=-1", "n_queries=0",
     ])
     def test_bad_plan_exits_2(self, tmp_path, capsys, case):
         values = {"n": "200", "d": "3", "sketches": "hist", "epsilons": "inf",
                   "repetitions": "1", "tasks": "mean", "n_synth": "500"}
         if case == "d=2":
             values.update(d="2", tasks="mean,queries")
+        elif case == "n_queries=0":
+            values.update(n_queries="0", tasks="queries")
         elif case == "csv-d=2":
             data = tmp_path / "two.csv"
             write_csv(data, np.random.default_rng(0).uniform(size=(50, 2)))
@@ -571,10 +578,12 @@ class TestEval:
 class TestBadOptionValues:
     @pytest.mark.parametrize("case", [
         "epsilon", "split", "config-bins", "schema-array", "schema-columns",
-        "schema-lower", "plan-n", "n-synth", "map",
+        "schema-lower", "plan-n", "n-synth", "map", "synth-seed",
+        "noise-seed", "env-seed", "map-seed-hist", "map-seed-rff",
+        "map-seed-race", "config-map-seed", "extra-reg-nan",
     ])
     def test_exits_2_with_message(self, tmp_path, dataset, hist_sketch,
-                                  capsys, case):
+                                  capsys, monkeypatch, case):
         path, _ = dataset
         out = tmp_path / "s.json"
         sketch = ["sketch", str(path), "--out", str(out)]
@@ -589,6 +598,10 @@ class TestBadOptionValues:
             cfg.write_text(json.dumps({"columns": cols}))
         elif case == "plan-n":
             cfg.write_text("n=abc\n")
+        elif case == "config-map-seed":
+            cfg.write_text("map=race\nmap_seed=-1\n")
+        elif case == "env-seed":
+            monkeypatch.setenv("DPSKETCH_SEED", "-3")
         argv = {
             "epsilon": sketch + ["--epsilon", "abc"],
             "map": sketch + ["--map", "wavelet"],
@@ -600,6 +613,16 @@ class TestBadOptionValues:
             "plan-n": ["eval", "--plan", str(cfg), "--out", str(tmp_path / "r")],
             "n-synth": ["estimate", str(hist_sketch[0]), "moment 1 1",
                         "--n-synth", "0"],
+            "synth-seed": ["estimate", str(hist_sketch[0]), "moment 1 1",
+                           "--n-synth", "500", "--synth-seed", "-1"],
+            "noise-seed": sketch + ["--epsilon", "1", "--noise-seed", "-1"],
+            "env-seed": sketch + ["--epsilon", "1"],
+            "map-seed-hist": sketch + ["--map", "hist", "--map-seed", "-1"],
+            "map-seed-rff": sketch + ["--map", "rff", "--map-seed", "-1"],
+            "map-seed-race": sketch + ["--map", "race", "--map-seed", "-1"],
+            "config-map-seed": sketch + ["--config", str(cfg)],
+            "extra-reg-nan": ["estimate", str(hist_sketch[0]), "moment 1 1",
+                              "--n-synth", "500", "--extra-reg", "nan"],
         }[case]
         code, stdout, stderr = run_cli(capsys, *argv)
         assert code == 2
@@ -625,6 +648,33 @@ class TestAttributeBeyondD:
         assert code == 2
         assert stdout == ""
         assert "attribute 9 out of range for d=3" in stderr
+
+
+class TestTruthFile:
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "moment 3 1"],
+        ["estimate", 'count "x1<=0.5"'],
+        ["cdf", "--attr", "1"],
+        ["cov"],
+        ["query-batch"],
+    ], ids=["moment", "count", "cdf", "cov", "query-batch"])
+    def test_narrower_than_d_exits_2_naming_the_file(self, tmp_path,
+                                                     hist_sketch, capsys,
+                                                     argv):
+        out, data = hist_sketch
+        truth = tmp_path / "truth.csv"
+        write_csv(truth, data[:, :2])
+        args = [argv[0], str(out), *argv[1:]]
+        if argv[0] == "query-batch":
+            queries = tmp_path / "q.txt"
+            queries.write_text("x1<=0.5 and x2>=0.2 and x3<=0.9\n")
+            args.append(str(queries))
+        code, stdout, stderr = run_cli(capsys, *args, "--truth", str(truth),
+                                       "--n-synth", "500")
+        assert code == 2
+        assert stdout == ""
+        assert stderr == (f"error: {truth}: expected 3 attributes, "
+                          "got 2\n")
 
 
 class TestSeedEnvVar:
@@ -694,6 +744,9 @@ class TestRffOutput:
             10 * 2 ** 0.5)
 
 
+MISSING = object()  # a key deleted from the sketch file
+
+
 class TestMalformedSketchValues:
     @pytest.mark.parametrize("command", ["estimate", "inspect"])
     @pytest.mark.parametrize("key, value", [
@@ -703,13 +756,24 @@ class TestMalformedSketchValues:
         ("noisy_count", float("inf")),
         ("noisy_count", "abc"),
         ("epsilon_num", -1),
+        ("noisy_count", MISSING),
+        ("spec_id", MISSING),
+        ("spec.params", MISSING),
+        ("spec.domain.kinds", MISSING),
     ], ids=["sum-nan", "sum-text", "sum-bool", "count-inf", "count-text",
-            "eps-num-negative"])
+            "eps-num-negative", "missing-count", "missing-spec-id",
+            "missing-params", "missing-kinds"])
     def test_exits_2_naming_the_file(self, tmp_path, hist_sketch, capsys,
                                      command, key, value):
         out, _ = hist_sketch
         doc = json.loads(out.read_text())
-        if key == "noisy_sum":
+        *parents, key = key.split(".")
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        if value is MISSING:
+            del node[key]
+        elif key == "noisy_sum":
             doc[key][7] = value
         else:
             doc[key] = value
@@ -721,6 +785,8 @@ class TestMalformedSketchValues:
         assert code == 2
         assert stdout == ""
         assert str(bad) in stderr and key in stderr
+        if value is MISSING:
+            assert stderr == f"error: {bad}: missing key {key!r}\n"
 
 
 class TestMalformedSpec:

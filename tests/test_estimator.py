@@ -131,7 +131,7 @@ class TestFit:
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=3000, seed=4))
         lam = 0.01
         model = feats.fit(Moment(1, 2), lam)
-        G = feats.gram()
+        G = spec.gram(spec.encode_batch(feats.points))
         rhs = feats.dot_targets(Moment(1, 2)(feats.points))
         lhs = (G + lam * np.eye(spec.m)) @ model.coef
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-10
@@ -292,7 +292,7 @@ class TestWeightsPath:
             retained = []
             for s in range(5):
                 sk = privatize(exact, spec, 1.0, seed=(18, s))
-                estimate_covariance(feats, feats.weights(sk, feats.penalty(sk)))
+                estimate_covariance(feats.weighted(sk))
                 del sk
                 retained.append(tracemalloc.get_traced_memory()[0])
         finally:
@@ -320,8 +320,9 @@ class TestWeightsPath:
                 sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=2)
                 feats = SyntheticFeatures(
                     spec, TrainConfig(n_synth=n_synth, seed=seed))
-                w = feats.weights(sk, feats.penalty(sk))
-                order = np.count_nonzero(np.diagonal(feats.gram()))
+                w = feats.weighted(sk).weights
+                G = spec.gram(spec.encode_batch(feats.points))
+                order = np.count_nonzero(np.diagonal(G))
                 print(order, w.tobytes().hex())
         """)
         outputs = []
@@ -372,7 +373,8 @@ class TestFactorBuffer:
     @pytest.mark.parametrize("spec", _MAPS, ids=_MAP_IDS)
     def test_gram_is_exactly_symmetric(self, spec):
         # The factorization takes G.T as G in Fortran order, in place.
-        G = SyntheticFeatures(spec, TrainConfig(n_synth=3000, seed=1)).gram()
+        points = SyntheticFeatures(spec, TrainConfig(n_synth=3000, seed=1)).points
+        G = spec.gram(spec.encode_batch(points))
         assert G.tobytes() == np.ascontiguousarray(G.T).tobytes()
 
     @pytest.mark.parametrize("spec", _MAPS, ids=_MAP_IDS)
@@ -445,7 +447,8 @@ class TestOccupiedColumns:
         return privatize(sketch_exact(self.spec, X), self.spec, 1.0, seed=7)
 
     def _occupied(self, feats):
-        return np.diagonal(feats.gram()) > 0
+        G = self.spec.gram(self.spec.encode_batch(feats.points))
+        return np.diagonal(G) > 0
 
     def test_weights_match_full_system(self, monkeypatch):
         feats = SyntheticFeatures(self.spec, self.config)
@@ -464,7 +467,7 @@ class TestOccupiedColumns:
         lam = feats.penalty(sk)
         w = feats.weights(sk, lam)
         assert orders == [464]
-        G = feats.gram()
+        G = self.spec.gram(self.spec.encode_batch(feats.points))
         P = self.spec.embed_batch(feats.points)
         ref = P @ np.linalg.solve(G + lam * np.eye(self.spec.m),
                                   sk.normalized) / feats.n
@@ -497,7 +500,7 @@ class TestOccupiedColumns:
         lam = 0.01
         model = feats.fit(Moment(1, 2), lam)
         assert np.all(model.coef[~occupied] == 0)
-        G = feats.gram()
+        G = self.spec.gram(self.spec.encode_batch(feats.points))
         rhs = feats.dot_targets(Moment(1, 2)(feats.points))
         lhs = (G + lam * np.eye(self.spec.m)) @ model.coef
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-10

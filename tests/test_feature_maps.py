@@ -235,7 +235,8 @@ class TestBatchPathsAgreeWithDense:
         X = np.random.default_rng(3).uniform(size=(200, 3))
         P = spec.embed_batch(X)
         feats = SyntheticFeatures.from_points(spec, X)
-        np.testing.assert_allclose(feats.gram(), P.T @ P / 200, atol=1e-12)
+        G = spec.gram(spec.encode_batch(feats.points))
+        np.testing.assert_allclose(G, P.T @ P / 200, atol=1e-12)
         F = np.random.default_rng(4).normal(size=200)
         np.testing.assert_allclose(feats.dot_targets(F), P.T @ F / 200,
                                    atol=1e-12)

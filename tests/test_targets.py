@@ -8,12 +8,14 @@ from dpsketch import (
     CdfThreshold,
     CenteredProduct,
     Domain,
+    DomainError,
     HistMap,
     Moment,
     Predicate,
     SyntheticFeatures,
     TargetError,
     TrainConfig,
+    WeightedSamples,
     answer_queries,
     build_rff,
     estimate_cdf,
@@ -29,10 +31,10 @@ from dpsketch.targets import (
 )
 
 
-def _features_and_weights(spec, sk, n_synth, seed):
-    """Synthetic features and the sketch's weight vector, as the CLI builds them."""
+def _weighted(spec, sk, n_synth, seed):
+    """The sketch's weighted synthetic samples, as the CLI builds them."""
     feats = SyntheticFeatures(spec, TrainConfig(n_synth=n_synth, seed=seed))
-    return feats, feats.weights(sk, feats.penalty(sk))
+    return feats.weighted(sk)
 
 
 class TestTargetEvaluation:
@@ -148,14 +150,14 @@ class TestGrammar:
 class TestCdfPipeline:
     def test_default_thresholds(self):
         spec = HistMap(Domain.unit(2), 4)
-        np.testing.assert_allclose(default_thresholds(spec, 1),
+        np.testing.assert_allclose(default_thresholds(spec.domain, 1),
                                    np.arange(1, 11) / 10)
 
     def test_noiseless_cdf_on_bin_boundaries(self):
         spec = HistMap(Domain.unit(2), 10)
         X = np.random.default_rng(0).uniform(size=(500, 2))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
-        res = estimate_cdf(*_features_and_weights(spec, sk, 20_000, 1), 1)
+        res = estimate_cdf(_weighted(spec, sk, 20_000, 1), 1)
         truth = [(X[:, 0] <= s).mean() for s in res.thresholds]
         np.testing.assert_allclose(res.values, truth, atol=1e-6)
         assert res.values[-1] == pytest.approx(1.0, abs=1e-6)
@@ -165,14 +167,14 @@ class TestCdfPipeline:
         spec = HistMap(Domain.unit(1), 10)
         X = np.zeros((50, 1))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
-        res = estimate_cdf(*_features_and_weights(spec, sk, 10_000, 2), 1)
+        res = estimate_cdf(_weighted(spec, sk, 10_000, 2), 1)
         np.testing.assert_allclose(res.values, 1.0, atol=1e-6)
 
     def test_values_clamped_raw_kept(self):
         spec = HistMap(Domain.unit(1), 5)
         X = np.random.default_rng(1).uniform(size=(20, 1))
         sk = privatize(sketch_exact(spec, X), spec, 0.1, seed=5)
-        res = estimate_cdf(*_features_and_weights(spec, sk, 5000, 0), 1)
+        res = estimate_cdf(_weighted(spec, sk, 5000, 0), 1)
         assert np.all(res.values >= 0) and np.all(res.values <= 1)
         assert res.raw.shape == res.values.shape
 
@@ -180,7 +182,7 @@ class TestCdfPipeline:
         spec = HistMap(Domain.unit(2), 5)
         sk = privatize(sketch_exact(spec, [[0.5, 0.5]]), spec, math.inf)
         with pytest.raises(TargetError, match="out of range"):
-            estimate_cdf(*_features_and_weights(spec, sk, 500, 0), 3)
+            estimate_cdf(_weighted(spec, sk, 500, 0), 3)
 
     def test_noise_monotonically_worsens_emd(self):
         from dpsketch import emd_1d
@@ -190,14 +192,13 @@ class TestCdfPipeline:
         exact = sketch_exact(spec, X)
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=10_000, seed=0))
         truth = np.array([(X[:, 0] <= s).mean()
-                          for s in default_thresholds(spec, 1)])
+                          for s in default_thresholds(spec.domain, 1)])
 
         def mean_emd(eps, reps=10):
             vals = []
             for r in range(reps):
                 sk = privatize(exact, spec, eps, seed=(int(eps * 10), r))
-                res = estimate_cdf(feats, feats.weights(sk, feats.penalty(sk)),
-                                   1)
+                res = estimate_cdf(feats.weighted(sk), 1)
                 vals.append(emd_1d(res.values, truth))
             return np.mean(vals)
 
@@ -210,21 +211,21 @@ class TestCovariancePipeline:
         spec = build_rff(2, 400, 1.0, seed=4)
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
-        cov = estimate_covariance(*_features_and_weights(spec, sk, 40_000, 0))
+        cov = estimate_covariance(_weighted(spec, sk, 40_000, 0))
         np.testing.assert_allclose(cov, 0.25, atol=5e-3)
 
     def test_symmetry(self):
         spec = build_rff(3, 60, 1.0, seed=5)
         X = np.random.default_rng(5).uniform(size=(100, 3))
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=1)
-        cov = estimate_covariance(*_features_and_weights(spec, sk, 5000, 0))
+        cov = estimate_covariance(_weighted(spec, sk, 5000, 0))
         np.testing.assert_array_equal(cov, cov.T)
 
     def test_constant_dataset_near_zero(self):
         spec = build_rff(2, 100, 1.0, seed=6)
         X = np.full((100, 2), 0.5)
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
-        cov = estimate_covariance(*_features_and_weights(spec, sk, 20_000, 0))
+        cov = estimate_covariance(_weighted(spec, sk, 20_000, 0))
         np.testing.assert_allclose(cov, 0.0, atol=5e-3)
 
 
@@ -242,7 +243,7 @@ class TestCountingQueries:
         X = np.random.default_rng(7).uniform(size=(1000, 3))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         queries = self._queries()
-        res = answer_queries(*_features_and_weights(spec, sk, 30_000, 0),
+        res = answer_queries(_weighted(spec, sk, 30_000, 0),
                              queries)
         truth = np.array([q(X).mean() for q in queries])
         # 3-way conjunctions are not additive over marginals, so the HIST
@@ -255,7 +256,7 @@ class TestCountingQueries:
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         box = BoxIndicator((Predicate(1, "<=", 1.0), Predicate(2, "<=", 1.0),
                             Predicate(3, "<=", 1.0)))
-        res = answer_queries(*_features_and_weights(spec, sk, 20_000, 0), [box])
+        res = answer_queries(_weighted(spec, sk, 20_000, 0), [box])
         assert res.fractions[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_rejects_wrong_predicate_count(self):
@@ -263,7 +264,7 @@ class TestCountingQueries:
         sk = privatize(sketch_exact(spec, [[0.5, 0.5, 0.5]]), spec, math.inf)
         box = BoxIndicator((Predicate(1, "<=", 0.5),))
         with pytest.raises(TargetError):
-            answer_queries(*_features_and_weights(spec, sk, 500, 0), [box])
+            answer_queries(_weighted(spec, sk, 500, 0), [box])
 
     def test_rejects_repeated_attribute(self):
         spec = HistMap(Domain.unit(3), 4)
@@ -271,7 +272,7 @@ class TestCountingQueries:
         box = BoxIndicator((Predicate(1, "<=", 0.5), Predicate(1, ">=", 0.1),
                             Predicate(2, "<=", 0.9)))
         with pytest.raises(TargetError):
-            answer_queries(*_features_and_weights(spec, sk, 500, 0), [box])
+            answer_queries(_weighted(spec, sk, 500, 0), [box])
 
     def test_rejects_attribute_out_of_range(self):
         spec = HistMap(Domain.unit(3), 4)
@@ -279,4 +280,40 @@ class TestCountingQueries:
         box = BoxIndicator((Predicate(1, "<=", 0.5), Predicate(2, ">=", 0.1),
                             Predicate(9, "<=", 0.9)))
         with pytest.raises(TargetError):
-            answer_queries(*_features_and_weights(spec, sk, 500, 0), [box])
+            answer_queries(_weighted(spec, sk, 500, 0), [box])
+
+
+class TestUniformWeights:
+    """Truths: the pipelines over records weighted 1/n are the empirical
+    statistics of the records."""
+
+    domain = Domain((-1.0, 0.0, 2.0, 0.0), (1.0, 3.0, 5.0, 1.0))
+    X = domain.sample(997, np.random.default_rng(12))
+    samples = WeightedSamples.uniform(X, domain)
+
+    def test_means(self):
+        means = self.samples.sums([Moment(j, 1) for j in range(1, 5)])
+        np.testing.assert_allclose(means, self.X.mean(0), rtol=0, atol=1e-12)
+
+    def test_covariance(self):
+        np.testing.assert_allclose(estimate_covariance(self.samples),
+                                   np.cov(self.X.T, bias=True),
+                                   rtol=0, atol=1e-12)
+
+    def test_cdf(self):
+        for j in range(1, 5):
+            res = estimate_cdf(self.samples, j)
+            truth = [(self.X[:, j - 1] <= t).mean()
+                     for t in default_thresholds(self.domain, j)]
+            np.testing.assert_allclose(res.values, truth, rtol=0, atol=1e-12)
+
+    def test_queries(self):
+        queries = [parse_predicates("x1<=0.2 and x2>=1.5 and x4<=0.7"),
+                   parse_predicates("x2<=2.5 and x3>=2.5 and x4>=0.1")]
+        res = answer_queries(self.samples, queries)
+        truth = [q(self.X).mean() for q in queries]
+        np.testing.assert_allclose(res.fractions, truth, rtol=0, atol=1e-12)
+
+    def test_rejects_records_of_another_width(self):
+        with pytest.raises(DomainError, match="expected 4 attributes, got 3"):
+            WeightedSamples.uniform(self.X[:, :3], self.domain)
