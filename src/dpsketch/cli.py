@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -590,10 +591,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None,
+                   line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # library warnings read like the commands' own notes: one line
+        # each, without the source location
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code

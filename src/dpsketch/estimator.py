@@ -21,69 +21,12 @@ import numpy as np
 
 from .domain import Domain, DomainError
 from .feature_maps import FeatureMap, OneHotMatrix
+from .linalg import LowerPanels, cholesky_in_place, cholesky_solve
 from .sketch import PrivateSketch, SketchError
 
 LAMBDA_FLOOR = 1e-9  # numeric-stability regularization when there is no noise
 
 COND_WARN_THRESHOLD = 1e12
-
-# Cholesky blocking: leaves stay under 100 columns, the order below which
-# OpenBLAS's potrf runs unblocked on one thread; block columns PANEL wide
-# are brought up to date from their left by one matmul.
-LEAF = 96
-PANEL = 576
-
-
-def cholesky_in_place(A: np.ndarray) -> np.ndarray:
-    """Overwrite the lower triangle of the symmetric positive definite A
-    with its Cholesky factor L, A = L L^T, and return A.
-
-    Only the lower triangle is used and nothing above the diagonal is
-    written, so a copy of A kept in its strict upper triangle survives.
-    Left-looking and blocked: each PANEL-wide block column takes one
-    matmul update from every column to its left, then its LEAF-wide
-    blocks are factored in turn by np.linalg.cholesky and applied below
-    the diagonal through the leaf's inverse (X L^T = B as X = B L^-T).
-    The leaves are unblocked and single-threaded and OpenBLAS's matmuls
-    split only their outputs among threads, so the factor does not
-    depend on the BLAS thread count.  Raises np.linalg.LinAlgError if a
-    leaf is not positive definite; the upper triangle is intact then.
-    """
-    m = A.shape[0]
-    for p0 in range(0, m, PANEL):
-        p1 = min(p0 + PANEL, m)
-        if p0:  # rows below the panel, from every column left of it
-            A[p1:, p0:p1] -= A[p1:, :p0] @ A[p0:p1, :p0].T
-        for j0 in range(p0, p1, LEAF):
-            j1 = min(j0 + LEAF, p1)
-            left = A[j0:j1, :j0]
-            L = np.linalg.cholesky(A[j0:j1, j0:j1] - left @ left.T)
-            A[j1:p1, j0:j1] -= A[j1:p1, :j0] @ left.T
-            # below the panel, the panel's own columns left of the leaf
-            A[p1:, j0:j1] -= A[p1:, p0:j0] @ A[j0:j1, p0:j0].T
-            np.copyto(A[j0:j1, j0:j1], L, where=np.tri(j1 - j0, dtype=bool))
-            A[j1:, j0:j1] = A[j1:, j0:j1] @ np.linalg.inv(L).T
-    return A
-
-
-def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = b for the Cholesky factor L in the lower triangle
-    of L (whatever lies above the diagonal is ignored); b is (m,) or
-    (m, t).  Blocked by LEAF like the factorization: each leaf is solved
-    on its own and the rest of x updated by a matmul over the leaf."""
-    m = L.shape[0]
-    x = np.array(b, dtype=float)
-    starts = range(0, m, LEAF)
-    for j0 in starts:  # L y = b
-        j1 = min(j0 + LEAF, m)
-        x[j0:j1] = np.linalg.solve(np.tril(L[j0:j1, j0:j1]), x[j0:j1])
-        x[j1:] -= L[j1:, j0:j1] @ x[j0:j1]
-    for j0 in reversed(starts):  # L^T x = y
-        j1 = min(j0 + LEAF, m)
-        x[j0:j1] = np.linalg.solve(np.tril(L[j0:j1, j0:j1]).T, x[j0:j1])
-        x[:j0] -= L[j0:j1, :j0].T @ x[j0:j1]
-    return x
-
 
 @dataclass
 class TrainConfig:
@@ -195,7 +138,7 @@ class WeightedSamples:
 
 
 class SyntheticFeatures:
-    """Synthetic prior samples with their embedding and one Gram buffer.
+    """Synthetic prior samples with their embedding and the factored Gram.
 
     The single estimation object: the ridge estimate <fit(f), sketch> of
     any target f equals w @ f(points) for per-sample weights w that depend
@@ -203,12 +146,14 @@ class SyntheticFeatures:
     every target.  Only the m_occ features that some synthetic sample
     activates enter the factorization: on the others G is zero, so
     G + lam I is lam I there (one-hot maps leave buckets empty; dense maps
-    activate every feature).  G over those features is built once, on the
-    first solve, into the one m_occ x m_occ buffer this object holds
-    (8 m_occ^2 bytes): G stays in its strict upper triangle and the
-    Cholesky factor of G + lam I at the last penalty lam sits in its lower
-    triangle, so many targets and many sketches share one sample set and
-    one buffer.  Samples are drawn deterministically from the config seed.
+    activate every feature).  G over those features is built on the first
+    solve as lower-triangle panels (linalg.LowerPanels, about 4 m_occ^2
+    bytes) and factored in place: the Cholesky factor of G + lam I at the
+    last penalty lam is all this object holds then.  A second penalty (or
+    a jittered retry) rebuilds G from the samples once and keeps that copy
+    to restore from, so a sweep over sketches holds two panel sets, and a
+    single-penalty command one.  Many targets and many sketches share one
+    sample set.  Samples are drawn deterministically from the config seed.
     """
 
     def __init__(self, spec: FeatureMap, config: TrainConfig | None = None):
@@ -246,7 +191,8 @@ class SyntheticFeatures:
             occupied = self._P.sum(axis=0) > 0
             if not occupied.all():
                 self._cols = np.flatnonzero(occupied)
-        self._buf = None  # Fortran order; filled by the first factorization
+        self._buf = None  # LowerPanels; G, then factored in place
+        self._gram = None  # a kept copy of G, from the second factorization on
         self._gram_diag = None  # diag(G), which each factor overwrites
         self._factor = None  # (lam, factorization) of the last penalty
 
@@ -267,15 +213,16 @@ class SyntheticFeatures:
 
         Only the occupied columns are factored; on the others the system
         reads lam x = rhs.  Only the last penalty's factor is kept, in
-        place in the one buffer: every estimate from one sketch uses one
-        penalty, and a new penalty copies G back from the buffer's other
-        triangle and factors again, so a sweep over sketches never holds a
-        second buffer.  Falls back to a jittered factorization and finally
-        to a rank-revealing least-squares solve if the matrix is
-        numerically indefinite.
+        place in the one set of panels: every estimate from one sketch
+        uses one penalty, and a new penalty copies G back from the kept
+        copy (built from the samples the first time it is needed) and
+        factors again, so a sweep over sketches never holds a third set.
+        Falls back to a jittered factorization and finally to a
+        rank-revealing least-squares solve if the matrix is numerically
+        indefinite.
         """
         if self._factor is None or self._factor[0] != lam:
-            self._factor = None  # the buffer is about to change under it
+            self._factor = None  # the panels are about to change under it
             self._factor = (lam, self._factorize(lam))
         kind, data = self._factor[1]
         cols = self._cols
@@ -293,52 +240,36 @@ class SyntheticFeatures:
 
     def _factorize(self, lam: float):
         if self._buf is None:
-            G = self.spec.gram(self._P, self._cols)
-            self._gram_diag = G.diagonal().copy()
-            # G is exactly symmetric, so G.T is the same matrix in Fortran
-            # order, whose block columns the factorization reads
-            # contiguously.
-            self._buf = G.T
+            self._buf = self.spec.gram(self._P, self._cols)
+            self._gram_diag = self._buf.diagonal()
         else:
-            self._restore_gram()
+            self._buf.copy_from(self._kept_gram())
         A = self._buf
-        diag = np.arange(A.shape[0])
         # plain, then jittered by 1e-10 trace(G) / m
         for jitter in (0.0, 1e-10 * self._gram_diag.sum() / self.spec.m):
-            A[diag, diag] = self._gram_diag + lam + jitter
+            A.set_diagonal(self._gram_diag + lam + jitter)
             try:
-                # writes only the lower triangle, so G survives in the
-                # strict upper one
                 cholesky_in_place(A)
             except np.linalg.LinAlgError:
-                self._restore_gram()
+                A.copy_from(self._kept_gram())
                 continue
-            self._warn_condition(A)
+            self._warn_condition(A.diagonal())
             return ("cho", A)
-        A[diag, diag] = self._gram_diag + lam
-        return ("lstsq", A)
+        dense = A.dense()
+        diag = np.arange(dense.shape[0])
+        dense[diag, diag] = self._gram_diag + lam
+        return ("lstsq", dense)
 
-    def _restore_gram(self) -> None:
-        """Copy G from the buffer's strict upper triangle over the lower one.
-
-        Tile by tile, so each transposed copy stays in cache.  Only the
-        strict triangle of each diagonal tile is copied: its upper part
-        holds G, its lower part the old factor.
-        """
-        A = self._buf
-        m = A.shape[0]
-        tile = 64
-        for j0 in range(0, m, tile):
-            j1 = min(j0 + tile, m)
-            for i0 in range(j1, m, tile):
-                A[i0:i0 + tile, j0:j1] = A[j0:j1, i0:i0 + tile].T
-            square = A[j0:j1, j0:j1]
-            lower = np.tril_indices(j1 - j0, -1)
-            square[lower] = square.T[lower]
+    def _kept_gram(self) -> LowerPanels:
+        """G to copy over a factor: built from the samples the first time
+        a factorization needs it again, and kept from then on."""
+        if self._gram is None:
+            self._gram = self.spec.gram(self._P, self._cols)
+        return self._gram
 
     @staticmethod
-    def _warn_condition(chol_factor: np.ndarray) -> None:
-        diag = np.abs(np.diagonal(chol_factor))
+    def _warn_condition(factor_diag: np.ndarray) -> None:
+        diag = np.abs(factor_diag)
         kappa = (diag.max() / diag.min()) ** 2 if diag.min() > 0 else math.inf
         if kappa > COND_WARN_THRESHOLD:
             warnings.warn(

@@ -4,9 +4,9 @@ features, and one-hot LSH buckets.
 Each map embeds points of R^d into R^m.  The batch encoding of n points
 is the (n, m) feature matrix P itself; the estimator and the sketch only
 need plain matrix products with it (P.T @ F, P @ v, column sums) and the
-averaged Gram matrix, which each map computes its own way.  One-hot maps
-(HIST, RACE) encode to a OneHotMatrix, which holds the one active column
-of each block; RFF encodes to a dense array.
+lower triangle of the averaged Gram matrix, which each map computes its
+own way.  One-hot maps (HIST, RACE) encode to a OneHotMatrix, which
+holds the one active column of each block; RFF encodes to a dense array.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import numpy as np
 
 from .domain import Domain
+from .linalg import PANEL, LowerPanels
 
 SERIALIZATION_VERSION = 1
 
@@ -85,9 +86,9 @@ class FeatureMap:
         for one-hot maps, a dense array otherwise."""
         raise NotImplementedError
 
-    def gram(self, P, cols=None) -> np.ndarray:
-        """(1/n) P^T P as a dense (m, m) array, exactly symmetric: the
-        estimator factors its transpose in place as the same matrix.
+    def gram(self, P, cols=None) -> LowerPanels:
+        """The lower triangle of (1/n) P^T P in column panels, which the
+        estimator factors in place.
 
         With cols, sorted column indices that include every column in
         which P has a nonzero entry, only those rows and columns: the
@@ -201,7 +202,7 @@ class _OneHotBlocks:
         idx += self.width * np.arange(idx.shape[1])  # now the column indices
         return OneHotMatrix(idx, self.n_blocks * self.width)
 
-    def gram(self, P: OneHotMatrix, cols=None) -> np.ndarray:
+    def gram(self, P: OneHotMatrix, cols=None) -> LowerPanels:
         # Blockwise joint bucket counts; at the sizes used here this beats
         # a sparse P.T @ P.  Each bucket is numbered within its block among
         # the kept columns only, so every bincount is as small as the kept
@@ -216,18 +217,23 @@ class _OneHotBlocks:
         local[kept] = np.arange(kept.size) - np.repeat(edges[:-1],
                                                       np.diff(edges))
         idx = np.asfortranarray(local[P.indices])
-        G = np.zeros((kept.size, kept.size))
+        G = LowerPanels.zeros(kept.size)
         for a in range(B):
             ia, a0, a1 = idx[:, a], edges[a], edges[a + 1]
+            # the panels that hold columns a0..a1, with their column ranges
+            spans = [(k0, X, max(a0, k0), min(a1, k0 + X.shape[1]))
+                     for k0, X in zip(G.starts, G.panels)
+                     if k0 < a1 and a0 < k0 + X.shape[1]]
             for b in range(a, B):
                 b0, b1 = edges[b], edges[b + 1]
                 joint = np.bincount(ia * (b1 - b0) + idx[:, b],
                                     minlength=(a1 - a0) * (b1 - b0))
-                block = joint.reshape(a1 - a0, b1 - b0).astype(float)
-                G[a0:a1, b0:b1] = block
-                if b != a:
-                    G[b0:b1, a0:a1] = block.T
-        G /= n
+                # rows b0..b1 of columns a0..a1, in the panels' order
+                block = joint.reshape(a1 - a0, b1 - b0).T
+                for k0, X, c0, c1 in spans:
+                    r0 = max(b0, k0)  # rows above a panel are not stored
+                    np.divide(block[r0 - b0:, c0 - a0:c1 - a0], n,
+                              out=X[r0 - k0:b1 - k0, c0 - k0:c1 - k0])
         return G
 
 
@@ -300,7 +306,10 @@ class RffMap(FeatureMap):
         if not np.all(np.isfinite(X)):
             raise FeatureMapError("points must be finite")
         Z = X @ self.frequencies
-        return np.concatenate([np.cos(Z), np.sin(Z)], axis=1)
+        P = np.empty((Z.shape[0], self.m))
+        np.cos(Z, out=P[:, :self.m_half])
+        np.sin(Z, out=P[:, self.m_half:])
+        return P
 
     def sensitivity_l1(self) -> float:
         return float(self.m_half * np.sqrt(2.0))
@@ -308,12 +317,14 @@ class RffMap(FeatureMap):
     def kernel_scale(self) -> float:
         return float(self.m_half)
 
-    def gram(self, P: np.ndarray, cols=None) -> np.ndarray:
+    def gram(self, P: np.ndarray, cols=None) -> LowerPanels:
         if cols is not None:
             P = P[:, cols]
         G = P.T @ P
         G /= P.shape[0]
-        return G
+        # P.T @ P is exactly symmetric, so G.T is G in Fortran order; one
+        # panel is G itself, more are copied out so that G is freed
+        return LowerPanels.from_dense(G.T, copy=G.shape[0] > PANEL)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RffMap":

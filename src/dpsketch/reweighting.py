@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import BINARY
-from .estimator import SyntheticFeatures, WeightedSamples, cholesky_solve
+from .estimator import SyntheticFeatures, WeightedSamples
+from .linalg import LowerPanels, cholesky_solve
 from .metrics import auc
 from .sketch import PrivateSketch
 
@@ -85,7 +86,7 @@ def _newton_direction(hess, grad):
     while True:
         try:
             factor = np.linalg.cholesky(hess + shift * np.eye(len(grad)))
-            return -cholesky_solve(factor, grad)
+            return -cholesky_solve(LowerPanels.from_dense(factor), grad)
         except np.linalg.LinAlgError:
             shift = max(2.0 * shift, floor)
 

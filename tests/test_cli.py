@@ -213,6 +213,25 @@ class TestSketchCommand:
 
 
 class TestEstimateCommand:
+    def test_library_warning_is_one_line(self, tmp_path, dataset, capsys):
+        path, _ = dataset
+        out = tmp_path / "s.json"
+        assert main(["sketch", str(path), "--out", str(out), "--map", "hist",
+                     "--bins", "20", "--epsilon", "1", "--noise-seed",
+                     "3"]) == 0
+        capsys.readouterr()
+        # m = 60 exceeds --n-synth
+        code, stdout, stderr = run_cli(
+            capsys, "estimate", str(out), "moment 1 1", "--n-synth", "40")
+        assert code == 0
+        lines = stderr.splitlines()
+        assert len(lines) == 1, stderr
+        assert lines[0].startswith("warning: n_synth=40 ")
+        assert ".py:" not in stderr
+        rows = parse_csv(stdout)
+        assert rows[0] == ["target", "estimate"]
+        assert rows[1][0] == "moment 1 1"
+
     def test_moment_with_truth(self, tmp_path, dataset, hist_sketch, capsys):
         out, data = hist_sketch
         path, _ = dataset

@@ -26,6 +26,7 @@ from dpsketch import (
 from dpsketch import estimator
 from dpsketch.estimator import (LAMBDA_FLOOR, cholesky_in_place,
                                 cholesky_solve)
+from dpsketch.linalg import PANEL, LowerPanels
 from dpsketch.sketch import SketchError
 
 
@@ -131,7 +132,7 @@ class TestFit:
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=3000, seed=4))
         lam = 0.01
         model = feats.fit(Moment(1, 2), lam)
-        G = spec.gram(spec.encode_batch(feats.points))
+        G = spec.gram(spec.encode_batch(feats.points)).dense()
         rhs = feats.dot_targets(Moment(1, 2)(feats.points))
         lhs = (G + lam * np.eye(spec.m)) @ model.coef
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-10
@@ -255,6 +256,8 @@ _MAPS = [
     build_race(3, 6, 5, 0.3, seed=12),
 ]
 _MAP_IDS = ["hist", "rff", "race"]
+# 2400 buckets, five panels; 723 occupied at n_synth 3000, two panels
+_MULTI_PANEL = build_race(3, 30, 80, 0.1, seed=13)
 
 
 class TestWeightsPath:
@@ -303,8 +306,9 @@ class TestWeightsPath:
 
     def test_weights_independent_of_blas_thread_count(self, child_env):
         # one-hot P @ v needs no BLAS, and the blocked Cholesky factors
-        # leaves below OpenBLAS's thread-dependent blocking; the last two
-        # factor orders 400 and 464 span several leaves
+        # leaves below OpenBLAS's thread-dependent blocking; factor orders
+        # 400 and 464 span several leaves, 1284 three panels, the last 132
+        # wide
         code = textwrap.dedent("""
             import numpy as np
             from dpsketch import (Domain, SyntheticFeatures, TrainConfig,
@@ -315,14 +319,15 @@ class TestWeightsPath:
                     (HistMap(Domain.unit(3), 20), 20_000, 3),
                     (build_race(3, 6, 10, 0.2, seed=1), 20_000, 3),
                     (HistMap(Domain.unit(4), 100), 20_000, 3),
-                    (build_race(3, 40, 40, 0.2, seed=5), 4000, 8)):
+                    (build_race(3, 40, 40, 0.2, seed=5), 4000, 8),
+                    (build_race(3, 30, 60, 0.05, seed=5), 4000, 8)):
                 X = rng.uniform(size=(3000, spec.d))
                 sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=2)
                 feats = SyntheticFeatures(
                     spec, TrainConfig(n_synth=n_synth, seed=seed))
                 w = feats.weighted(sk).weights
                 G = spec.gram(spec.encode_batch(feats.points))
-                order = np.count_nonzero(np.diagonal(G))
+                order = np.count_nonzero(G.diagonal())
                 print(order, w.tobytes().hex())
         """)
         outputs = []
@@ -334,7 +339,7 @@ class TestWeightsPath:
             outputs.append(res.stdout)
         assert outputs[0] == outputs[1]
         assert [line.split()[0] for line in outputs[0].splitlines()] == \
-            ["60", "45", "400", "464"]
+            ["60", "45", "400", "464", "1284"]
 
 
 def _spd(m, seed):
@@ -343,16 +348,29 @@ def _spd(m, seed):
     return (G + G.T) / 2
 
 
+def _above_diagonal(A: LowerPanels) -> list[np.ndarray]:
+    """The entries above the diagonal of each panel's top square, which
+    are not part of the matrix."""
+    return [np.triu(X[:X.shape[1]], 1) for X in A.panels]
+
+
 class TestBlockedCholesky:
-    # orders around the leaf (96) and panel (576) edges
-    @pytest.mark.parametrize("m", [1, 7, 95, 96, 97, 200, 576, 577, 700])
+    # orders around the leaf (96) and panel (576) edges, up to three panels
+    @pytest.mark.parametrize("m", [1, 7, 95, 96, 97, 200, 576, 577, 700,
+                                   1152, 1153, 1729])
     def test_matches_lapack_and_keeps_upper_triangle(self, m):
         G = _spd(m, m)
-        A = np.asfortranarray(G.copy())
+        A = LowerPanels.from_dense(G, copy=True)
+        assert len(A.panels) == -(-m // PANEL)
+        assert A.nbytes == 8 * sum((m - p0) * X.shape[1]
+                                   for p0, X in zip(A.starts, A.panels))
+        above = _above_diagonal(A)
         assert cholesky_in_place(A) is A
-        assert np.triu(A, 1).tobytes() == np.triu(G, 1).tobytes()
+        for X, Y in zip(_above_diagonal(A), above):
+            assert X.tobytes() == Y.tobytes()
         ref = scipy.linalg.cholesky(G, lower=True)
-        np.testing.assert_allclose(np.tril(A), ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.tril(A.dense()), ref, rtol=0,
+                                   atol=1e-12)
         b = np.random.default_rng(1).normal(size=(m, 3))
         x = cholesky_solve(A, b)
         x_ref = scipy.linalg.cho_solve((ref, True), b)
@@ -361,23 +379,47 @@ class TestBlockedCholesky:
         assert np.linalg.norm(x0 - x[:, 0]) <= 1e-11 * np.linalg.norm(x0)
 
     def test_indefinite_raises_with_upper_triangle_intact(self):
-        G = _spd(300, 3)
-        G[250, 250] = -1.0
-        A = np.asfortranarray(G.copy())
+        G = _spd(700, 3)
+        G[650, 650] = -1.0
+        A = LowerPanels.from_dense(G, copy=True)
+        above = _above_diagonal(A)
         with pytest.raises(np.linalg.LinAlgError):
             cholesky_in_place(A)
-        assert np.triu(A, 1).tobytes() == np.triu(G, 1).tobytes()
+        for X, Y in zip(_above_diagonal(A), above):
+            assert X.tobytes() == Y.tobytes()
+
+    def test_dense_views_factor_in_place(self):
+        # a single panel is the matrix itself, as a d x d Newton system
+        G = _spd(50, 4)
+        L = np.linalg.cholesky(G)
+        A = np.asfortranarray(G)
+        cholesky_in_place(LowerPanels.from_dense(A))
+        np.testing.assert_allclose(np.tril(A), L, rtol=0, atol=1e-13)
+        b = np.random.default_rng(5).normal(size=50)
+        x = cholesky_solve(LowerPanels.from_dense(L), b)
+        assert np.linalg.norm(G @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 class TestFactorBuffer:
-    @pytest.mark.parametrize("spec", _MAPS, ids=_MAP_IDS)
+    @pytest.mark.parametrize("spec", _MAPS + [_MULTI_PANEL],
+                             ids=_MAP_IDS + ["race-panels"])
     def test_gram_is_exactly_symmetric(self, spec):
-        # The factorization takes G.T as G in Fortran order, in place.
+        # The panels hold (1/n) P^T P's lower triangle bit for bit, over
+        # all columns and over the occupied ones; RFF takes them from G.T,
+        # which is G only if P^T P is exactly symmetric.
         points = SyntheticFeatures(spec, TrainConfig(n_synth=3000, seed=1)).points
-        G = spec.gram(spec.encode_batch(points))
-        assert G.tobytes() == np.ascontiguousarray(G.T).tobytes()
+        P = spec.embed_batch(points)
+        ref = P.T @ P
+        assert ref.tobytes() == np.ascontiguousarray(ref.T).tobytes()
+        ref /= points.shape[0]
+        encoded = spec.encode_batch(points)
+        assert spec.gram(encoded).dense().tobytes() == ref.tobytes()
+        cols = np.flatnonzero(np.diagonal(ref))
+        assert spec.gram(encoded, cols).dense().tobytes() == \
+            ref[np.ix_(cols, cols)].tobytes()
 
-    @pytest.mark.parametrize("spec", _MAPS, ids=_MAP_IDS)
+    @pytest.mark.parametrize("spec", _MAPS + [_MULTI_PANEL],
+                             ids=_MAP_IDS + ["race-panels"])
     def test_refactoring_matches_fresh_instances(self, spec):
         X = np.random.default_rng(2).uniform(size=(400, 3))
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=3)
@@ -402,6 +444,24 @@ class TestFactorBuffer:
         buffer_bytes = 8 * spec.m * spec.m
         assert peak <= 1.5 * buffer_bytes, peak / buffer_bytes
 
+    def test_first_solve_of_six_panels_holds_under_the_square(self):
+        # every one of the 3000 bins is occupied: six panels, the last 120
+        # wide, which store 0.59 of the 8 m^2 bytes of the square
+        spec = HistMap(Domain.unit(6), 500)
+        X = np.random.default_rng(19).uniform(size=(2000, 6))
+        sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=20)
+        feats = SyntheticFeatures(spec, TrainConfig(n_synth=20_000, seed=21))
+        lam = feats.penalty(sk)
+        tracemalloc.start()
+        try:
+            feats.weights(sk, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 5 * PANEL < spec.m <= 6 * PANEL
+        square_bytes = 8 * spec.m * spec.m
+        assert peak <= 0.7 * square_bytes, peak / square_bytes
+
     @pytest.mark.parametrize("path", ["lstsq", "jitter"])
     def test_indefinite_gram_falls_back_then_refactors(self, monkeypatch,
                                                        path):
@@ -416,7 +476,8 @@ class TestFactorBuffer:
         M = (Q * eigs) @ Q.T
         M = (M + M.T) / 2
         jitter = 1e-10 * np.trace(M) / m
-        monkeypatch.setattr(spec, "gram", lambda P, cols=None: M.copy())
+        monkeypatch.setattr(spec, "gram", lambda P, cols=None:
+                            LowerPanels.from_dense(M, copy=True))
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=500, seed=10))
         rhs = rng.normal(size=m)
 
@@ -426,8 +487,8 @@ class TestFactorBuffer:
         ref = np.linalg.solve(M + shift * np.eye(m), rhs)
         assert np.linalg.norm(x - ref) < 1e-6 * np.linalg.norm(ref)
 
-        # a positive definite penalty factors again from the same buffer,
-        # bit for bit as a fresh instance at that penalty
+        # a positive definite penalty factors again from the kept copy of
+        # G, bit for bit as a fresh instance at that penalty
         fresh = SyntheticFeatures(spec, TrainConfig(n_synth=500, seed=10))
         x5 = feats.solve(rhs, 5.0)
         assert x5.tobytes() == fresh.solve(rhs, 5.0).tobytes()
@@ -447,7 +508,7 @@ class TestOccupiedColumns:
         return privatize(sketch_exact(self.spec, X), self.spec, 1.0, seed=7)
 
     def _occupied(self, feats):
-        G = self.spec.gram(self.spec.encode_batch(feats.points))
+        G = self.spec.gram(self.spec.encode_batch(feats.points)).dense()
         return np.diagonal(G) > 0
 
     def test_weights_match_full_system(self, monkeypatch):
@@ -460,14 +521,14 @@ class TestOccupiedColumns:
         factor = estimator.cholesky_in_place
 
         def recording_factor(a):
-            orders.append(a.shape[0])
+            orders.append(a.m)
             return factor(a)
 
         monkeypatch.setattr(estimator, "cholesky_in_place", recording_factor)
         lam = feats.penalty(sk)
         w = feats.weights(sk, lam)
         assert orders == [464]
-        G = self.spec.gram(self.spec.encode_batch(feats.points))
+        G = self.spec.gram(self.spec.encode_batch(feats.points)).dense()
         P = self.spec.embed_batch(feats.points)
         ref = P @ np.linalg.solve(G + lam * np.eye(self.spec.m),
                                   sk.normalized) / feats.n
@@ -500,7 +561,7 @@ class TestOccupiedColumns:
         lam = 0.01
         model = feats.fit(Moment(1, 2), lam)
         assert np.all(model.coef[~occupied] == 0)
-        G = self.spec.gram(self.spec.encode_batch(feats.points))
+        G = self.spec.gram(self.spec.encode_batch(feats.points)).dense()
         rhs = feats.dot_targets(Moment(1, 2)(feats.points))
         lhs = (G + lam * np.eye(self.spec.m)) @ model.coef
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-10

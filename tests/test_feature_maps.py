@@ -95,6 +95,15 @@ class TestRff:
         P = r.embed_batch(np.random.default_rng(0).normal(size=(100, 4)))
         assert np.all(np.abs(P) <= 1.0)
 
+    @pytest.mark.parametrize("n,d,m", [(1, 1, 2), (7, 1, 10), (333, 3, 200),
+                                       (64, 5, 6)])
+    def test_encoding_is_cos_then_sin_bit_for_bit(self, n, d, m):
+        r = build_rff(d, m, 0.7, seed=n)
+        X = np.random.default_rng(d).uniform(size=(n, d))
+        Z = X @ r.frequencies
+        ref = np.concatenate([np.cos(Z), np.sin(Z)], axis=1)
+        assert r.encode_batch(X).tobytes() == ref.tobytes()
+
 
 class TestRace:
     def test_hand_evaluated_hash(self):
@@ -236,7 +245,7 @@ class TestBatchPathsAgreeWithDense:
         P = spec.embed_batch(X)
         feats = SyntheticFeatures.from_points(spec, X)
         G = spec.gram(spec.encode_batch(feats.points))
-        np.testing.assert_allclose(G, P.T @ P / 200, atol=1e-12)
+        np.testing.assert_allclose(G.dense(), P.T @ P / 200, atol=1e-12)
         F = np.random.default_rng(4).normal(size=200)
         np.testing.assert_allclose(feats.dot_targets(F), P.T @ F / 200,
                                    atol=1e-12)
