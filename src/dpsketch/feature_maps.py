@@ -17,7 +17,7 @@ import json
 import numpy as np
 
 from .domain import Domain
-from .linalg import PANEL, LowerPanels
+from .linalg import LowerPanels
 
 SERIALIZATION_VERSION = 1
 
@@ -322,9 +322,9 @@ class RffMap(FeatureMap):
             P = P[:, cols]
         G = P.T @ P
         G /= P.shape[0]
-        # P.T @ P is exactly symmetric, so G.T is G in Fortran order; one
-        # panel is G itself, more are copied out so that G is freed
-        return LowerPanels.from_dense(G.T, copy=G.shape[0] > PANEL)
+        # P.T @ P is exactly symmetric, so G.T is G in Fortran order; the
+        # panels are copied out of it so that the square is freed
+        return LowerPanels.from_dense(G.T, copy=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RffMap":

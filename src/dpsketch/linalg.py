@@ -31,7 +31,7 @@ class LowerPanels:
 
     def __init__(self, panels: list[np.ndarray]):
         self.panels = panels
-        self.m = panels[0].shape[0] if panels else 0
+        self.m = panels[0].shape[0]
         self.starts = [self.m - X.shape[0] for X in panels]
 
     @classmethod
