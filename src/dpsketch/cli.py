@@ -264,7 +264,7 @@ def _read_truth(path, domain):
 
 def cmd_estimate(args) -> int:
     from .estimator import SyntheticFeatures
-    from .metrics import emd_1d, frobenius, mre
+    from .metrics import emd_1d, frobenius, scored_error
     from .targets import (TargetError, default_thresholds, estimate_cdf,
                           estimate_covariance, parse_target)
 
@@ -308,10 +308,8 @@ def cmd_estimate(args) -> int:
         row = [target, repr(value)]
         if true is not None:
             header += ["true_value", "metric", "metric_value"]
-            if true != 0:
-                row += [repr(true), "mre", repr(mre(value, true))]
-            else:
-                row += [repr(true), "abs_error", repr(abs(value - true))]
+            metric, error = scored_error(value, true)
+            row += [repr(true), metric, repr(error)]
         writer.writerow(header)
         writer.writerow(row)
     return EXIT_OK

@@ -72,12 +72,6 @@ class Domain:
         """The unit box [0, 1]^d."""
         return cls((0.0,) * d, (1.0,) * d, kinds or (CONTINUOUS,) * d)
 
-    def contains(self, x) -> bool:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return bool(
-            np.all(x >= self.lower_arr - 0.0) and np.all(x <= self.upper_arr + 0.0)
-        )
-
     def validate(self, records) -> np.ndarray:
         """Check a (n, d) batch of records against the domain; return the array.
 

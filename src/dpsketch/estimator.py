@@ -40,8 +40,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.n_synth < 1:
             raise ValueError("n_synth must be >= 1")
-        if not self.extra_reg > 0:
-            raise ValueError("extra_reg must be positive")
+        if not 0 < self.extra_reg < math.inf:
+            raise ValueError("extra_reg must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,10 @@ class SyntheticFeatures:
     activate every feature).  G over those features is built on the first
     solve as lower-triangle panels (linalg.LowerPanels, about 4 m_occ^2
     bytes) and factored in place: the Cholesky factor of G + lam I at the
-    last penalty lam is all this object holds then.  A second penalty (or
-    a jittered retry) rebuilds G from the samples once and keeps that copy
-    to restore from, so a sweep over sketches holds two panel sets, and a
+    last penalty lam is all this object holds then; diag(G) is read off
+    the panels before each factorization.  A second penalty (or a jittered
+    retry) rebuilds G from the samples once and keeps that copy to restore
+    from, so a sweep over sketches holds two panel sets, and a
     single-penalty command one.  Many targets and many sketches share one
     sample set.  Samples are drawn deterministically from the config seed.
     """
@@ -193,7 +194,6 @@ class SyntheticFeatures:
                 self._cols = np.flatnonzero(occupied)
         self._buf = None  # LowerPanels; G, then factored in place
         self._gram = None  # a kept copy of G, from the second factorization on
-        self._gram_diag = None  # diag(G), which each factor overwrites
         self._factor = None  # (lam, factorization) of the last penalty
 
     @property
@@ -241,13 +241,13 @@ class SyntheticFeatures:
     def _factorize(self, lam: float):
         if self._buf is None:
             self._buf = self.spec.gram(self._P, self._cols)
-            self._gram_diag = self._buf.diagonal()
         else:
             self._buf.copy_from(self._kept_gram())
         A = self._buf
+        gram_diag = A.diagonal()  # read while A holds G
         # plain, then jittered by 1e-10 trace(G) / m
-        for jitter in (0.0, 1e-10 * self._gram_diag.sum() / self.spec.m):
-            A.set_diagonal(self._gram_diag + lam + jitter)
+        for jitter in (0.0, 1e-10 * gram_diag.sum() / self.spec.m):
+            A.set_diagonal(gram_diag + lam + jitter)
             try:
                 cholesky_in_place(A)
             except np.linalg.LinAlgError:
@@ -255,10 +255,8 @@ class SyntheticFeatures:
                 continue
             self._warn_condition(A.diagonal())
             return ("cho", A)
-        dense = A.dense()
-        diag = np.arange(dense.shape[0])
-        dense[diag, diag] = self._gram_diag + lam
-        return ("lstsq", dense)
+        A.set_diagonal(gram_diag + lam)  # A holds G again
+        return ("lstsq", A.dense())
 
     def _kept_gram(self) -> LowerPanels:
         """G to copy over a factor: built from the samples the first time

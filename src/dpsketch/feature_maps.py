@@ -48,13 +48,17 @@ class FeatureMap:
         """The constructors' shared checks, once d is set: finite random
         matrices and a domain of dimension d (the unit box if None)."""
         self.seed = seed
-        for name in self.matrix_names:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise FeatureMapError(f"{name} must be finite")
+        self._check_matrices()
         self.domain = Domain.unit(self.d) if domain is None else domain
         if self.domain.d != self.d:
             raise FeatureMapError(f"the domain has {self.domain.d} attributes "
                                   f"but the map has d={self.d}")
+
+    def _check_matrices(self) -> None:
+        """FeatureMapError unless the random matrices are finite."""
+        for name in self.matrix_names:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise FeatureMapError(f"{name} must be finite")
 
     # -- per-point API ----------------------------------------------------
 
@@ -87,8 +91,9 @@ class FeatureMap:
         raise NotImplementedError
 
     def gram(self, P, cols=None) -> LowerPanels:
-        """The lower triangle of (1/n) P^T P in column panels, which the
-        estimator factors in place.
+        """(1/n) P^T P as a LowerPanels, which the estimator factors in
+        place.  Each map computes dense blocks of it its own way and hands
+        them to LowerPanels.store, which keeps the lower triangle.
 
         With cols, sorted column indices that include every column in
         which P has a nonzero entry, only those rows and columns: the
@@ -217,23 +222,15 @@ class _OneHotBlocks:
         local[kept] = np.arange(kept.size) - np.repeat(edges[:-1],
                                                       np.diff(edges))
         idx = np.asfortranarray(local[P.indices])
-        G = LowerPanels.zeros(kept.size)
+        G = LowerPanels(kept.size)
         for a in range(B):
             ia, a0, a1 = idx[:, a], edges[a], edges[a + 1]
-            # the panels that hold columns a0..a1, with their column ranges
-            spans = [(k0, X, max(a0, k0), min(a1, k0 + X.shape[1]))
-                     for k0, X in zip(G.starts, G.panels)
-                     if k0 < a1 and a0 < k0 + X.shape[1]]
             for b in range(a, B):
                 b0, b1 = edges[b], edges[b + 1]
                 joint = np.bincount(ia * (b1 - b0) + idx[:, b],
                                     minlength=(a1 - a0) * (b1 - b0))
-                # rows b0..b1 of columns a0..a1, in the panels' order
-                block = joint.reshape(a1 - a0, b1 - b0).T
-                for k0, X, c0, c1 in spans:
-                    r0 = max(b0, k0)  # rows above a panel are not stored
-                    np.divide(block[r0 - b0:, c0 - a0:c1 - a0], n,
-                              out=X[r0 - k0:b1 - k0, c0 - k0:c1 - k0])
+                # rows b0..b1 of columns a0..a1
+                G.store(b0, a0, joint.reshape(a1 - a0, b1 - b0).T / n)
         return G
 
 
@@ -295,8 +292,8 @@ class RffMap(FeatureMap):
         if self.frequencies.ndim != 2 or 0 in self.frequencies.shape:
             raise FeatureMapError("frequencies must be a (d, m/2) matrix "
                                   "with d >= 1 and m >= 2")
-        if not self.sigma > 0:
-            raise FeatureMapError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise FeatureMapError("sigma must be positive and finite")
         self.d, self.m_half = self.frequencies.shape
         self.m = 2 * self.m_half
         self._finish(domain, seed)
@@ -320,11 +317,11 @@ class RffMap(FeatureMap):
     def gram(self, P: np.ndarray, cols=None) -> LowerPanels:
         if cols is not None:
             P = P[:, cols]
-        G = P.T @ P
-        G /= P.shape[0]
-        # P.T @ P is exactly symmetric, so G.T is G in Fortran order; the
-        # panels are copied out of it so that the square is freed
-        return LowerPanels.from_dense(G.T, copy=True)
+        dense = P.T @ P
+        dense /= P.shape[0]
+        G = LowerPanels(dense.shape[0])
+        G.store(0, 0, dense)
+        return G
 
     @classmethod
     def from_dict(cls, data: dict) -> "RffMap":
@@ -361,8 +358,8 @@ class RaceMap(_OneHotBlocks, FeatureMap):
             raise FeatureMapError("need at least one hash")
         if not self.n_buckets >= 2:
             raise FeatureMapError("need at least 2 buckets")
-        if not self.r_width > 0:
-            raise FeatureMapError("r_width must be positive")
+        if not 0 < self.r_width < np.inf:
+            raise FeatureMapError("r_width must be positive and finite")
         self.n_hashes, self.d = self.projections.shape
         self.m = self.n_hashes * self.n_buckets
         self.n_blocks = self.n_hashes
@@ -431,6 +428,7 @@ def build_rff(d: int, m: int, sigma: float, seed,
     spec = RffMap(rng.standard_normal((d, max(m // 2, 0))), sigma, domain,
                   seed)
     spec.frequencies *= 1.0 / spec.sigma
+    spec._check_matrices()  # a tiny sigma scales them to inf
     return spec
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .domain import BINARY, CONTINUOUS, Domain, DomainError, read_csv
 from .estimator import SyntheticFeatures, TrainConfig, WeightedSamples
 from .feature_maps import build_map, map_kind
-from .metrics import emd_1d, frobenius, mae, mre
+from .metrics import emd_1d, frobenius, mae, scored_error
 from .reweighting import evaluate_auc, fit_logistic_from_sketch
 from .sketch import privatize, sketch_exact
 from .targets import (
@@ -162,13 +162,16 @@ def _task_values(samples: WeightedSamples, tasks, queries) -> dict:
 
 
 def _score(task: str, est, true) -> tuple[str, float]:
-    """The metric of a task and its value for an estimate against its truth."""
+    """The metric of a task and its value for an estimate against its
+    truth ("mre_abs" where zero truths mix absolute errors into "mre")."""
     if task == "cov":
         return "frobenius", frobenius(est, true)
     if task == "queries":
         return "mae", mae(est, true)
-    name, metric = ("emd", emd_1d) if task == "cdf" else ("mre", mre)
-    return name, float(np.mean([metric(e, t) for e, t in zip(est, true)]))
+    names, errors = zip(*(("emd", emd_1d(e, t)) if task == "cdf"
+                          else scored_error(e, t) for e, t in zip(est, true)))
+    return (names[0] if len(set(names)) == 1 else "mre_abs",
+            float(np.mean(errors)))
 
 
 RESULT_FIELDS = ("dataset", "sketch", "epsilon", "task", "repetition",

@@ -25,28 +25,31 @@ class LowerPanels:
     panels[k] is the (m - starts[k], w) array of rows starts[k]..m of
     columns starts[k]..starts[k] + w, with w = PANEL but for the last
     panel.  Entries above the diagonal of a panel's top w x w square are
-    not part of the matrix: their values never reach a factor or a
-    solve, and cholesky_in_place leaves them as they are.
+    not part of the matrix: nothing reads them, and store and
+    cholesky_in_place may leave any values there.  This module is the
+    only one that indexes the panels; the feature maps write G through
+    store.
     """
 
-    def __init__(self, panels: list[np.ndarray]):
-        self.panels = panels
-        self.m = panels[0].shape[0]
-        self.starts = [self.m - X.shape[0] for X in panels]
+    def __init__(self, m: int):
+        """The zero matrix of order m."""
+        self.m = m
+        self.starts = list(range(0, m, PANEL))
+        self.panels = [np.zeros((m - p0, min(PANEL, m - p0)), order="F")
+                       for p0 in self.starts]
 
-    @classmethod
-    def zeros(cls, m: int) -> "LowerPanels":
-        return cls([np.zeros((m - p0, min(PANEL, m - p0)), order="F")
-                    for p0 in range(0, m, PANEL)])
-
-    @classmethod
-    def from_dense(cls, A: np.ndarray, copy: bool = False) -> "LowerPanels":
-        """The lower triangle of the square A, as views of A (factoring
-        them factors A in place) or, with copy, as Fortran-order copies."""
-        panels = [A[p0:, p0:p0 + PANEL] for p0 in range(0, A.shape[0], PANEL)]
-        if copy:
-            panels = [X.copy(order="F") for X in panels]
-        return cls(panels)
+    def store(self, r0: int, c0: int, block: np.ndarray) -> None:
+        """Write the dense block at rows r0.. and columns c0.. of the
+        matrix.  Its rows above a panel's first row are dropped, so every
+        entry on or below the diagonal is kept, and any above it land
+        where nothing reads them."""
+        r1, c1 = r0 + block.shape[0], c0 + block.shape[1]
+        for k in range(c0 // PANEL, -(-c1 // PANEL)):  # the panels it spans
+            p0, X = self.starts[k], self.panels[k]
+            lo, hi, top = max(c0, p0), min(c1, p0 + X.shape[1]), max(r0, p0)
+            if lo < hi and top < r1:
+                X[top - p0:r1 - p0, lo - p0:hi - p0] = \
+                    block[top - r0:, lo - c0:hi - c0]
 
     @property
     def nbytes(self) -> int:
@@ -82,7 +85,9 @@ def cholesky_in_place(A: LowerPanels) -> LowerPanels:
     left, PANEL rows at a time, by a matmul into one reused workspace;
     then its LEAF-wide blocks are factored in turn by np.linalg.cholesky
     and applied below the diagonal through the leaf's inverse
-    (X L^T = B as X = B L^-T).  Nothing above the diagonal is written.
+    (X L^T = B as X = B L^-T).  np.linalg.cholesky reads only a leaf's
+    lower triangle, so the updates run over whole squares and leave
+    values above the diagonal that nothing reads.
     The factor does not depend on the BLAS thread count: the leaves are
     factored unblocked on one thread, the leaf updates are LEAF wide and
     a multiple of LEAF deep, and the panel updates PANEL wide and PANEL
@@ -92,7 +97,6 @@ def cholesky_in_place(A: LowerPanels) -> LowerPanels:
     if a leaf is not positive definite; A is then partly overwritten.
     """
     work = np.empty((PANEL, PANEL), order="F") if len(A.panels) > 1 else None
-    below = np.tri(PANEL, dtype=bool)
     for k, X in enumerate(A.panels):
         p0, w = A.starts[k], X.shape[1]
         pad = np.zeros((PANEL, PANEL), order="F") if k and w < PANEL else None
@@ -104,19 +108,8 @@ def cholesky_in_place(A: LowerPanels) -> LowerPanels:
                 cols = pad
             for r0 in range(0, X.shape[0], PANEL):
                 r1 = min(r0 + PANEL, X.shape[0])
-                update = np.matmul(rows[r0:r1], cols.T,
-                                   out=work[:r1 - r0])[:, :w]
-                if r0:
-                    X[r0:r1] -= update
-                    continue
-                # the top square, below its diagonal only: a masked
-                # subtraction on each leaf's square, a plain one below it
-                for j0 in range(0, w, LEAF):
-                    j1 = min(j0 + LEAF, w)
-                    np.subtract(X[j0:j1, j0:j1], update[j0:j1, j0:j1],
-                                out=X[j0:j1, j0:j1],
-                                where=below[:j1 - j0, :j1 - j0])
-                    X[j1:w, j0:j1] -= update[j1:w, j0:j1]
+                X[r0:r1] -= np.matmul(rows[r0:r1], cols.T,
+                                      out=work[:r1 - r0])[:, :w]
         for j0 in range(0, w, LEAF):
             j1 = min(j0 + LEAF, w)
             left = X[j0:j1, :j0]
@@ -124,7 +117,7 @@ def cholesky_in_place(A: LowerPanels) -> LowerPanels:
             X[j1:w, j0:j1] -= X[j1:w, :j0] @ left.T
             # below the panel, the panel's own columns left of the leaf
             X[w:, j0:j1] -= X[w:, :j0] @ left.T
-            np.copyto(X[j0:j1, j0:j1], L, where=below[:j1 - j0, :j1 - j0])
+            X[j0:j1, j0:j1] = L
             X[j1:, j0:j1] = X[j1:, j0:j1] @ np.linalg.inv(L).T
     return A
 

@@ -12,6 +12,14 @@ def mre(estimate: float, truth: float) -> float:
     return abs(estimate - truth) / abs(truth)
 
 
+def scored_error(estimate: float, truth: float) -> tuple[str, float]:
+    """("mre", the relative error), or ("abs_error", |est - true|) for a
+    zero truth, on which the relative error is undefined."""
+    if truth == 0:
+        return "abs_error", abs(estimate - truth)
+    return "mre", mre(estimate, truth)
+
+
 def mae(estimates, truths) -> float:
     estimates = np.asarray(estimates, dtype=float)
     truths = np.asarray(truths, dtype=float)

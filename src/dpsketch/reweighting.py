@@ -17,7 +17,6 @@ import numpy as np
 
 from .domain import BINARY
 from .estimator import SyntheticFeatures, WeightedSamples
-from .linalg import LowerPanels, cholesky_solve
 from .metrics import auc
 from .sketch import PrivateSketch
 
@@ -86,7 +85,7 @@ def _newton_direction(hess, grad):
     while True:
         try:
             factor = np.linalg.cholesky(hess + shift * np.eye(len(grad)))
-            return -cholesky_solve(LowerPanels.from_dense(factor), grad)
+            return -np.linalg.solve(factor.T, np.linalg.solve(factor, grad))
         except np.linalg.LinAlgError:
             shift = max(2.0 * shift, floor)
 

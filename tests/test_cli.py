@@ -561,7 +561,7 @@ class TestEval:
 
     @pytest.mark.parametrize("case", [
         "sketches=wavelet", "n=0", "d=2", "tasks=foo", "csv-d=2",
-        "n_synth=0", "extra_reg=0", "seed=-1", "n_queries=0",
+        "n_synth=0", "extra_reg=0", "extra_reg=inf", "seed=-1", "n_queries=0",
     ])
     def test_bad_plan_exits_2(self, tmp_path, capsys, case):
         values = {"n": "200", "d": "3", "sketches": "hist", "epsilons": "inf",
@@ -599,7 +599,8 @@ class TestBadOptionValues:
         "epsilon", "split", "config-bins", "schema-array", "schema-columns",
         "schema-lower", "plan-n", "n-synth", "map", "synth-seed",
         "noise-seed", "env-seed", "map-seed-hist", "map-seed-rff",
-        "map-seed-race", "config-map-seed", "extra-reg-nan",
+        "map-seed-race", "config-map-seed", "extra-reg-nan", "extra-reg-inf",
+        "sigma-inf", "sigma-tiny", "r-width-inf",
     ])
     def test_exits_2_with_message(self, tmp_path, dataset, hist_sketch,
                                   capsys, monkeypatch, case):
@@ -642,6 +643,11 @@ class TestBadOptionValues:
             "config-map-seed": sketch + ["--config", str(cfg)],
             "extra-reg-nan": ["estimate", str(hist_sketch[0]), "moment 1 1",
                               "--n-synth", "500", "--extra-reg", "nan"],
+            "extra-reg-inf": ["estimate", str(hist_sketch[0]), "moment 1 1",
+                              "--n-synth", "500", "--extra-reg", "inf"],
+            "sigma-inf": sketch + ["--map", "rff", "--sigma", "inf"],
+            "sigma-tiny": sketch + ["--map", "rff", "--sigma", "1e-320"],
+            "r-width-inf": sketch + ["--map", "race", "--r-width", "inf"],
         }[case]
         code, stdout, stderr = run_cli(capsys, *argv)
         assert code == 2

@@ -63,11 +63,6 @@ class TestValidate:
         with pytest.raises(DomainError, match="record 1, attribute 1"):
             dom.validate([[0.3, 1.0], [0.7, 0.6]])
 
-    def test_contains(self):
-        dom = Domain((-1.0,), (1.0,))
-        assert dom.contains([0.0])
-        assert not dom.contains([1.5])
-
 
 class TestSample:
     def test_shapes_and_bounds(self):

@@ -348,10 +348,30 @@ def _spd(m, seed):
     return (G + G.T) / 2
 
 
-def _above_diagonal(A: LowerPanels) -> list[np.ndarray]:
-    """The entries above the diagonal of each panel's top square, which
-    are not part of the matrix."""
-    return [np.triu(X[:X.shape[1]], 1) for X in A.panels]
+def _stored(G: np.ndarray) -> LowerPanels:
+    A = LowerPanels(G.shape[0])
+    A.store(0, 0, G)
+    return A
+
+
+class TestLowerPanels:
+    def test_store_straddling_panel_edges(self):
+        # order 1300: three panels, starting at 0, 576 and 1152
+        m = 1300
+        G = _spd(m, 11)
+        A = LowerPanels(m)
+        assert A.starts == [0, PANEL, 2 * PANEL]
+        assert A.nbytes == 8 * sum((m - p0) * min(PANEL, m - p0)
+                                   for p0 in A.starts)
+        # blocks straddle the column edges at 576 and 1152, and the ones
+        # on the diagonal start above the first row of a panel they cover
+        spans = [(0, 500), (500, 600), (600, 1100), (1100, 1200),
+                 (1200, 1300)]
+        for c0, c1 in spans:
+            for r0, r1 in spans:
+                if r0 >= c0:
+                    A.store(r0, c0, G[r0:r1, c0:c1])
+        assert A.dense().tobytes() == G.tobytes()
 
 
 class TestBlockedCholesky:
@@ -359,15 +379,13 @@ class TestBlockedCholesky:
     @pytest.mark.parametrize("m", [1, 7, 95, 96, 97, 200, 576, 577, 700,
                                    1152, 1153, 1729])
     def test_matches_lapack_and_keeps_upper_triangle(self, m):
+        # the stored matrix keeps its upper triangle as the mirror of the
+        # lower one; the factor's is not part of it
         G = _spd(m, m)
-        A = LowerPanels.from_dense(G, copy=True)
+        A = _stored(G)
         assert len(A.panels) == -(-m // PANEL)
-        assert A.nbytes == 8 * sum((m - p0) * X.shape[1]
-                                   for p0, X in zip(A.starts, A.panels))
-        above = _above_diagonal(A)
+        assert A.dense().tobytes() == G.tobytes()
         assert cholesky_in_place(A) is A
-        for X, Y in zip(_above_diagonal(A), above):
-            assert X.tobytes() == Y.tobytes()
         ref = scipy.linalg.cholesky(G, lower=True)
         np.testing.assert_allclose(np.tril(A.dense()), ref, rtol=0,
                                    atol=1e-12)
@@ -378,26 +396,11 @@ class TestBlockedCholesky:
         x0 = cholesky_solve(A, b[:, 0])
         assert np.linalg.norm(x0 - x[:, 0]) <= 1e-11 * np.linalg.norm(x0)
 
-    def test_indefinite_raises_with_upper_triangle_intact(self):
+    def test_indefinite_raises(self):
         G = _spd(700, 3)
         G[650, 650] = -1.0
-        A = LowerPanels.from_dense(G, copy=True)
-        above = _above_diagonal(A)
         with pytest.raises(np.linalg.LinAlgError):
-            cholesky_in_place(A)
-        for X, Y in zip(_above_diagonal(A), above):
-            assert X.tobytes() == Y.tobytes()
-
-    def test_dense_views_factor_in_place(self):
-        # a single panel is the matrix itself, as a d x d Newton system
-        G = _spd(50, 4)
-        L = np.linalg.cholesky(G)
-        A = np.asfortranarray(G)
-        cholesky_in_place(LowerPanels.from_dense(A))
-        np.testing.assert_allclose(np.tril(A), L, rtol=0, atol=1e-13)
-        b = np.random.default_rng(5).normal(size=50)
-        x = cholesky_solve(LowerPanels.from_dense(L), b)
-        assert np.linalg.norm(G @ x - b) <= 1e-10 * np.linalg.norm(b)
+            cholesky_in_place(_stored(G))
 
 
 class TestFactorBuffer:
@@ -405,8 +408,8 @@ class TestFactorBuffer:
                              ids=_MAP_IDS + ["race-panels"])
     def test_gram_is_exactly_symmetric(self, spec):
         # The panels hold (1/n) P^T P's lower triangle bit for bit, over
-        # all columns and over the occupied ones; RFF takes them from G.T,
-        # which is G only if P^T P is exactly symmetric.
+        # all columns and over the occupied ones; dense() mirrors it, so it
+        # matches the product only if P^T P is exactly symmetric.
         points = SyntheticFeatures(spec, TrainConfig(n_synth=3000, seed=1)).points
         P = spec.embed_batch(points)
         ref = P.T @ P
@@ -476,8 +479,7 @@ class TestFactorBuffer:
         M = (Q * eigs) @ Q.T
         M = (M + M.T) / 2
         jitter = 1e-10 * np.trace(M) / m
-        monkeypatch.setattr(spec, "gram", lambda P, cols=None:
-                            LowerPanels.from_dense(M, copy=True))
+        monkeypatch.setattr(spec, "gram", lambda P, cols=None: _stored(M))
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=500, seed=10))
         rhs = rng.normal(size=m)
 

@@ -73,6 +73,10 @@ class TestRff:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(FeatureMapError):
             build_rff(3, 40, 0.0, seed=0)
+        # inf would give a constant map, 1e-320 infinite frequencies
+        for sigma in (np.inf, np.nan, 1e-320):
+            with pytest.raises(FeatureMapError, match="sigma|frequencies"):
+                build_rff(3, 40, sigma, seed=0)
 
     def test_zero_frequency_embedding(self):
         from dpsketch.feature_maps import RffMap
@@ -132,6 +136,8 @@ class TestRace:
             build_race(2, 4, 8, 0.0, seed=0)
         with pytest.raises(FeatureMapError):
             build_race(2, 0, 8, 0.1, seed=0)
+        with pytest.raises(FeatureMapError, match="finite"):
+            build_race(2, 4, 8, np.inf, seed=0)
 
     def test_sensitivity(self):
         assert build_race(4, 80, 80, 0.1, seed=0).sensitivity_l1() == 80.0

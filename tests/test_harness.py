@@ -173,6 +173,26 @@ class TestPlan:
             rows = list(csv.DictReader(fh))
         assert rows and rows[0]["dataset"] == "ext.csv"
 
+    def test_zero_truth_scores_by_absolute_error(self, tmp_path):
+        # an all-zero column has zero mean and second moment, on which
+        # the relative error is undefined
+        data = np.random.default_rng(7).uniform(size=(200, 3))
+        data[:, 1] = 0.0
+        path = tmp_path / "zero.csv"
+        write_dataset_csv(path, data)
+        plan = ExperimentPlan(
+            dataset=str(path), sketches=("hist", "rff"),
+            epsilons=(1.0, math.inf), repetitions=2,
+            tasks=("mean", "moment2", "cdf"), n_synth=2000, seed=1,
+            sketch_params={"hist": {"n_bins": 10}, "rff": {"m": 40}},
+        )
+        results = run_plan(plan, tmp_path / "out")
+        with open(results) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 2 * 2 * 3
+        assert {r["metric"] for r in rows} == {"mre_abs", "emd"}
+        assert all(math.isfinite(float(r["value"])) for r in rows)
+
     def test_one_weight_solve_per_cell(self, tmp_path, monkeypatch):
         # every task of a cell reads the cell's one weight vector
         calls = []
