@@ -41,7 +41,6 @@ from .estimator import (
 )
 from .targets import (
     BoxIndicator,
-    CdfThreshold,
     CenteredProduct,
     Moment,
     Predicate,

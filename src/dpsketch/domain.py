@@ -22,8 +22,8 @@ class Domain:
     """Axis-aligned box bounding all records, with per-attribute kinds.
 
     Binary attributes must have bounds {0, 1}; continuous attributes need
-    lower < upper.  All records are expected to satisfy
-    lower <= x <= upper componentwise.
+    finite lower < upper, a finite distance apart.  All records are
+    expected to satisfy lower <= x <= upper componentwise.
     """
 
     lower: tuple[float, ...]
@@ -48,9 +48,10 @@ class Domain:
                         f"binary attribute {j} must have bounds (0, 1), got ({lo}, {hi})"
                     )
             elif kind == CONTINUOUS:
-                if not lo < hi:
+                if not (lo < hi and np.isfinite(hi - lo)):
                     raise DomainError(
-                        f"attribute {j} needs lower < upper, got ({lo}, {hi})"
+                        f"attribute {j} needs finite lower < upper, a finite "
+                        f"distance apart, got ({lo}, {hi})"
                     )
             else:
                 raise DomainError(f"unknown attribute kind {kind!r}")

@@ -87,10 +87,12 @@ def theorem_lambda(spec: FeatureMap, epsilon_num: float, n: float) -> float:
 
 
 def _evaluate_target(f, points: np.ndarray) -> np.ndarray:
-    """Evaluate a target on an (n, d) batch; accepts vectorized or scalar callables."""
+    """Evaluate a target on an (n, d) batch; it must return shape (n,)."""
     values = np.asarray(f(points), dtype=float)
     if values.shape != (points.shape[0],):
-        values = np.array([float(f(x)) for x in points])
+        raise ValueError(f"target function returned shape {values.shape} "
+                         f"for {points.shape[0]} points, expected "
+                         f"({points.shape[0]},)")
     if not np.all(np.isfinite(values)):
         raise ValueError("target function produced non-finite values")
     return values
@@ -143,18 +145,18 @@ class SyntheticFeatures:
     The single estimation object: the ridge estimate <fit(f), sketch> of
     any target f equals w @ f(points) for per-sample weights w that depend
     only on the sketch and the penalty, so one solve per sketch answers
-    every target.  Only the m_occ features that some synthetic sample
-    activates enter the factorization: on the others G is zero, so
-    G + lam I is lam I there (one-hot maps leave buckets empty; dense maps
-    activate every feature).  G over those features is built on the first
-    solve as lower-triangle panels (linalg.LowerPanels, about 4 m_occ^2
-    bytes) and factored in place: the Cholesky factor of G + lam I at the
-    last penalty lam is all this object holds then; diag(G) is read off
-    the panels before each factorization.  A second penalty (or a jittered
-    retry) rebuilds G from the samples once and keeps that copy to restore
-    from, so a sweep over sketches holds two panel sets, and a
-    single-penalty command one.  Many targets and many sketches share one
-    sample set.  Samples are drawn deterministically from the config seed.
+    every target.  Every solve takes one path: a Cholesky factorization
+    of G + (lam + s) I, with the shift s = 0 unless rounding leaves
+    G + lam I indefinite (see solve).  Only the m_occ features that some
+    synthetic sample activates enter it: on the others G is zero (one-hot
+    maps leave buckets empty; dense maps activate every feature).  G over
+    those features is built on the first solve as lower-triangle panels
+    (linalg.LowerPanels, about 4 m_occ^2 bytes) and factored in place.  A
+    second penalty (or a shifted retry) rebuilds G from the samples once
+    and keeps that copy to restore from, so a sweep over sketches holds
+    two panel sets, and a single-penalty command one.  Many targets and
+    many sketches share one sample set, drawn deterministically from the
+    config seed.
     """
 
     def __init__(self, spec: FeatureMap, config: TrainConfig | None = None):
@@ -194,7 +196,7 @@ class SyntheticFeatures:
                 self._cols = np.flatnonzero(occupied)
         self._buf = None  # LowerPanels; G, then factored in place
         self._gram = None  # a kept copy of G, from the second factorization on
-        self._factor = None  # (lam, factorization) of the last penalty
+        self._factor = None  # (lam, lam + s, factored panels) of the last penalty
 
     @property
     def n(self) -> int:
@@ -209,54 +211,57 @@ class SyntheticFeatures:
         return self._P @ np.asarray(v, dtype=float)
 
     def solve(self, rhs: np.ndarray, lam: float) -> np.ndarray:
-        """Solve (Gram + lam I) x = rhs with a cached SPD factorization.
+        """Solve (G + (lam + s) I) x = rhs for a penalty 0 < lam < inf.
 
+        The shift s is the least of 0, s0, 2 s0, 4 s0, ... for which the
+        Cholesky factorization succeeds, with s0 = 1e-10 trace(G) / m; G
+        is positive semidefinite, so s is 0 unless rounding makes
+        G + lam I indefinite, and a positive s is warned about by value.
         Only the occupied columns are factored; on the others the system
-        reads lam x = rhs.  Only the last penalty's factor is kept, in
-        place in the one set of panels: every estimate from one sketch
+        reads (lam + s) x = rhs.  Only the last penalty's factor is kept,
+        in place in the one set of panels: every estimate from one sketch
         uses one penalty, and a new penalty copies G back from the kept
         copy (built from the samples the first time it is needed) and
         factors again, so a sweep over sketches never holds a third set.
-        Falls back to a jittered factorization and finally to a
-        rank-revealing least-squares solve if the matrix is numerically
-        indefinite.
         """
+        if not 0 < lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
         if self._factor is None or self._factor[0] != lam:
             self._factor = None  # the panels are about to change under it
-            self._factor = (lam, self._factorize(lam))
-        kind, data = self._factor[1]
+            self._factor = (lam, *self._factorize(lam))
+        _, shifted, factor = self._factor
         cols = self._cols
-        b = rhs if cols is None else np.asarray(rhs, dtype=float)[cols]
-        if kind == "cho":
-            x = cholesky_solve(data, b)
-        else:
-            x = np.linalg.lstsq(data, b, rcond=None)[0]
         if cols is None:
-            return x
-        # lam x = rhs off the occupied block (minimum norm: 0 at lam = 0)
-        full = np.divide(rhs, lam) if lam > 0 else np.zeros(np.shape(rhs))
-        full[cols] = x
+            return cholesky_solve(factor, rhs)
+        full = np.divide(rhs, shifted)  # (lam + s) x = rhs off the block
+        full[cols] = cholesky_solve(factor, np.asarray(rhs, dtype=float)[cols])
         return full
 
-    def _factorize(self, lam: float):
+    def _factorize(self, lam: float) -> tuple[float, LowerPanels]:
+        """Factor G + (lam + s) I in place, doubling s from its floor until
+        it factors (Nocedal & Wright, Alg. 3.3); return (lam + s, panels)."""
         if self._buf is None:
             self._buf = self.spec.gram(self._P, self._cols)
         else:
             self._buf.copy_from(self._kept_gram())
         A = self._buf
         gram_diag = A.diagonal()  # read while A holds G
-        # plain, then jittered by 1e-10 trace(G) / m
-        for jitter in (0.0, 1e-10 * gram_diag.sum() / self.spec.m):
-            A.set_diagonal(gram_diag + lam + jitter)
+        floor = max(1e-10 * float(gram_diag.sum()) / self.spec.m, 1e-300)
+        shift = 0.0
+        while True:
+            A.set_diagonal(gram_diag + lam + shift)
             try:
                 cholesky_in_place(A)
+                break
             except np.linalg.LinAlgError:
                 A.copy_from(self._kept_gram())
-                continue
-            self._warn_condition(A.diagonal())
-            return ("cho", A)
-        A.set_diagonal(gram_diag + lam)  # A holds G again
-        return ("lstsq", A.dense())
+                shift = max(2.0 * shift, floor)
+        if shift > 0:
+            warnings.warn(f"G + lam I is not numerically positive definite; "
+                          f"factored it with an added shift {shift!r} I",
+                          stacklevel=3)
+        self._warn_condition(A.diagonal())
+        return lam + shift, A
 
     def _kept_gram(self) -> LowerPanels:
         """G to copy over a factor: built from the samples the first time
@@ -284,8 +289,6 @@ class SyntheticFeatures:
         """
         if sketch.spec_id != self.spec.spec_id:
             raise SketchError("sketch was built with a different feature map")
-        if lam <= 0:
-            raise ValueError("lambda must be positive for the weight computation")
         return self.apply(self.solve(sketch.normalized, lam)) / self.n
 
     def penalty(self, sketch: PrivateSketch) -> float:
@@ -311,8 +314,6 @@ class SyntheticFeatures:
         The reference path: estimates come from weights; the coefficients
         are for diagnostics and for checking the weights against.
         """
-        if lam < 0:
-            raise ValueError("lambda must be nonnegative")
         F = _evaluate_target(f, self.points)
         rhs = self.dot_targets(F)
         coef = self.solve(rhs, lam)

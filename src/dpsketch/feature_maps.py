@@ -365,6 +365,12 @@ class RaceMap(_OneHotBlocks, FeatureMap):
         self.n_blocks = self.n_hashes
         self.width = self.n_buckets
         self._finish(domain, seed)
+        # (w_r^T x + b_r) / r_width, with b_r < r_width, must fit an int64
+        with np.errstate(over="ignore"):
+            reach = np.abs(self.projections) @ np.maximum(
+                np.abs(self.domain.lower_arr), np.abs(self.domain.upper_arr))
+            if not np.all((reach + self.r_width) / self.r_width < 2.0 ** 62):
+                raise FeatureMapError("r_width is too small for the domain")
 
     def _indices(self, X) -> np.ndarray:
         if not np.all(np.isfinite(X)):
@@ -427,7 +433,8 @@ def build_rff(d: int, m: int, sigma: float, seed,
     # the draw is scaled the way rng.normal(0, 1 / sigma) scales it
     spec = RffMap(rng.standard_normal((d, max(m // 2, 0))), sigma, domain,
                   seed)
-    spec.frequencies *= 1.0 / spec.sigma
+    with np.errstate(over="ignore"):
+        spec.frequencies *= 1.0 / spec.sigma
     spec._check_matrices()  # a tiny sigma scales them to inf
     return spec
 

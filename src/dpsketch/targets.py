@@ -1,8 +1,8 @@
 """Declarative target functions and multi-target estimation pipelines.
 
 Targets describe the scalar function whose dataset average is wanted:
-attribute moments, box-membership indicators (counting queries), CDF
-thresholds and centered cross products.  Attribute numbers are 1-based,
+attribute moments, box-membership indicators (counting queries and CDF
+thresholds) and centered cross products.  Attribute numbers are 1-based,
 matching the CLI grammar (x1 is the first column).
 
 Pipelines answer groups of targets from one WeightedSamples: a sketch's
@@ -113,21 +113,6 @@ class BoxIndicator:
         for p in self.predicates:
             mask &= p.holds(X)
         return mask.astype(float)
-
-
-@dataclass(frozen=True)
-class CdfThreshold:
-    """1 iff x_attr <= threshold."""
-
-    attr: int
-    threshold: float
-
-    def __post_init__(self):
-        _check_attr(self.attr)
-
-    def __call__(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return (X[:, self.attr - 1] <= self.threshold).astype(float)
 
 
 @dataclass(frozen=True)
@@ -252,7 +237,8 @@ def estimate_cdf(samples: WeightedSamples, attr: int) -> CdfEstimate:
     """
     _check_attr(attr, samples.domain.d)
     thresholds = default_thresholds(samples.domain, attr)
-    raw = samples.sums([CdfThreshold(attr, float(s)) for s in thresholds])
+    raw = samples.sums([BoxIndicator((Predicate(attr, "<=", float(s)),))
+                        for s in thresholds])
     return CdfEstimate(thresholds, np.clip(raw, 0.0, 1.0), raw)
 
 

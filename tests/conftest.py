@@ -36,8 +36,9 @@ def child_env():
 
 @pytest.fixture(params=[
     "race-d", "rff-truncated-frequencies", "domain-unknown-kind",
-    "domain-upper-below-lower", "domain-dimension", "race-zero-hashes",
-    "race-r-width-string", "rff-nan-frequency", "rff-negative-sigma",
+    "domain-upper-below-lower", "domain-infinite-bound", "domain-dimension",
+    "race-zero-hashes", "race-r-width-string", "rff-nan-frequency",
+    "rff-negative-sigma",
     "file-array", "spec-array",
 ])
 def malformed_sketch_doc(request):
@@ -66,6 +67,8 @@ def malformed_sketch_doc(request):
         s["domain"]["kinds"][0] = "ordinal"
     elif case == "domain-upper-below-lower":
         s["domain"]["upper"][0] = -1.0
+    elif case == "domain-infinite-bound":
+        s["domain"]["upper"][0] = math.inf  # written as Infinity
     elif case == "domain-dimension":
         for key in ("lower", "upper", "kinds"):
             s["domain"][key].pop()

@@ -29,7 +29,7 @@ from dpsketch import (
 )
 from dpsketch.harness import gen_random10, logistic_sweep
 from dpsketch.reweighting import WeightedSamples, logistic_objective
-from dpsketch.targets import CdfThreshold
+from dpsketch.targets import BoxIndicator, Predicate
 
 
 def _report(criterion, label, passed, detail):
@@ -143,7 +143,8 @@ def test_criterion_3_exact_recovery():
                     P[:, k].mean()) for k in components]
         if spec.variant == "HIST":
             # bin-aligned threshold indicator: a sum of whole bins
-            targets.append(("HIST cdf@0.375", CdfThreshold(1, 0.375),
+            targets.append(("HIST cdf@0.375",
+                            BoxIndicator((Predicate(1, "<=", 0.375),)),
                             (X[:, 0] <= 0.375).mean()))
         for name, f, truth in targets:
             model = feats.fit(f, 1e-9)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -600,7 +601,8 @@ class TestBadOptionValues:
         "schema-lower", "plan-n", "n-synth", "map", "synth-seed",
         "noise-seed", "env-seed", "map-seed-hist", "map-seed-rff",
         "map-seed-race", "config-map-seed", "extra-reg-nan", "extra-reg-inf",
-        "sigma-inf", "sigma-tiny", "r-width-inf",
+        "sigma-inf", "sigma-tiny", "sigma-overflows", "r-width-inf",
+        "r-width-overflows", "schema-upper-inf",
     ])
     def test_exits_2_with_message(self, tmp_path, dataset, hist_sketch,
                                   capsys, monkeypatch, case):
@@ -613,8 +615,10 @@ class TestBadOptionValues:
         elif case == "schema-array":
             cfg.write_text("[]")
         elif case.startswith("schema"):
-            cols = (["a", "b", "c"] if case == "schema-columns"
-                    else [{"lower": "x"}, {}, {}])
+            cols = {"schema-columns": ["a", "b", "c"],
+                    "schema-lower": [{"lower": "x"}, {}, {}],
+                    # json writes and reads it as Infinity
+                    "schema-upper-inf": [{"upper": math.inf}, {}, {}]}[case]
             cfg.write_text(json.dumps({"columns": cols}))
         elif case == "plan-n":
             cfg.write_text("n=abc\n")
@@ -630,6 +634,7 @@ class TestBadOptionValues:
             "schema-array": sketch + ["--schema", str(cfg)],
             "schema-columns": sketch + ["--schema", str(cfg)],
             "schema-lower": sketch + ["--schema", str(cfg)],
+            "schema-upper-inf": sketch + ["--schema", str(cfg)],
             "plan-n": ["eval", "--plan", str(cfg), "--out", str(tmp_path / "r")],
             "n-synth": ["estimate", str(hist_sketch[0]), "moment 1 1",
                         "--n-synth", "0"],
@@ -647,12 +652,20 @@ class TestBadOptionValues:
                               "--n-synth", "500", "--extra-reg", "inf"],
             "sigma-inf": sketch + ["--map", "rff", "--sigma", "inf"],
             "sigma-tiny": sketch + ["--map", "rff", "--sigma", "1e-320"],
+            # the scaled frequencies overflow to inf
+            "sigma-overflows": sketch + ["--map", "rff", "--sigma", "1e-308"],
             "r-width-inf": sketch + ["--map", "race", "--r-width", "inf"],
+            # the bucket index would overflow int64
+            "r-width-overflows": sketch + ["--map", "race",
+                                           "--r-width", "1e-320"],
         }[case]
         code, stdout, stderr = run_cli(capsys, *argv)
         assert code == 2
         assert stdout == "" and not out.exists()
         assert stderr.startswith("error: ")
+        assert "warning:" not in stderr
+        if case.startswith("schema"):
+            assert stderr.startswith(f"error: {cfg}: ")
 
 
 class TestAttributeBeyondD:

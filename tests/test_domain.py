@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -26,6 +27,14 @@ class TestConstruction:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(DomainError):
             Domain((1.0,), (0.0,))
+
+    @pytest.mark.parametrize("lower, upper", [
+        (0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf),
+        (-1e308, 1e308),  # finite bounds, but upper - lower overflows
+    ])
+    def test_rejects_infinite_bounds_or_width(self, lower, upper):
+        with pytest.raises(DomainError, match="finite"):
+            Domain((0.0, lower), (1.0, upper))
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(DomainError):

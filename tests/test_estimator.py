@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -118,6 +119,14 @@ class TestFit:
         model = SyntheticFeatures.from_points(spec, synth).fit(
             lambda X: np.zeros(X.shape[0]), 0.5)
         np.testing.assert_array_equal(model.coef, np.zeros(10))
+
+    def test_rejects_target_of_another_shape(self):
+        # a target is called once on the whole (n, d) batch, never per point
+        feats = SyntheticFeatures(HistMap(Domain.unit(2), 4),
+                                  TrainConfig(n_synth=200, seed=1))
+        for f in (lambda X: 1.0, lambda X: X):
+            with pytest.raises(ValueError, match=r"shape .* expected \(200,\)"):
+                feats.fit(f, 0.1)
 
     def test_span_member_has_tiny_residual(self):
         spec = HistMap(Domain.unit(2), 4)
@@ -465,7 +474,7 @@ class TestFactorBuffer:
         square_bytes = 8 * spec.m * spec.m
         assert peak <= 0.7 * square_bytes, peak / square_bytes
 
-    @pytest.mark.parametrize("path", ["lstsq", "jitter"])
+    @pytest.mark.parametrize("path", ["doubling", "jitter"])
     def test_indefinite_gram_falls_back_then_refactors(self, monkeypatch,
                                                        path):
         spec = HistMap(Domain.unit(3), 6)
@@ -474,20 +483,34 @@ class TestFactorBuffer:
         Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
         eigs = np.linspace(0.5, 2.0, m)
         lam = 1e-3
-        # the jittered retry adds 1e-10 trace(G) / m to the diagonal
-        eigs[0] = -1.0 if path == "lstsq" else -(lam + 0.5e-10 * eigs.mean())
+        # the first retry shifts the diagonal by 1e-10 trace(G) / m, enough
+        # for the jitter case; an eigenvalue of -1 needs 33 doublings of it
+        eigs[0] = -1.0 if path == "doubling" \
+            else -(lam + 0.5e-10 * eigs.mean())
         M = (Q * eigs) @ Q.T
         M = (M + M.T) / 2
-        jitter = 1e-10 * np.trace(M) / m
+        floor = 1e-10 * np.trace(M) / m
         monkeypatch.setattr(spec, "gram", lambda P, cols=None: _stored(M))
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=500, seed=10))
         rhs = rng.normal(size=m)
 
-        x = feats.solve(rhs, lam)
-        assert np.all(np.isfinite(x))
-        shift = lam if path == "lstsq" else lam + jitter
-        ref = np.linalg.solve(M + shift * np.eye(m), rhs)
-        assert np.linalg.norm(x - ref) < 1e-6 * np.linalg.norm(ref)
+        with pytest.warns(UserWarning, match="added shift") as record:
+            x = feats.solve(rhs, lam)
+        shifts = [float(re.search(r"added shift (\S+) I", str(w.message))[1])
+                  for w in record if "added shift" in str(w.message)]
+        assert len(shifts) == 1
+        s = shifts[0]
+        if path == "jitter":
+            assert s == floor
+        else:
+            assert s == floor * 2.0 ** 33 and s > 1.0 - lam
+        # x comes from the panel factor of G + (lam + s) I, bit for bit
+        ref = _stored(M)
+        ref.set_diagonal(ref.diagonal() + lam + s)
+        cholesky_in_place(ref)
+        assert x.tobytes() == cholesky_solve(ref, rhs).tobytes()
+        exact = np.linalg.solve(M + (lam + s) * np.eye(m), rhs)
+        assert np.linalg.norm(x - exact) < 1e-6 * np.linalg.norm(exact)
 
         # a positive definite penalty factors again from the kept copy of
         # G, bit for bit as a fresh instance at that penalty
@@ -496,7 +519,19 @@ class TestFactorBuffer:
         assert x5.tobytes() == fresh.solve(rhs, 5.0).tobytes()
         ref5 = np.linalg.solve(M + 5.0 * np.eye(m), rhs)
         assert np.linalg.norm(x5 - ref5) < 1e-6 * np.linalg.norm(ref5)
-        np.testing.assert_allclose(feats.solve(rhs, lam), x, rtol=1e-12)
+        with pytest.warns(UserWarning, match="added shift"):
+            assert feats.solve(rhs, lam).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, -1e-3, math.inf, math.nan])
+    @pytest.mark.parametrize("call", ["solve", "fit", "weights"])
+    def test_rejects_lambda_not_positive_and_finite(self, call, lam):
+        spec = HistMap(Domain.unit(2), 4)
+        feats = SyntheticFeatures(spec, TrainConfig(n_synth=200, seed=1))
+        sk = privatize(sketch_exact(spec, [[0.5, 0.5]]), spec, 1.0, seed=2)
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            {"solve": lambda: feats.solve(np.ones(spec.m), lam),
+             "fit": lambda: feats.fit(Moment(1, 1), lam),
+             "weights": lambda: feats.weights(sk, lam)}[call]()
 
 
 class TestOccupiedColumns:

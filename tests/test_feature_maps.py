@@ -138,6 +138,14 @@ class TestRace:
             build_race(2, 0, 8, 0.1, seed=0)
         with pytest.raises(FeatureMapError, match="finite"):
             build_race(2, 4, 8, np.inf, seed=0)
+        # the bucket index (w^T x + b) / r_width must fit in an int64
+        # over the domain
+        with pytest.raises(FeatureMapError, match="too small"):
+            build_race(2, 4, 8, 1e-320, seed=0)
+        build_race(2, 4, 8, 1e-17, seed=0)
+        with pytest.raises(FeatureMapError, match="too small"):
+            build_race(2, 4, 8, 1e-17, seed=0,
+                       domain=Domain((0.0, 0.0), (1e3, 1e3)))
 
     def test_sensitivity(self):
         assert build_race(4, 80, 80, 0.1, seed=0).sensitivity_l1() == 80.0

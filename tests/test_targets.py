@@ -5,7 +5,6 @@ import pytest
 
 from dpsketch import (
     BoxIndicator,
-    CdfThreshold,
     CenteredProduct,
     Domain,
     DomainError,
@@ -56,7 +55,7 @@ class TestTargetEvaluation:
         assert box([[0.5]])[0] == 1.0
 
     def test_cdf_threshold(self):
-        t = CdfThreshold(2, 0.7)
+        t = BoxIndicator((Predicate(2, "<=", 0.7),))
         assert t([[0.0, 0.7]])[0] == 1.0
         assert t([[0.0, 0.71]])[0] == 0.0
 
@@ -67,7 +66,8 @@ class TestTargetEvaluation:
     def test_vectorized_batches(self):
         X = np.array([[0.1, 0.2], [0.9, 0.8]])
         np.testing.assert_allclose(Moment(1, 2)(X), [0.01, 0.81], rtol=1e-12)
-        np.testing.assert_array_equal(CdfThreshold(1, 0.5)(X), [1.0, 0.0])
+        np.testing.assert_array_equal(
+            BoxIndicator((Predicate(1, "<=", 0.5),))(X), [1.0, 0.0])
 
     def test_rejects_bad_construction(self):
         with pytest.raises(TargetError):
