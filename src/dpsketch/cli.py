@@ -2,7 +2,8 @@
 
 Subcommands: sketch, estimate, cdf, cov, query-batch, fit-logreg,
 inspect, eval.  Machine-readable CSV goes to stdout, human diagnostics to
-stderr.  Exit codes: 0 ok, 1 I/O error, 2 validation or parse error.
+stderr.  Exit codes, decided in ``main`` only: 0 ok, 1 I/O error, 2
+validation or parse error.
 """
 
 from __future__ import annotations
@@ -15,31 +16,60 @@ import os
 import sys
 import warnings
 
+import numpy as np
+
+# perfbench's tracer replaces sketch_exact, privatize, save_sketch,
+# load_sketch, estimate_cdf, estimate_covariance, answer_queries,
+# fit_logistic_from_sketch and evaluate_auc on their modules after this
+# import, so they are looked up there at call time: a name bound here
+# by `from x import f` would keep the unwrapped function.
+from . import reweighting, targets
+from . import sketch as sketching
+from .domain import BINARY, CONTINUOUS, Domain, DomainError, read_csv
+from .estimator import SyntheticFeatures, TrainConfig, WeightedSamples
+from .feature_maps import FeatureMapError, build_map
+from .metrics import emd_1d, frobenius, scored_error
+from .sketch import DEFAULT_SPLIT, SketchError, noise_scales, write_json
+from .targets import (TargetError, check_queries, default_thresholds,
+                      parse_predicates, parse_target)
+
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 
 SEED_ENV_VAR = "DPSKETCH_SEED"
 
-# `sketch` flags and config keys that set a feature-map parameter:
-# name -> (parameter of feature_maps.build_map, type)
-MAP_OPTIONS = {
-    "bins": ("n_bins", int), "m": ("m", int), "sigma": ("sigma", float),
-    "hashes": ("n_hashes", int), "buckets": ("n_buckets", int),
-    "r_width": ("r_width", float),
-}
-
-# keys accepted in a key=value config file for `sketch`
-SKETCH_CONFIG_KEYS = {
-    "map", *MAP_OPTIONS, "epsilon", "split", "map_seed", "noise_seed",
-    "normalize",
-}
-
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_VALIDATION):
-        super().__init__(message)
-        self.code = code
+    """A failure reported as one `error:` line; main exits 2 on it."""
+
+
+def _boolean(text: str) -> bool:
+    """True for 1 or true, False for 0 or false, in any case."""
+    if text.lower() not in ("1", "true", "0", "false"):
+        raise ValueError(text)
+    return text.lower() in ("1", "true")
+
+
+_boolean.__name__ = "boolean (1, true, 0 or false)"  # as errors name it
+
+# Every `sketch` option, each both a flag and a --config key:
+# name -> (reader, parameter of feature_maps.build_map it sets, help)
+SKETCH_OPTIONS = {
+    "map": (str, None, "hist (default), rff or race"),
+    "bins": (int, "n_bins", None),
+    "m": (int, "m", None),
+    "sigma": (float, "sigma", None),
+    "hashes": (int, "n_hashes", None),
+    "buckets": (int, "n_buckets", None),
+    "r_width": (float, "r_width", None),
+    "epsilon": (str, None, None),
+    "split": (float, None, None),
+    "map_seed": (int, None, None),
+    "noise_seed": (int, None, "seed of the privacy noise (default: "
+                   "DPSKETCH_SEED if set, else fresh OS entropy)"),
+    "normalize": (_boolean, None, None),
+}
 
 
 def _seed(name, value, fallback=0):
@@ -70,28 +100,13 @@ def _parse_epsilon(text: str) -> float:
     return value
 
 
-def _read_csv(path):
-    from .domain import DomainError, read_csv
-
-    try:
-        return read_csv(path)
-    except OSError as err:
-        raise CliError(str(err), EXIT_IO)
-    except DomainError as err:
-        raise CliError(str(err))
-
-
 def _load_schema(path, header):
-    from .domain import CONTINUOUS, Domain, DomainError
-
     if path is None:
         d = len(header)
         return Domain.unit(d)
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except OSError as err:
-        raise CliError(str(err), EXIT_IO)
     except json.JSONDecodeError as err:
         raise CliError(f"{path}: invalid JSON ({err})")
     cols = doc.get("columns") if isinstance(doc, dict) else None
@@ -110,30 +125,28 @@ def _load_schema(path, header):
 def _read_key_values(path, allowed_keys) -> dict:
     """Read a key=value file (blank lines and # comments skipped)."""
     values = {}
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise CliError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in allowed_keys:
-                    raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = value.strip()
-    except OSError as err:
-        raise CliError(str(err), EXIT_IO)
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise CliError(f"{path}:{lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in allowed_keys:
+                raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = value.strip()
     return values
 
 
-def _convert(path, key, text, cast):
-    """cast(text) for the value of a key=value entry, or a CliError."""
+def _convert(path, key, text, reader):
+    """reader(text) for the value of a key=value entry, or a CliError."""
     try:
-        return cast(text)
+        return reader(text)
     except ValueError:
-        raise CliError(f"{path}: {key}={text!r} is not a valid {cast.__name__}")
+        raise CliError(f"{path}: {key}={text!r} is not a valid "
+                       f"{reader.__name__}")
 
 
 def _out_writer():
@@ -144,29 +157,21 @@ def _out_writer():
 
 
 def cmd_sketch(args) -> int:
-    import numpy as np
+    config = _read_key_values(args.config, SKETCH_OPTIONS) if args.config else {}
 
-    from .domain import DomainError
-    from .feature_maps import FeatureMapError, build_map
-    from .sketch import (DEFAULT_SPLIT, SketchError, noise_scales, privatize,
-                         save_sketch, sketch_exact)
-
-    config = _read_key_values(args.config, SKETCH_CONFIG_KEYS) if args.config else {}
-
-    def opt(name, flag_value, cast, default):
-        if flag_value is not None:
-            return flag_value
+    def opt(name, default=None):
+        """The flag's value, else the config file's, else default."""
+        if getattr(args, name) is not None:
+            return getattr(args, name)
         if name in config:
-            return _convert(args.config, name, config[name], cast)
+            return _convert(args.config, name, config[name],
+                            SKETCH_OPTIONS[name][0])
         return default
 
-    data, header = _read_csv(args.input)
+    data, header = read_csv(args.input)
     domain = _load_schema(args.schema, header)
-    normalize = args.normalize or config.get("normalize", "").lower() in ("1", "true")
     norm_extra = None
-    if normalize:
-        from .domain import Domain
-
+    if opt("normalize", False):
         mins = data.min(axis=0)
         maxs = data.max(axis=0)
         span = np.where(maxs > mins, maxs - mins, 1.0)
@@ -177,34 +182,22 @@ def cmd_sketch(args) -> int:
               "data and recorded in the sketch file; they leak information "
               "outside the stated privacy budget", file=sys.stderr)
 
-    map_kind = opt("map", args.map, str, "hist")
-    map_seed = _seed("map seed", opt("map_seed", args.map_seed, int, None))
-    params = {param: opt(name, getattr(args, name), cast, None)
-              for name, (param, cast) in MAP_OPTIONS.items()}
-    try:
-        spec = build_map(map_kind, domain, map_seed, params)
-    except FeatureMapError as err:
-        raise CliError(str(err))
+    map_seed = _seed("map seed", opt("map_seed"))
+    params = {param: opt(name)
+              for name, (_, param, _) in SKETCH_OPTIONS.items() if param}
+    spec = build_map(opt("map", "hist"), domain, map_seed, params)
 
-    epsilon = _parse_epsilon(opt("epsilon", args.epsilon, str, "inf"))
-    split = opt("split", args.split, float, DEFAULT_SPLIT)
+    epsilon = _parse_epsilon(opt("epsilon", "inf"))
+    split = opt("split", DEFAULT_SPLIT)
     # without an explicit seed the noise comes from OS entropy
-    noise_seed = _seed("noise seed",
-                       opt("noise_seed", args.noise_seed, int, None), None)
+    noise_seed = _seed("noise seed", opt("noise_seed"), None)
 
     try:
-        exact = sketch_exact(spec, data)
+        exact = sketching.sketch_exact(spec, data)
     except (DomainError, FeatureMapError) as err:
         raise CliError(f"schema violation: {err}")
-    try:
-        sketch = privatize(exact, spec, epsilon, split, seed=noise_seed)
-    except SketchError as err:
-        raise CliError(str(err))
-
-    try:
-        save_sketch(args.out, sketch, spec, extra=norm_extra)
-    except OSError as err:
-        raise CliError(str(err), EXIT_IO)
+    sketch = sketching.privatize(exact, spec, epsilon, split, seed=noise_seed)
+    sketching.save_sketch(args.out, sketch, spec, extra=norm_extra)
 
     sum_scale, count_scale = noise_scales(spec, sketch.epsilon_num,
                                           sketch.epsilon_den)
@@ -220,13 +213,8 @@ def cmd_sketch(args) -> int:
 
 
 def _load_sketch_file(path):
-    from .feature_maps import FeatureMapError
-    from .sketch import SketchError, load_sketch
-
     try:
-        return load_sketch(path)
-    except OSError as err:
-        raise CliError(str(err), EXIT_IO)
+        return sketching.load_sketch(path)
     except (json.JSONDecodeError, SketchError, FeatureMapError) as err:
         raise CliError(f"{path}: {err}")
     except KeyError as err:
@@ -234,15 +222,10 @@ def _load_sketch_file(path):
 
 
 def _train_config(args, domain=None):
-    from .estimator import TrainConfig
-
     try:
-        return TrainConfig(
-            n_synth=args.n_synth,
-            extra_reg=args.extra_reg,
-            seed=_seed("synth seed", args.synth_seed),
-            domain=domain,
-        )
+        return TrainConfig(n_synth=args.n_synth, extra_reg=args.extra_reg,
+                           seed=_seed("synth seed", args.synth_seed),
+                           domain=domain)
     except ValueError as err:
         raise CliError(str(err))
 
@@ -252,10 +235,7 @@ def _read_truth(path, domain):
     one; CliError naming the file unless they have domain.d attributes."""
     if path is None:
         return None
-    from .domain import DomainError
-    from .estimator import WeightedSamples
-
-    data, _ = _read_csv(path)
+    data, _ = read_csv(path)
     try:
         return WeightedSamples.uniform(data, domain)
     except DomainError as err:
@@ -263,11 +243,6 @@ def _read_truth(path, domain):
 
 
 def cmd_estimate(args) -> int:
-    from .estimator import SyntheticFeatures
-    from .metrics import emd_1d, frobenius, scored_error
-    from .targets import (TargetError, default_thresholds, estimate_cdf,
-                          estimate_covariance, parse_target)
-
     sketch, spec, _doc = _load_sketch_file(args.sketch)
     try:
         kind, payload = parse_target(args.target, spec.d)
@@ -277,9 +252,9 @@ def cmd_estimate(args) -> int:
 
     def answer(samples):
         if kind == "cdf":
-            return estimate_cdf(samples, payload).values
+            return targets.estimate_cdf(samples, payload).values
         if kind == "cov":
-            return estimate_covariance(samples)
+            return targets.estimate_covariance(samples)
         return float(samples.sums([payload])[0])
 
     features = SyntheticFeatures(spec, _train_config(args))
@@ -326,30 +301,23 @@ def cmd_cov(args) -> int:
 
 
 def cmd_query_batch(args) -> int:
-    from .estimator import SyntheticFeatures
-    from .targets import (TargetError, _check_queries, answer_queries,
-                          parse_predicates)
-
     sketch, spec, _doc = _load_sketch_file(args.sketch)
-    try:
-        with open(args.queries) as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-    except OSError as err:
-        raise CliError(str(err), EXIT_IO)
+    with open(args.queries) as fh:
+        lines = [line.strip() for line in fh if line.strip()]
     try:
         queries = [parse_predicates(line) for line in lines]
-        _check_queries(queries, spec.d)  # before any solve
+        check_queries(queries, spec.d)  # before any solve
     except TargetError as err:
         raise CliError(f"query parse error: {err}")
     truth = _read_truth(args.truth, spec.domain)
 
     features = SyntheticFeatures(spec, _train_config(args))
-    answers = answer_queries(features.weighted(sketch), queries)
+    answers = targets.answer_queries(features.weighted(sketch), queries)
     counts = answers.fractions * max(sketch.noisy_count, 1.0)
     writer = _out_writer()
     header = ["query", "fraction", "count"]
     if truth is not None:
-        true = answer_queries(truth, queries).fractions
+        true = targets.answer_queries(truth, queries).fractions
         header.append("true_fraction")
     writer.writerow(header)
     for i, line in enumerate(lines):
@@ -361,18 +329,13 @@ def cmd_query_batch(args) -> int:
 
 
 def cmd_fit_logreg(args) -> int:
-    from .domain import BINARY, DomainError
-    from .estimator import SyntheticFeatures
-    from .reweighting import evaluate_auc, fit_logistic_from_sketch
-    from .sketch import write_json
-
     if args.iters < 1:
         raise CliError(f"--iters must be at least 1, got {args.iters}")
     if args.step is not None:
         print("note: --step is ignored; the fit takes Newton steps",
               file=sys.stderr)
     sketch, spec, _doc = _load_sketch_file(args.sketch)
-    test_data, _ = _read_csv(args.test)
+    test_data, _ = read_csv(args.test)
     if spec.variant == "HIST":
         print("warning: the binned-marginal feature map carries no "
               "cross-attribute information; expect near-chance AUC",
@@ -380,8 +343,6 @@ def cmd_fit_logreg(args) -> int:
 
     domain = spec.domain
     if domain.kinds[-1] != BINARY:
-        from .domain import CONTINUOUS, Domain
-
         # Reinterpret the last attribute as the label if it was declared
         # continuous on [0, 1].
         kinds = (CONTINUOUS,) * (domain.d - 1) + (BINARY,)
@@ -396,14 +357,14 @@ def cmd_fit_logreg(args) -> int:
 
     config = _train_config(args, domain)
     features = SyntheticFeatures(spec, config)
-    model = fit_logistic_from_sketch(features, sketch, args.iters)
+    model = reweighting.fit_logistic_from_sketch(features, sketch, args.iters)
     fit = model.diagnostics
     if not fit["converged"]:
         print(f"warning: the fit stopped after {fit['iterations']} Newton "
               f"steps without converging (--iters {args.iters})",
               file=sys.stderr)
     try:
-        auc_value = evaluate_auc(model, test_data)
+        auc_value = reweighting.evaluate_auc(model, test_data)
     except ValueError as err:
         raise CliError(f"{args.test}: {err}")
 
@@ -419,10 +380,7 @@ def cmd_fit_logreg(args) -> int:
             "config": {"n_synth": config.n_synth, "iters": args.iters,
                        "lambda": fit["lambda"]},
         }
-        try:
-            write_json(args.model_out, doc)
-        except OSError as err:
-            raise CliError(str(err), EXIT_IO)
+        write_json(args.model_out, doc)
 
     writer = _out_writer()
     writer.writerow(["auc"])
@@ -431,8 +389,6 @@ def cmd_fit_logreg(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    from .sketch import noise_scales
-
     sketch, spec, doc = _load_sketch_file(args.sketch)
     sum_scale, count_scale = noise_scales(spec, sketch.epsilon_num,
                                           sketch.epsilon_den)
@@ -472,30 +428,21 @@ PLAN_KEYS = {
 }
 
 
-def _read_plan(path):
-    from .harness import ExperimentPlan
-
-    values = _read_key_values(path, PLAN_KEYS)
-    try:
-        return ExperimentPlan(**{key: _convert(path, key, text, PLAN_KEYS[key])
-                                 for key, text in values.items()})
-    except ValueError as err:
-        raise CliError(f"{path}: {err}")
-
-
 def cmd_eval(args) -> int:
-    from .domain import DomainError
-    from .harness import run_plan
+    # imported here, unlike the rest of the package: no other command uses
+    # harness, and importing it added about 5 ms to every command's start
+    from .harness import ExperimentPlan, run_plan
 
-    plan = _read_plan(args.plan)
+    values = _read_key_values(args.plan, PLAN_KEYS)
+    try:
+        plan = ExperimentPlan(**{
+            key: _convert(args.plan, key, text, PLAN_KEYS[key])
+            for key, text in values.items()})
+    except ValueError as err:
+        raise CliError(f"{args.plan}: {err}")
     if args.quick:
         plan = plan.quick()
-    try:
-        results = run_plan(plan, args.out)
-    except OSError as err:
-        raise CliError(str(err), EXIT_IO)
-    except DomainError as err:
-        raise CliError(str(err))
+    results = run_plan(plan, args.out)
     print(f"results written to {results}", file=sys.stderr)
     return EXIT_OK
 
@@ -503,7 +450,19 @@ def cmd_eval(args) -> int:
 # -- argument parsing -----------------------------------------------------
 
 
-def _add_fit_args(sub):
+def _subcommand(sub, name, text, func, *positionals):
+    """The subparser of a command run by func, with its positionals."""
+    p = sub.add_parser(name, help=text)
+    p.set_defaults(func=func)
+    for arg in positionals:
+        p.add_argument(arg)
+    return p
+
+
+def _add_fit_args(sub, truth=True):
+    """The query commands' --truth (unless truth is False) and fit flags."""
+    if truth:
+        sub.add_argument("--truth", default=None)
     sub.add_argument("--n-synth", type=int, default=100_000)
     sub.add_argument("--extra-reg", type=float, default=1.0)
     sub.add_argument("--synth-seed", type=int, default=None)
@@ -517,74 +476,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sketch", help="sketch a CSV dataset")
-    p.add_argument("input")
+    p = _subcommand(sub, "sketch", "sketch a CSV dataset", cmd_sketch, "input")
     p.add_argument("--out", required=True)
-    p.add_argument("--map", default=None, help="hist (default), rff or race")
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--hashes", type=int, default=None)
-    p.add_argument("--buckets", type=int, default=None)
-    p.add_argument("--r-width", type=float, default=None)
-    p.add_argument("--epsilon", default=None)
-    p.add_argument("--split", type=float, default=None)
-    p.add_argument("--map-seed", type=int, default=None)
-    p.add_argument("--noise-seed", type=int, default=None,
-                   help="seed of the privacy noise (default: DPSKETCH_SEED "
-                        "if set, else fresh OS entropy)")
+    for name, (reader, _, text) in SKETCH_OPTIONS.items():
+        flag = "--" + name.replace("_", "-")
+        if reader is _boolean:  # a bare flag; None leaves it to --config
+            p.add_argument(flag, action="store_true", default=None, help=text)
+        else:
+            p.add_argument(flag, type=reader, help=text)
     p.add_argument("--schema", default=None)
-    p.add_argument("--normalize", action="store_true")
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_sketch)
 
-    p = sub.add_parser("estimate", help="estimate a target from a sketch")
-    p.add_argument("sketch")
-    p.add_argument("target")
-    p.add_argument("--truth", default=None)
+    p = _subcommand(sub, "estimate", "estimate a target from a sketch",
+                    cmd_estimate, "sketch", "target")
     _add_fit_args(p)
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("cdf", help="estimate a per-attribute CDF")
-    p.add_argument("sketch")
+    p = _subcommand(sub, "cdf", "estimate a per-attribute CDF", cmd_cdf,
+                    "sketch")
     p.add_argument("--attr", type=int, required=True)
-    p.add_argument("--truth", default=None)
     _add_fit_args(p)
-    p.set_defaults(func=cmd_cdf)
-
-    p = sub.add_parser("cov", help="estimate the covariance matrix")
-    p.add_argument("sketch")
-    p.add_argument("--truth", default=None)
+    p = _subcommand(sub, "cov", "estimate the covariance matrix", cmd_cov,
+                    "sketch")
     _add_fit_args(p)
-    p.set_defaults(func=cmd_cov)
-
-    p = sub.add_parser("query-batch", help="answer counting queries from a file")
-    p.add_argument("sketch")
-    p.add_argument("queries")
-    p.add_argument("--truth", default=None)
+    p = _subcommand(sub, "query-batch", "answer counting queries from a file",
+                    cmd_query_batch, "sketch", "queries")
     _add_fit_args(p)
-    p.set_defaults(func=cmd_query_batch)
 
-    p = sub.add_parser("fit-logreg", help="train a logistic model from a sketch")
-    p.add_argument("sketch")
-    p.add_argument("test")
+    p = _subcommand(sub, "fit-logreg", "train a logistic model from a sketch",
+                    cmd_fit_logreg, "sketch", "test")
     p.add_argument("--model-out", default=None)
     p.add_argument("--step", type=float, default=None,
                    help="accepted for compatibility; unused")
     p.add_argument("--iters", type=int, default=100,
                    help="cap on Newton steps (default 100)")
-    _add_fit_args(p)
-    p.set_defaults(func=cmd_fit_logreg)
+    _add_fit_args(p, truth=False)
 
-    p = sub.add_parser("inspect", help="describe a sketch file")
-    p.add_argument("sketch")
-    p.set_defaults(func=cmd_inspect)
-
-    p = sub.add_parser("eval", help="run an experiment plan")
+    _subcommand(sub, "inspect", "describe a sketch file", cmd_inspect, "sketch")
+    p = _subcommand(sub, "eval", "run an experiment plan", cmd_eval)
     p.add_argument("--plan", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--quick", action="store_true")
-    p.set_defaults(func=cmd_eval)
 
     return parser
 
@@ -595,6 +525,9 @@ def _print_warning(message, category, filename, lineno, file=None,
 
 
 def main(argv=None) -> int:
+    """Run one command.  Every exit code but the parser's is decided here:
+    a closed stdout exits 1 silently, any other OSError exits 1, and a
+    CliError or the package's input errors exit 2, each as one line."""
     args = build_parser().parse_args(argv)
     try:
         # library warnings read like the commands' own notes: one line
@@ -602,11 +535,14 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
             return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
     except BrokenPipeError:
         return EXIT_IO
+    except OSError as err:
+        message, code = err, EXIT_IO
+    except (CliError, DomainError, FeatureMapError, SketchError) as err:
+        message, code = err, EXIT_VALIDATION
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

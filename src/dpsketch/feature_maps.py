@@ -337,7 +337,7 @@ class RaceMap(_OneHotBlocks, FeatureMap):
     Uses p-stable (Gaussian) projection hashing with modular wrap:
     h_r(x) = floor((w_r^T x + b_r) / r_width) mod W, with w_r ~ N(0, I_d)
     and b_r ~ Unif[0, r_width).  m = R * W; each point activates exactly
-    one bucket per hash.
+    one bucket per hash.  Offsets must lie in [0, r_width].
     """
 
     variant = "RACE"
@@ -365,7 +365,9 @@ class RaceMap(_OneHotBlocks, FeatureMap):
         self.n_blocks = self.n_hashes
         self.width = self.n_buckets
         self._finish(domain, seed)
-        # (w_r^T x + b_r) / r_width, with b_r < r_width, must fit an int64
+        if not np.all((self.offsets >= 0) & (self.offsets <= self.r_width)):
+            raise FeatureMapError("offsets must lie in [0, r_width]")
+        # (w_r^T x + b_r) / r_width, with b_r <= r_width, must fit an int64
         with np.errstate(over="ignore"):
             reach = np.abs(self.projections) @ np.maximum(
                 np.abs(self.domain.lower_arr), np.abs(self.domain.upper_arr))
@@ -429,27 +431,24 @@ def build_rff(d: int, m: int, sigma: float, seed,
     if m % 2 != 0:
         raise FeatureMapError("m must be an even integer")
     rng = np.random.default_rng(seed)
-    # the constructor checks sigma and m >= 2 (m < 0 draws nothing) before
-    # the draw is scaled the way rng.normal(0, 1 / sigma) scales it
-    spec = RffMap(rng.standard_normal((d, max(m // 2, 0))), sigma, domain,
-                  seed)
-    with np.errstate(over="ignore"):
-        spec.frequencies *= 1.0 / spec.sigma
-    spec._check_matrices()  # a tiny sigma scales them to inf
-    return spec
+    draw = rng.standard_normal((d, max(m // 2, 0)))  # m < 0 draws nothing
+    # scaled the way rng.normal(0, 1 / sigma) scales it; a sigma of 0, a
+    # negative or non-finite one, or a tiny one that scales the draw to inf
+    # is left for the constructor to reject
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        frequencies = draw * (1.0 / np.float64(sigma))
+    return RffMap(frequencies, sigma, domain, seed)
 
 
 def build_race(d: int, n_hashes: int, n_buckets: int, r_width: float, seed,
                domain: Domain | None = None) -> RaceMap:
     """RACE map: n_hashes Gaussian-projection LSH functions into n_buckets each."""
     rng = np.random.default_rng(seed)
-    # the constructor checks the parameters (n_hashes < 0 draws nothing)
-    # before the offsets are scaled the way rng.uniform(0, r_width) does
-    proj = rng.standard_normal((max(int(n_hashes), 0), d))
-    spec = RaceMap(proj, rng.random(proj.shape[0]), n_buckets, r_width,
-                   domain, seed)
-    spec.offsets *= spec.r_width
-    return spec
+    proj = rng.standard_normal((max(int(n_hashes), 0), d))  # none if < 0
+    # scaled the way rng.uniform(0, r_width) scales them; the constructor
+    # checks r_width before the offsets
+    offsets = rng.random(proj.shape[0]) * np.float64(r_width)
+    return RaceMap(proj, offsets, n_buckets, r_width, domain, seed)
 
 
 def feature_map_from_dict(data: dict) -> FeatureMap:

@@ -262,7 +262,7 @@ def estimate_covariance(samples: WeightedSamples) -> np.ndarray:
     return cov
 
 
-def _check_queries(queries, d: int) -> None:
+def check_queries(queries, d: int) -> None:
     """Each query must be a box indicator of exactly _QUERY_PREDICATES
     predicates on distinct attributes numbered at most d."""
     for q in queries:
@@ -284,6 +284,6 @@ def answer_queries(samples: WeightedSamples, queries) -> QueryAnswers:
     of the samples' domain.  Answers come as fractions of records
     (clamped), with the raw estimates alongside.
     """
-    _check_queries(queries, samples.domain.d)
+    check_queries(queries, samples.domain.d)
     raw = samples.sums(queries)
     return QueryAnswers(np.clip(raw, 0.0, 1.0), raw)

@@ -37,8 +37,8 @@ def child_env():
 @pytest.fixture(params=[
     "race-d", "rff-truncated-frequencies", "domain-unknown-kind",
     "domain-upper-below-lower", "domain-infinite-bound", "domain-dimension",
-    "race-zero-hashes", "race-r-width-string", "rff-nan-frequency",
-    "rff-negative-sigma",
+    "race-zero-hashes", "race-r-width-string", "race-offset-huge",
+    "race-offset-negative", "rff-nan-frequency", "rff-negative-sigma",
     "file-array", "spec-array",
 ])
 def malformed_sketch_doc(request):
@@ -78,6 +78,11 @@ def malformed_sketch_doc(request):
         doc["noisy_sum"] = []
     elif case == "race-r-width-string":
         s["params"]["r_width"] = "0.3"
+    elif case == "race-offset-huge":
+        # (w^T x + b) / r_width would overflow the int64 bucket index
+        s["matrices"]["offsets"][0] = 1e300
+    elif case == "race-offset-negative":
+        s["matrices"]["offsets"][0] = -1.0
     elif case == "rff-nan-frequency":
         s["matrices"]["frequencies"][0] = math.nan
     elif case == "rff-negative-sigma":

@@ -102,12 +102,6 @@ class TestSketchCommand:
         assert not out.exists()
         assert "schema violation" in stderr
 
-    def test_missing_input_exits_1(self, tmp_path, capsys):
-        code, _, stderr = run_cli(
-            capsys, "sketch", str(tmp_path / "nope.csv"),
-            "--out", str(tmp_path / "s.json"))
-        assert code == 1
-
     def test_non_numeric_value_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2\n0.5,oops\n")
@@ -187,6 +181,22 @@ class TestSketchCommand:
         assert doc["normalization"]["min"] == [5.0, 0.2]
         assert doc["normalization"]["max"] == [9.0, 0.9]
 
+    @pytest.mark.parametrize("value, normalized", [
+        ("1", True), ("TRUE", True), ("true", True), ("0", False),
+        ("False", False),
+    ])
+    def test_config_normalize_values(self, tmp_path, dataset, capsys, value,
+                                     normalized):
+        path, _ = dataset
+        cfg = tmp_path / "sketch.cfg"
+        cfg.write_text(f"normalize={value}\n")
+        out = tmp_path / "s.json"
+        code, _, stderr = run_cli(capsys, "sketch", str(path), "--out",
+                                  str(out), "--config", str(cfg))
+        assert code == 0
+        assert ("normalization" in json.loads(out.read_text())) is normalized
+        assert ("leak" in stderr) is normalized
+
     @pytest.mark.parametrize("kind", ["hist", "rff", "race"])
     def test_map_defaults_are_the_library_defaults(self, tmp_path, dataset,
                                                    capsys, kind):
@@ -262,11 +272,6 @@ class TestEstimateCommand:
         code, _, stderr = run_cli(capsys, "estimate", str(out), "momento 1 1")
         assert code == 2
         assert "parse" in stderr
-
-    def test_missing_sketch_exits_1(self, tmp_path, capsys):
-        code, _, _ = run_cli(capsys, "estimate",
-                             str(tmp_path / "nope.json"), "moment 1 1")
-        assert code == 1
 
     def test_corrupt_sketch_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -602,7 +607,7 @@ class TestBadOptionValues:
         "noise-seed", "env-seed", "map-seed-hist", "map-seed-rff",
         "map-seed-race", "config-map-seed", "extra-reg-nan", "extra-reg-inf",
         "sigma-inf", "sigma-tiny", "sigma-overflows", "r-width-inf",
-        "r-width-overflows", "schema-upper-inf",
+        "r-width-overflows", "schema-upper-inf", "config-normalize",
     ])
     def test_exits_2_with_message(self, tmp_path, dataset, hist_sketch,
                                   capsys, monkeypatch, case):
@@ -624,6 +629,8 @@ class TestBadOptionValues:
             cfg.write_text("n=abc\n")
         elif case == "config-map-seed":
             cfg.write_text("map=race\nmap_seed=-1\n")
+        elif case == "config-normalize":
+            cfg.write_text("normalize=yes\n")
         elif case == "env-seed":
             monkeypatch.setenv("DPSKETCH_SEED", "-3")
         argv = {
@@ -646,6 +653,7 @@ class TestBadOptionValues:
             "map-seed-rff": sketch + ["--map", "rff", "--map-seed", "-1"],
             "map-seed-race": sketch + ["--map", "race", "--map-seed", "-1"],
             "config-map-seed": sketch + ["--config", str(cfg)],
+            "config-normalize": sketch + ["--config", str(cfg)],
             "extra-reg-nan": ["estimate", str(hist_sketch[0]), "moment 1 1",
                               "--n-synth", "500", "--extra-reg", "nan"],
             "extra-reg-inf": ["estimate", str(hist_sketch[0]), "moment 1 1",
@@ -666,6 +674,122 @@ class TestBadOptionValues:
         assert "warning:" not in stderr
         if case.startswith("schema"):
             assert stderr.startswith(f"error: {cfg}: ")
+        if case == "config-normalize":
+            # the file, the key and the accepted values
+            assert stderr == (f"error: {cfg}: normalize='yes' is not a valid "
+                              "boolean (1, true, 0 or false)\n")
+
+
+class TestFileErrors:
+    """A file that cannot be read or written exits 1 with one `error:`
+    line, for every file argument of every command."""
+
+    @pytest.mark.parametrize("case", [
+        "sketch-input", "sketch-schema", "sketch-config", "estimate-sketch",
+        "cdf-sketch", "cov-sketch", "query-batch-sketch",
+        "fit-logreg-sketch", "inspect-sketch", "truth",
+        "query-batch-queries", "fit-logreg-test", "eval-plan",
+        "sketch-out-dir", "fit-logreg-model-out-dir", "eval-out-file",
+    ])
+    def test_exits_1(self, tmp_path, dataset, capsys, case):
+        data_csv, data = dataset
+        missing = str(tmp_path / "nope")
+        in_missing_dir = str(tmp_path / "nodir" / "out.json")
+        queries = tmp_path / "q.txt"
+        queries.write_text("x1<=0.5 and x2>=0.2 and x3<=0.9\n")
+        labelled = tmp_path / "test.csv"  # the last column is the label
+        write_csv(labelled, np.column_stack([data[:, :2], data[:, 2] > 0.5]))
+        sketch = str(tmp_path / "rff.json")  # HIST would add a warning line
+        assert main(["sketch", str(labelled), "--out", sketch, "--map", "rff",
+                     "--m", "20", "--epsilon", "inf"]) == 0
+        capsys.readouterr()
+        plan = tmp_path / "plan.cfg"
+        plan.write_text("dataset=random10\nn=300\nd=3\nsketches=hist\n"
+                        "epsilons=inf\ntasks=mean\nn_synth=500\n")
+        exists = tmp_path / "exists.txt"
+        exists.write_text("")
+        fit = ["--n-synth", "500"]
+        sketch_args = ["sketch", str(data_csv), "--out",
+                       str(tmp_path / "s.json")]
+        argv = {
+            "sketch-input": ["sketch", missing, "--out",
+                             str(tmp_path / "s.json")],
+            "sketch-schema": sketch_args + ["--schema", missing],
+            "sketch-config": sketch_args + ["--config", missing],
+            "estimate-sketch": ["estimate", missing, "moment 1 1"],
+            "cdf-sketch": ["cdf", missing, "--attr", "1"],
+            "cov-sketch": ["cov", missing],
+            "query-batch-sketch": ["query-batch", missing, str(queries)],
+            "fit-logreg-sketch": ["fit-logreg", missing, str(labelled)],
+            "inspect-sketch": ["inspect", missing],
+            "truth": ["estimate", sketch, "moment 1 1", "--truth", missing,
+                      *fit],
+            "query-batch-queries": ["query-batch", sketch, missing, *fit],
+            "fit-logreg-test": ["fit-logreg", sketch, missing, *fit],
+            "eval-plan": ["eval", "--plan", missing, "--out",
+                          str(tmp_path / "r")],
+            "sketch-out-dir": ["sketch", str(data_csv), "--out",
+                               in_missing_dir],
+            "fit-logreg-model-out-dir": ["fit-logreg", sketch, str(labelled),
+                                         "--model-out", in_missing_dir,
+                                         *fit],
+            "eval-out-file": ["eval", "--plan", str(plan), "--out",
+                              str(exists)],
+        }[case]
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "s.json").exists()
+        assert not (tmp_path / "nodir").exists()
+
+
+def test_wrapped_library_functions_are_looked_up_at_call_time(
+        tmp_path, capsys, monkeypatch):
+    # perfbench's tracer replaces these module attributes after the CLI is
+    # imported; a CLI that bound them by name at import would bypass the
+    # replacements, and the traced per-layer spans would read 0
+    import dpsketch.reweighting
+    import dpsketch.sketch
+    import dpsketch.targets
+
+    calls = {}
+    for module, names in (
+            (dpsketch.sketch, ("sketch_exact", "privatize", "save_sketch",
+                               "load_sketch")),
+            (dpsketch.targets, ("estimate_cdf", "estimate_covariance",
+                                "answer_queries")),
+            (dpsketch.reweighting, ("fit_logistic_from_sketch",
+                                    "evaluate_auc"))):
+        for name in names:
+            calls[name] = 0
+
+            def counted(*args, _fn=getattr(module, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+    data = np.random.default_rng(0).uniform(size=(400, 3))
+    data[:, 2] = data[:, 0] + data[:, 1] > 1.0
+    path = tmp_path / "data.csv"
+    write_csv(path, data)
+    queries = tmp_path / "q.txt"
+    queries.write_text("x1<=0.5 and x2>=0.2 and x3<=0.9\n")
+    sketch = str(tmp_path / "s.json")
+    fit = ["--n-synth", "500", "--synth-seed", "1"]
+    for argv in (
+            ["sketch", str(path), "--out", sketch, "--map", "rff", "--m",
+             "20", "--epsilon", "inf"],
+            ["estimate", sketch, "moment 1 1", *fit],
+            ["cdf", sketch, "--attr", "1", *fit],
+            ["cov", sketch, *fit],
+            ["query-batch", sketch, str(queries), *fit],
+            ["fit-logreg", sketch, str(path), *fit]):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    assert {name for name, n in calls.items() if n == 0} == set()
 
 
 class TestAttributeBeyondD:

@@ -146,6 +146,11 @@ class TestRace:
         with pytest.raises(FeatureMapError, match="too small"):
             build_race(2, 4, 8, 1e-17, seed=0,
                        domain=Domain((0.0, 0.0), (1e3, 1e3)))
+        # offsets lie in [0, r_width], which the int64 bound assumes
+        RaceMap(np.ones((2, 2)), [0.0, 0.1], 8, 0.1)
+        for offsets in ([0.0, 0.2], [-1e-3, 0.0], [1e300, 0.0]):
+            with pytest.raises(FeatureMapError, match="offsets"):
+                RaceMap(np.ones((2, 2)), offsets, 8, 0.1)
 
     def test_sensitivity(self):
         assert build_race(4, 80, 80, 0.1, seed=0).sensitivity_l1() == 80.0
