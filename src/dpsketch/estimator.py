@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Domain, DomainError
-from .feature_maps import FeatureMap, OneHotMatrix
+from .feature_maps import FeatureMap, OneHotMatrix, transposed_product
 from .linalg import LowerPanels, cholesky_in_place, cholesky_solve
 from .sketch import PrivateSketch, SketchError
 
@@ -204,7 +204,7 @@ class SyntheticFeatures:
 
     def dot_targets(self, F) -> np.ndarray:
         """(1/n) P^T F for target values F of shape (n,) or (n, t)."""
-        return self._P.T @ np.asarray(F, dtype=float) / self.n
+        return transposed_product(self._P, F) / self.n
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """P @ v, the feature combination v at every synthetic sample."""

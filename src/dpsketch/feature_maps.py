@@ -129,10 +129,11 @@ class OneHotMatrix:
     """An (n, m) matrix of zeros with one 1.0 per row in each block.
 
     indices is the (n, B) array of the columns that hold the ones, sorted
-    within each row.  The products follow the order of a compressed
-    sparse row (CSR) kernel, so they round the same way: P @ v adds the
-    B picked entries of each row to zero in column order, and P.T @ F and
-    the column sums accumulate row by row through np.bincount.
+    within each row, int32 when m fits that type.  The products follow
+    the order of a compressed sparse row (CSR) kernel, so they round the
+    same way: P @ v adds the B picked entries of each row to zero in
+    column order, and P.T @ F and the column sums accumulate row by row
+    through np.bincount.
     """
 
     def __init__(self, indices: np.ndarray, m: int):
@@ -199,13 +200,18 @@ class _OneHotBlocks:
     width: int
 
     def _indices(self, X) -> np.ndarray:
+        """The (n, B) positions of the active bucket within each block,
+        as integers or as integer-valued floats."""
         raise NotImplementedError
 
     def encode_batch(self, X) -> OneHotMatrix:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        idx = self._indices(X)
-        idx += self.width * np.arange(idx.shape[1])  # now the column indices
-        return OneHotMatrix(idx, self.n_blocks * self.width)
+        m = self.n_blocks * self.width
+        dtype = np.int32 if m <= np.iinfo(np.int32).max else np.int64
+        idx = self._indices(X).astype(dtype)
+        # now the column indices
+        idx += self.width * np.arange(idx.shape[1], dtype=dtype)
+        return OneHotMatrix(idx, m)
 
     def gram(self, P: OneHotMatrix, cols=None) -> LowerPanels:
         # Blockwise joint bucket counts; at the sizes used here this beats
@@ -273,12 +279,25 @@ class HistMap(_OneHotBlocks, FeatureMap):
         return cls(Domain.from_dict(data["domain"]), data["params"]["n_bins"])
 
 
+def _width8(m: int) -> int:
+    """m rounded up to a multiple of 8.  At many widths that are not
+    multiples of 8, OpenBLAS rounds some entries of a product differently
+    on 1 and 2 threads (the RFF Gram at m = 98, 202 and 386, the encoding
+    at m/2 = 193 and 500); padded with zero columns to a multiple of 8,
+    it did not at any size tried."""
+    return -(-m // 8) * 8
+
+
 class RffMap(FeatureMap):
     """Random Fourier features for the Gaussian kernel.
 
     Frequencies are i.i.d. N(0, sigma^-2 I_d); the embedding is
     [cos(x^T Omega), sin(x^T Omega)], so <Phi(x), Phi(x')> / m' estimates
-    exp(-||x - x'||^2 / (2 sigma^2)).
+    exp(-||x - x'||^2 / (2 sigma^2)).  The BLAS products run over
+    zero-padded widths (see _width8): x^T Omega over the frequencies
+    padded to _width8(m/2) columns, and P is the first m columns of a
+    C-order array _width8(m) wide whose other columns are zero, so that
+    gram and transposed_product can multiply the whole array.
     """
 
     variant = "RFF"
@@ -297,16 +316,20 @@ class RffMap(FeatureMap):
         self.d, self.m_half = self.frequencies.shape
         self.m = 2 * self.m_half
         self._finish(domain, seed)
+        self._padded_frequencies = np.zeros((self.d, _width8(self.m_half)))
+        self._padded_frequencies[:, :self.m_half] = self.frequencies
 
     def encode_batch(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if not np.all(np.isfinite(X)):
             raise FeatureMapError("points must be finite")
-        Z = X @ self.frequencies
-        P = np.empty((Z.shape[0], self.m))
-        np.cos(Z, out=P[:, :self.m_half])
-        np.sin(Z, out=P[:, self.m_half:])
-        return P
+        h = self.m_half
+        B = np.zeros((X.shape[0], _width8(self.m)))
+        # x^T Omega into B's first columns, then sin and cos over it
+        Z = np.matmul(X, self._padded_frequencies, out=B[:, :_width8(h)])
+        np.sin(Z[:, :h], out=B[:, h:self.m])
+        np.cos(Z[:, :h], out=B[:, :h])
+        return B[:, :self.m]
 
     def sensitivity_l1(self) -> float:
         return float(self.m_half * np.sqrt(2.0))
@@ -317,10 +340,11 @@ class RffMap(FeatureMap):
     def gram(self, P: np.ndarray, cols=None) -> LowerPanels:
         if cols is not None:
             P = P[:, cols]
-        dense = P.T @ P
-        dense /= P.shape[0]
-        G = LowerPanels(dense.shape[0])
-        G.store(0, 0, dense)
+        (n, m), B = P.shape, _padded_columns(P)
+        dense = B.T @ B
+        dense /= n
+        G = LowerPanels(m)
+        G.store(0, 0, dense[:m, :m])
         return G
 
     @classmethod
@@ -329,6 +353,33 @@ class RffMap(FeatureMap):
                            (data["d"], data["m"] // 2))
         return cls(freqs, data["params"]["sigma"],
                    Domain.from_dict(data["domain"]), data["seed"])
+
+
+def _padded_columns(P: np.ndarray) -> np.ndarray:
+    """A C-order array _width8(m) wide whose first m columns are the
+    (n, m) P: the array RffMap.encode_batch returns P a view of, or else
+    a copy of P padded with zero columns."""
+    n, m = P.shape
+    B = P.base
+    if not (isinstance(B, np.ndarray) and B.shape == (n, _width8(m))
+            and B.flags.c_contiguous and P.strides == B.strides
+            and P.ctypes.data == B.ctypes.data):
+        B = np.zeros((n, _width8(m)))
+        B[:, :m] = P
+    return B
+
+
+def transposed_product(P, F) -> np.ndarray:
+    """P.T @ F for an encoding P and F of shape (n,) or (n, t).  A dense
+    P multiplies through its zero-padded array, one column of F at a
+    time, so that the bytes do not depend on the BLAS thread count."""
+    F = np.asarray(F, dtype=float)
+    if isinstance(P, OneHotMatrix):
+        return P.T @ F
+    B, m = _padded_columns(P), P.shape[1]
+    if F.ndim == 1:
+        return (B.T @ F)[:m]
+    return np.stack([(B.T @ f)[:m] for f in F.T], axis=1)
 
 
 class RaceMap(_OneHotBlocks, FeatureMap):
@@ -375,10 +426,16 @@ class RaceMap(_OneHotBlocks, FeatureMap):
                 raise FeatureMapError("r_width is too small for the domain")
 
     def _indices(self, X) -> np.ndarray:
+        # in one float buffer: the floor is an integer of magnitude under
+        # 2^62 (the constructor's bound), exact in a double, and the mod
+        # of an exact integer is exact, so these are the int64 buckets
         if not np.all(np.isfinite(X)):
             raise FeatureMapError("points must be finite")
-        Z = (X @ self.projections.T + self.offsets) / self.r_width
-        return np.mod(np.floor(Z).astype(np.int64), self.n_buckets)
+        Z = X @ self.projections.T
+        Z += self.offsets
+        Z /= self.r_width
+        np.floor(Z, out=Z)
+        return np.mod(Z, self.n_buckets, out=Z)
 
     def sensitivity_l1(self) -> float:
         return float(self.n_hashes)

@@ -27,7 +27,7 @@ from dpsketch import (
 from dpsketch import estimator
 from dpsketch.estimator import (LAMBDA_FLOOR, cholesky_in_place,
                                 cholesky_solve)
-from dpsketch.linalg import PANEL, LowerPanels
+from dpsketch.linalg import LEAF, PANEL, LowerPanels
 from dpsketch.sketch import SketchError
 
 
@@ -317,11 +317,15 @@ class TestWeightsPath:
         # one-hot P @ v needs no BLAS, and the blocked Cholesky factors
         # leaves below OpenBLAS's thread-dependent blocking; factor orders
         # 400 and 464 span several leaves, 1284 three panels, the last 132
-        # wide
+        # wide, and 2000 four panels, the last 272 wide, with squares in
+        # strips and 1424 rows below the first square, three row blocks.
+        # RFF encodes and forms its Gram over widths padded to multiples
+        # of 8; at m = 98, 202, 386 and 1000 the unpadded products gave
+        # other bytes on 1 and 2 threads
         code = textwrap.dedent("""
             import numpy as np
             from dpsketch import (Domain, SyntheticFeatures, TrainConfig,
-                                  HistMap, build_race, privatize,
+                                  HistMap, build_race, build_rff, privatize,
                                   sketch_exact)
             rng = np.random.default_rng(0)
             for spec, n_synth, seed in (
@@ -329,15 +333,22 @@ class TestWeightsPath:
                     (build_race(3, 6, 10, 0.2, seed=1), 20_000, 3),
                     (HistMap(Domain.unit(4), 100), 20_000, 3),
                     (build_race(3, 40, 40, 0.2, seed=5), 4000, 8),
-                    (build_race(3, 30, 60, 0.05, seed=5), 4000, 8)):
+                    (build_race(3, 30, 60, 0.05, seed=5), 4000, 8),
+                    (HistMap(Domain.unit(4), 500), 20_000, 3),
+                    (build_rff(10, 98, 1.0, seed=4), 5000, 3),
+                    (build_rff(10, 202, 1.0, seed=4), 5000, 3),
+                    (build_rff(10, 386, 1.0, seed=4), 5000, 3),
+                    (build_rff(10, 1000, 1.0, seed=4), 5000, 3)):
                 X = rng.uniform(size=(3000, spec.d))
-                sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=2)
+                exact = sketch_exact(spec, X)
+                sk = privatize(exact, spec, 1.0, seed=2)
                 feats = SyntheticFeatures(
                     spec, TrainConfig(n_synth=n_synth, seed=seed))
                 w = feats.weighted(sk).weights
                 G = spec.gram(spec.encode_batch(feats.points))
                 order = np.count_nonzero(G.diagonal())
-                print(order, w.tobytes().hex())
+                print(order, w.tobytes().hex(),
+                      exact.sum_features.tobytes().hex())
         """)
         outputs = []
         for threads in (1, 2):
@@ -348,7 +359,8 @@ class TestWeightsPath:
             outputs.append(res.stdout)
         assert outputs[0] == outputs[1]
         assert [line.split()[0] for line in outputs[0].splitlines()] == \
-            ["60", "45", "400", "464", "1284"]
+            ["60", "45", "400", "464", "1284", "2000", "98", "202", "386",
+             "1000"]
 
 
 def _spd(m, seed):
@@ -370,8 +382,17 @@ class TestLowerPanels:
         G = _spd(m, 11)
         A = LowerPanels(m)
         assert A.starts == [0, PANEL, 2 * PANEL]
-        assert A.nbytes == 8 * sum((m - p0) * min(PANEL, m - p0)
-                                   for p0 in A.starts)
+
+        def held(p0):  # the square in LEAF-wide strips, the rows below it
+            w = min(PANEL, m - p0)
+            return (sum((w - j0) * min(LEAF, w - j0)
+                        for j0 in range(0, w, LEAF)) + (m - p0 - w) * w)
+
+        assert A.nbytes == 8 * sum(held(p0) for p0 in A.starts)
+        # less than whole panels, and within 48 m doubles of the triangle
+        assert A.nbytes < 8 * sum((m - p0) * min(PANEL, m - p0)
+                                  for p0 in A.starts)
+        assert A.nbytes - 4 * m * (m + 1) <= 8 * (LEAF // 2) * m
         # blocks straddle the column edges at 576 and 1152, and the ones
         # on the diagonal start above the first row of a panel they cover
         spans = [(0, 500), (500, 600), (600, 1100), (1100, 1200),
@@ -392,7 +413,7 @@ class TestBlockedCholesky:
         # lower one; the factor's is not part of it
         G = _spd(m, m)
         A = _stored(G)
-        assert len(A.panels) == -(-m // PANEL)
+        assert len(A.starts) == -(-m // PANEL)
         assert A.dense().tobytes() == G.tobytes()
         assert cholesky_in_place(A) is A
         ref = scipy.linalg.cholesky(G, lower=True)
@@ -473,6 +494,31 @@ class TestFactorBuffer:
         assert 5 * PANEL < spec.m <= 6 * PANEL
         square_bytes = 8 * spec.m * spec.m
         assert peak <= 0.7 * square_bytes, peak / square_bytes
+
+    def test_first_solve_holds_storage_and_factor_workspaces(self):
+        # every one of the 2000 bins is occupied: four panels, the last
+        # 272 wide, their squares held in strips.  cholesky_in_place
+        # documents its workspaces: a square, a panel-update block and a
+        # leaf buffer min(PANEL, m - PANEL) = 576 rows tall, and the
+        # narrow panel's zero-padded copy.  Measured peak: 1.018 times the
+        # storage plus those workspaces.
+        spec = HistMap(Domain.unit(4), 500)
+        X = np.random.default_rng(0).uniform(size=(3000, 4))
+        sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=2)
+        feats = SyntheticFeatures(spec, TrainConfig(n_synth=20_000, seed=3))
+        lam = feats.penalty(sk)
+        tracemalloc.start()
+        try:
+            feats.weights(sk, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = spec.m
+        assert len(LowerPanels(m).starts) == 4 and m % PANEL
+        tall = min(PANEL, m - PANEL)
+        workspaces = 8 * (2 * PANEL * PANEL + tall * (PANEL + LEAF))
+        held = LowerPanels(m).nbytes + workspaces
+        assert peak <= 1.05 * held, peak / held
 
     @pytest.mark.parametrize("path", ["doubling", "jitter"])
     def test_indefinite_gram_falls_back_then_refactors(self, monkeypatch,
