@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Domain, DomainError
-from .feature_maps import FeatureMap, OneHotMatrix, transposed_product
+from .feature_maps import FeatureMap
 from .linalg import LowerPanels, cholesky_in_place, cholesky_solve
 from .sketch import PrivateSketch, SketchError
 
@@ -189,11 +189,7 @@ class SyntheticFeatures:
                 stacklevel=3,
             )
         self._P = spec.encode_batch(points)
-        self._cols = None  # occupied columns of P; None when all are
-        if isinstance(self._P, OneHotMatrix):
-            occupied = self._P.sum(axis=0) > 0
-            if not occupied.all():
-                self._cols = np.flatnonzero(occupied)
+        self._cols = self._P.occupied()  # None when every column may be
         self._buf = None  # LowerPanels; G, then factored in place
         self._gram = None  # a kept copy of G, from the second factorization on
         self._factor = None  # (lam, lam + s, factored panels) of the last penalty
@@ -204,7 +200,7 @@ class SyntheticFeatures:
 
     def dot_targets(self, F) -> np.ndarray:
         """(1/n) P^T F for target values F of shape (n,) or (n, t)."""
-        return transposed_product(self._P, F) / self.n
+        return self._P.tmatmul(F) / self.n
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """P @ v, the feature combination v at every synthetic sample."""

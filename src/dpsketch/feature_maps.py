@@ -3,10 +3,10 @@ features, and one-hot LSH buckets.
 
 Each map embeds points of R^d into R^m.  The batch encoding of n points
 is the (n, m) feature matrix P itself; the estimator and the sketch only
-need plain matrix products with it (P.T @ F, P @ v, column sums) and the
-lower triangle of the averaged Gram matrix, which each map computes its
-own way.  One-hot maps (HIST, RACE) encode to a OneHotMatrix, which
-holds the one active column of each block; RFF encodes to a dense array.
+need the operations of _Encoding and the lower triangle of the averaged
+Gram matrix, which each map computes its own way.  One-hot maps (HIST,
+RACE) encode to a OneHotMatrix, which holds the one active column of
+each block; RFF encodes to a DenseMatrix, which holds P zero-padded.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ class FeatureMap:
 
     def embed_batch(self, X) -> np.ndarray:
         """Embed an (n, d) batch into a dense (n, m) matrix."""
-        P = self.encode_batch(X)
-        return P.toarray() if isinstance(P, OneHotMatrix) else P
+        return self.encode_batch(X).toarray()
 
     def sensitivity_l1(self) -> float:
         """max_x ||Phi(x)||_1, the L1 sensitivity of the feature sum."""
@@ -87,7 +86,7 @@ class FeatureMap:
 
     def encode_batch(self, X):
         """The (n, m) feature matrix P of an (n, d) batch: a OneHotMatrix
-        for one-hot maps, a dense array otherwise."""
+        for one-hot maps, a DenseMatrix otherwise."""
         raise NotImplementedError
 
     def gram(self, P, cols=None) -> LowerPanels:
@@ -95,9 +94,8 @@ class FeatureMap:
         place.  Each map computes dense blocks of it its own way and hands
         them to LowerPanels.store, which keeps the lower triangle.
 
-        With cols, sorted column indices that include every column in
-        which P has a nonzero entry, only those rows and columns: the
-        (k, k) matrix (1/n) P[:, cols]^T P[:, cols].
+        With cols, sorted indices that include P.occupied() (one-hot P
+        only), the (k, k) matrix (1/n) P[:, cols]^T P[:, cols].
         """
         raise NotImplementedError
 
@@ -125,15 +123,31 @@ class FeatureMap:
         return isinstance(other, FeatureMap) and self.to_dict() == other.to_dict()
 
 
-class OneHotMatrix:
+SUM_CHUNK = 1 << 16  # indices per int64-casting bincount in OneHotMatrix.sum
+
+
+class _Encoding:
+    """What every (n, m) feature matrix P offers: P @ v, P.tmatmul(F)
+    (P^T F through _tcolumn), P.sum(axis=0), P.toarray() and
+    P.occupied(), the columns that may hold a nonzero entry."""
+
+    def tmatmul(self, F) -> np.ndarray:
+        """P^T F for F of shape (n,) or (n, t), one column of F at a time."""
+        F = np.asarray(F, dtype=float)
+        if F.ndim == 1:
+            return self._tcolumn(F)
+        return np.stack([self._tcolumn(f) for f in F.T], axis=1)
+
+
+class OneHotMatrix(_Encoding):
     """An (n, m) matrix of zeros with one 1.0 per row in each block.
 
     indices is the (n, B) array of the columns that hold the ones, sorted
     within each row, int32 when m fits that type.  The products follow
     the order of a compressed sparse row (CSR) kernel, so they round the
     same way: P @ v adds the B picked entries of each row to zero in
-    column order, and P.T @ F and the column sums accumulate row by row
-    through np.bincount.
+    column order, and P.tmatmul(F) and the column sums accumulate row by
+    row through np.bincount.
     """
 
     def __init__(self, indices: np.ndarray, m: int):
@@ -150,40 +164,57 @@ class OneHotMatrix:
             out += v[col]
         return out
 
-    @property
-    def T(self) -> "_TransposedOneHot":
-        return _TransposedOneHot(self)
+    def _tcolumn(self, f: np.ndarray) -> np.ndarray:
+        return np.bincount(self.indices.ravel(),
+                           np.repeat(f, self.indices.shape[1]),
+                           minlength=self.shape[1])
 
     def sum(self, axis) -> np.ndarray:
         """Column sums (axis=0): how many rows hold a 1 in each column."""
         if axis != 0:
             raise ValueError("only column sums (axis=0) are supported")
-        return np.bincount(self.indices.ravel(),
-                           minlength=self.shape[1]).astype(float)
+        flat = self.indices.ravel()
+        counts = np.zeros(self.shape[1], dtype=np.int64)
+        for start in range(0, flat.size, SUM_CHUNK):
+            chunk = np.bincount(flat[start:start + SUM_CHUNK])
+            counts[:chunk.size] += chunk
+        return counts.astype(float)
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
         np.put_along_axis(out, self.indices, 1.0, axis=1)
         return out
 
+    def occupied(self) -> np.ndarray | None:
+        """The sorted columns that hold a 1, or None when every one does."""
+        counts = self.sum(axis=0)
+        return None if counts.all() else np.flatnonzero(counts)
 
-class _TransposedOneHot:
-    """P.T of a OneHotMatrix P, for the product P.T @ F."""
 
-    def __init__(self, P: OneHotMatrix):
-        self.P = P
+class DenseMatrix(_Encoding):
+    """An (n, m) matrix, the first m columns of padded, a C-order array
+    _width8(m) wide whose other columns are zero.  P^T F and the Gram run
+    over all of padded (see _width8); the rest uses its view, not a copy.
+    """
 
-    def __matmul__(self, F) -> np.ndarray:
-        F = np.asarray(F, dtype=float)
-        flat = self.P.indices.ravel()
-        B, m = self.P.indices.shape[1], self.P.shape[1]
+    def __init__(self, padded: np.ndarray, m: int):
+        self.padded = padded
+        self.shape = (padded.shape[0], m)
 
-        def column(f):
-            return np.bincount(flat, np.repeat(f, B), minlength=m)
+    def __matmul__(self, v) -> np.ndarray:
+        return self.toarray() @ v
 
-        if F.ndim == 1:
-            return column(F)
-        return np.stack([column(f) for f in F.T], axis=1)
+    def _tcolumn(self, f: np.ndarray) -> np.ndarray:
+        return (self.padded.T @ f)[:self.shape[1]]
+
+    def sum(self, axis) -> np.ndarray:
+        return self.toarray().sum(axis=axis)
+
+    def toarray(self) -> np.ndarray:
+        return self.padded[:, :self.shape[1]]
+
+    def occupied(self) -> None:
+        return None  # any column may hold a nonzero entry
 
 
 class _OneHotBlocks:
@@ -295,9 +326,8 @@ class RffMap(FeatureMap):
     [cos(x^T Omega), sin(x^T Omega)], so <Phi(x), Phi(x')> / m' estimates
     exp(-||x - x'||^2 / (2 sigma^2)).  The BLAS products run over
     zero-padded widths (see _width8): x^T Omega over the frequencies
-    padded to _width8(m/2) columns, and P is the first m columns of a
-    C-order array _width8(m) wide whose other columns are zero, so that
-    gram and transposed_product can multiply the whole array.
+    padded to _width8(m/2) columns, and P is a DenseMatrix, whose padded
+    array gram and P.tmatmul multiply whole.
     """
 
     variant = "RFF"
@@ -319,7 +349,7 @@ class RffMap(FeatureMap):
         self._padded_frequencies = np.zeros((self.d, _width8(self.m_half)))
         self._padded_frequencies[:, :self.m_half] = self.frequencies
 
-    def encode_batch(self, X) -> np.ndarray:
+    def encode_batch(self, X) -> DenseMatrix:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if not np.all(np.isfinite(X)):
             raise FeatureMapError("points must be finite")
@@ -329,7 +359,7 @@ class RffMap(FeatureMap):
         Z = np.matmul(X, self._padded_frequencies, out=B[:, :_width8(h)])
         np.sin(Z[:, :h], out=B[:, h:self.m])
         np.cos(Z[:, :h], out=B[:, :h])
-        return B[:, :self.m]
+        return DenseMatrix(B, self.m)
 
     def sensitivity_l1(self) -> float:
         return float(self.m_half * np.sqrt(2.0))
@@ -337,11 +367,11 @@ class RffMap(FeatureMap):
     def kernel_scale(self) -> float:
         return float(self.m_half)
 
-    def gram(self, P: np.ndarray, cols=None) -> LowerPanels:
+    def gram(self, P: DenseMatrix, cols=None) -> LowerPanels:
         if cols is not None:
-            P = P[:, cols]
-        (n, m), B = P.shape, _padded_columns(P)
-        dense = B.T @ B
+            raise ValueError("a dense P has no empty columns to leave out")
+        n, m = P.shape
+        dense = P.padded.T @ P.padded
         dense /= n
         G = LowerPanels(m)
         G.store(0, 0, dense[:m, :m])
@@ -353,33 +383,6 @@ class RffMap(FeatureMap):
                            (data["d"], data["m"] // 2))
         return cls(freqs, data["params"]["sigma"],
                    Domain.from_dict(data["domain"]), data["seed"])
-
-
-def _padded_columns(P: np.ndarray) -> np.ndarray:
-    """A C-order array _width8(m) wide whose first m columns are the
-    (n, m) P: the array RffMap.encode_batch returns P a view of, or else
-    a copy of P padded with zero columns."""
-    n, m = P.shape
-    B = P.base
-    if not (isinstance(B, np.ndarray) and B.shape == (n, _width8(m))
-            and B.flags.c_contiguous and P.strides == B.strides
-            and P.ctypes.data == B.ctypes.data):
-        B = np.zeros((n, _width8(m)))
-        B[:, :m] = P
-    return B
-
-
-def transposed_product(P, F) -> np.ndarray:
-    """P.T @ F for an encoding P and F of shape (n,) or (n, t).  A dense
-    P multiplies through its zero-padded array, one column of F at a
-    time, so that the bytes do not depend on the BLAS thread count."""
-    F = np.asarray(F, dtype=float)
-    if isinstance(P, OneHotMatrix):
-        return P.T @ F
-    B, m = _padded_columns(P), P.shape[1]
-    if F.ndim == 1:
-        return (B.T @ F)[:m]
-    return np.stack([(B.T @ f)[:m] for f in F.T], axis=1)
 
 
 class RaceMap(_OneHotBlocks, FeatureMap):

@@ -80,9 +80,8 @@ def sketch_exact(spec: FeatureMap, records) -> ExactSketch:
 
     Records are first checked against the map's domain, the same way for
     every map (DomainError on a value outside the declared box).  One-hot
-    maps sum exact integer bucket counts; dense maps use numpy's pairwise
-    summation, so the result is reproducible regardless of how the records
-    were ordered or chunked (up to float associativity).
+    maps sum exact integer bucket counts, the same in any record order;
+    RFF sums are numpy's pairwise sum over the rows in file order.
     """
     records = np.asarray(records, dtype=float)
     if records.size == 0:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ class TestRff:
         X = np.random.default_rng(d).uniform(size=(n, d))
         Z = X @ r.frequencies
         ref = np.concatenate([np.cos(Z), np.sin(Z)], axis=1)
-        assert r.encode_batch(X).tobytes() == ref.tobytes()
+        assert r.encode_batch(X).toarray().tobytes() == ref.tobytes()
 
 
 class TestRace:
@@ -257,6 +258,7 @@ class TestBatchPathsAgreeWithDense:
         lambda: HistMap(Domain.unit(3), 4),
         lambda: build_rff(3, 16, 1.0, seed=0),
         lambda: build_race(3, 5, 4, 0.3, seed=0),
+        lambda: build_race(3, 5, 40, 0.05, seed=0),  # with empty buckets
     ])
     def test_gram_dot_apply_sum(self, build):
         spec = build()
@@ -272,6 +274,34 @@ class TestBatchPathsAgreeWithDense:
         np.testing.assert_allclose(feats.apply(v), P @ v, atol=1e-12)
         np.testing.assert_allclose(sketch_exact(spec, X).sum_features,
                                    P.sum(axis=0), atol=1e-12)
+        # one interface for both matrix types, 2-D operands included
+        encoded = spec.encode_batch(X)
+        V = np.random.default_rng(6).normal(size=(spec.m, 3))
+        F2 = np.random.default_rng(7).normal(size=(200, 4))
+        np.testing.assert_allclose(encoded @ V, P @ V, atol=1e-12)
+        np.testing.assert_allclose(encoded.tmatmul(F2), P.T @ F2, atol=1e-12)
+        occupied = np.flatnonzero(P.any(axis=0))
+        if spec.variant == "RFF" or occupied.size == spec.m:
+            assert encoded.occupied() is None
+        else:
+            np.testing.assert_array_equal(encoded.occupied(), occupied)
+
+    def test_race_column_sums_trace_little_memory(self):
+        # the sums bincount SUM_CHUNK indices at a time: no int64 copy of
+        # the 50 000 x 80 int32 indices (32 MB)
+        spec = build_race(10, 80, 80, 0.1, seed=1)
+        X = np.random.default_rng(9).uniform(size=(50_000, 10))
+        P = spec.encode_batch(X)
+        tracemalloc.start()
+        try:
+            sums = P.sum(axis=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
+        dense = sum(OneHotMatrix(P.indices[i:i + 500], spec.m).toarray()
+                    .sum(axis=0) for i in range(0, P.shape[0], 500))
+        assert sums.tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("build", [
         lambda: HistMap(Domain.unit(3), 4),
@@ -312,7 +342,8 @@ class TestBatchPathsAgreeWithDense:
         F = rng.normal(size=n)
         F2 = rng.normal(size=(n, 4))
         for ours, ref in ((P @ v, csr @ v), (P @ V, csr @ V),
-                          (P.T @ F, csr.T @ F), (P.T @ F2, csr.T @ F2),
+                          (P.tmatmul(F), csr.T @ F),
+                          (P.tmatmul(F2), csr.T @ F2),
                           (P.sum(axis=0), csr.sum(axis=0))):
             assert ours.shape == ref.shape
             assert ours.tobytes() == np.ascontiguousarray(ref).tobytes()
