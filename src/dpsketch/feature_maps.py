@@ -123,12 +123,13 @@ class FeatureMap:
         return isinstance(other, FeatureMap) and self.to_dict() == other.to_dict()
 
 
-SUM_CHUNK = 1 << 16  # indices per int64-casting bincount in OneHotMatrix.sum
+SUM_CHUNK = 1 << 16  # indices per int64-casting bincount in OneHotMatrix
 
 
 class _Encoding:
     """What every (n, m) feature matrix P offers: P @ v, P.tmatmul(F)
-    (P^T F through _tcolumn), P.sum(axis=0), P.toarray() and
+    (P^T F through _tcolumn), P.sum(axis=0), P.sum_onto(total) (the
+    column sums carried on from earlier rows), P.toarray() and
     P.occupied(), the columns that may hold a nonzero entry."""
 
     def tmatmul(self, F) -> np.ndarray:
@@ -173,12 +174,18 @@ class OneHotMatrix(_Encoding):
         """Column sums (axis=0): how many rows hold a 1 in each column."""
         if axis != 0:
             raise ValueError("only column sums (axis=0) are supported")
+        return self.sum_onto(None).astype(float)
+
+    def sum_onto(self, counts: np.ndarray | None) -> np.ndarray:
+        """Add this matrix's column counts into counts, the int64 counts
+        of earlier rows (a new zero array if None), and return it."""
         flat = self.indices.ravel()
-        counts = np.zeros(self.shape[1], dtype=np.int64)
+        if counts is None:
+            counts = np.zeros(self.shape[1], dtype=np.int64)
         for start in range(0, flat.size, SUM_CHUNK):
             chunk = np.bincount(flat[start:start + SUM_CHUNK])
             counts[:chunk.size] += chunk
-        return counts.astype(float)
+        return counts
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -209,6 +216,17 @@ class DenseMatrix(_Encoding):
 
     def sum(self, axis) -> np.ndarray:
         return self.toarray().sum(axis=axis)
+
+    def sum_onto(self, total: np.ndarray | None) -> np.ndarray:
+        """total, the column sums of earlier rows (None for none), plus
+        this matrix's column sums.  numpy's column sums add the rows one
+        after another, so total goes into P's first row (P is changed)
+        and the sum carries on from there: blocks of rows summed this
+        way give the same bits as the column sums of all of them."""
+        rows = self.toarray()
+        if total is not None:
+            rows[0] += total
+        return rows.sum(axis=0)
 
     def toarray(self) -> np.ndarray:
         return self.padded[:, :self.shape[1]]

@@ -23,6 +23,8 @@ SKETCH_FILE_VERSION = 1
 
 DEFAULT_SPLIT = 0.98  # fraction of the budget spent on the feature sum
 
+SKETCH_BLOCK = 4096  # records that sketch_exact encodes at a time
+
 
 class SketchError(ValueError):
     """Invalid sketch parameters or mismatched sketches."""
@@ -75,20 +77,39 @@ class PrivateSketch:
         return doc
 
 
+def _block_stops(n: int) -> list[int]:
+    """Where the blocks of n records end: every SKETCH_BLOCK records, but
+    a last block of one record, when there are others, takes the one
+    before it with it.  A 1-row RFF block goes through BLAS's
+    matrix-vector path, whose x^T Omega rounds differently from the
+    matrix product of a whole batch."""
+    stops = list(range(SKETCH_BLOCK, n, SKETCH_BLOCK)) + [n]
+    if len(stops) > 1 and n - stops[-2] == 1:
+        stops[-2] -= 1
+    return stops
+
+
 def sketch_exact(spec: FeatureMap, records) -> ExactSketch:
     """Sum the feature map over all records.
 
     Records are first checked against the map's domain, the same way for
-    every map (DomainError on a value outside the declared box).  One-hot
-    maps sum exact integer bucket counts, the same in any record order;
-    RFF sums are numpy's pairwise sum over the rows in file order.
+    every map (DomainError on a value outside the declared box, naming
+    the record's row in records).  Then they are encoded and summed
+    SKETCH_BLOCK at a time into one running total, so the encoding never
+    holds more than a block.  One-hot maps sum exact integer bucket
+    counts, the same in any record order; RFF sums add the rows one after
+    another in file order, across blocks too, so they equal the column
+    sums of the whole encoding bit for bit.
     """
     records = np.asarray(records, dtype=float)
     if records.size == 0:
         return ExactSketch(np.zeros(spec.m), 0)
     records = spec.domain.validate(records)
-    P = spec.encode_batch(records)
-    return ExactSketch(P.sum(axis=0), records.shape[0])
+    total, start = None, 0
+    for stop in _block_stops(records.shape[0]):
+        total = spec.encode_batch(records[start:stop]).sum_onto(total)
+        start = stop
+    return ExactSketch(total.astype(float), records.shape[0])
 
 
 def noise_scales(spec: FeatureMap, eps_num: float,

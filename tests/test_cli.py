@@ -102,6 +102,23 @@ class TestSketchCommand:
         assert not out.exists()
         assert "schema violation" in stderr
 
+    @pytest.mark.parametrize("kind", ["hist", "rff", "race"])
+    def test_out_of_domain_value_past_first_block_names_its_record(
+            self, tmp_path, capsys, kind):
+        # records are checked whole before the blocked sum, so the message
+        # counts rows from the top of the file, not from a block's start
+        from dpsketch.sketch import SKETCH_BLOCK
+        data = np.random.default_rng(4).uniform(size=(SKETCH_BLOCK + 9, 2))
+        data[SKETCH_BLOCK + 3, 1] = 1.5
+        path = tmp_path / "bad.csv"
+        write_csv(path, data)
+        out = tmp_path / "s.json"
+        code, _, stderr = run_cli(
+            capsys, "sketch", str(path), "--out", str(out), "--map", kind)
+        assert code == 2
+        assert not out.exists()
+        assert f"record {SKETCH_BLOCK + 3}, attribute 1" in stderr
+
     def test_non_numeric_value_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2\n0.5,oops\n")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from dpsketch import (
     sketch_exact,
 )
 from dpsketch.feature_maps import FeatureMapError
-from dpsketch.sketch import SketchError, sketch_from_dict
+from dpsketch.sketch import SKETCH_BLOCK, SketchError, sketch_from_dict
 
 
 @pytest.fixture
@@ -59,6 +60,48 @@ class TestExactSketch:
     def test_out_of_domain_record_rejected_by_every_map(self, build):
         with pytest.raises(DomainError):
             sketch_exact(build(), [[0.2, 0.3], [50.0, 0.5]])
+
+
+class TestBlockedSum:
+    """sketch_exact encodes and sums SKETCH_BLOCK records at a time."""
+
+    MAPS = {
+        "hist": lambda: HistMap(Domain.unit(10), 100),
+        "race-80x80": lambda: build_race(10, 80, 80, 0.1, seed=1),
+        "rff-98": lambda: build_rff(10, 98, 1.0, seed=2),
+        "rff-200": lambda: build_rff(10, 200, 1.0, seed=2),
+        "rff-1000": lambda: build_rff(10, 1000, 1.0, seed=2),
+    }
+
+    @pytest.mark.parametrize("kind", MAPS)
+    def test_sums_equal_whole_batch_bit_for_bit(self, kind):
+        # 2B+1 and B+1 end in a block of one record, which would take
+        # BLAS's matrix-vector path and round RFF's x^T Omega differently
+        spec = self.MAPS[kind]()
+        B = SKETCH_BLOCK
+        X = np.random.default_rng(3).uniform(size=(2 * B + 1, 10))
+        for n in (1, 2, B - 1, B, B + 1, 2 * B + 1):
+            exact = sketch_exact(spec, X[:n])
+            whole = spec.encode_batch(X[:n]).sum(axis=0)
+            assert exact.count == n
+            assert exact.sum_features.tobytes() == whole.tobytes(), n
+
+    @pytest.mark.parametrize("kind, row_floats", [
+        ("rff-200", 200),  # a row of P
+        ("race-80x80", 80),  # a row of the hashes' float bucket buffer
+    ])
+    def test_traced_peak_is_a_few_blocks(self, kind, row_floats):
+        # the whole 50 000-row encoding would take 80 MB for RFF and
+        # 32 MB of bucket indices (48 MB traced) for RACE
+        spec = self.MAPS[kind]()
+        X = np.random.default_rng(9).uniform(size=(50_000, 10))
+        tracemalloc.start()
+        try:
+            sketch_exact(spec, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * SKETCH_BLOCK * row_floats * 8, peak
 
 
 class TestLaplace:
