@@ -21,12 +21,14 @@ import numpy as np
 
 from .domain import Domain, DomainError
 from .feature_maps import FeatureMap
-from .linalg import LowerPanels, cholesky_in_place, cholesky_solve
+from .linalg import LowerPanels, cholesky_in_place, cholesky_solve, in_strips
 from .sketch import PrivateSketch, SketchError
 
 LAMBDA_FLOOR = 1e-9  # numeric-stability regularization when there is no noise
 
 COND_WARN_THRESHOLD = 1e12
+
+CG_MAX_ITER = 50  # refinement steps after which a solve warns and stops
 
 @dataclass
 class TrainConfig:
@@ -145,17 +147,16 @@ class SyntheticFeatures:
     The single estimation object: the ridge estimate <fit(f), sketch> of
     any target f equals w @ f(points) for per-sample weights w that depend
     only on the sketch and the penalty, so one solve per sketch answers
-    every target.  Every solve takes one path: a Cholesky factorization
-    of G + (lam + s) I, with the shift s = 0 unless rounding leaves
-    G + lam I indefinite (see solve).  Only the m_occ features that some
-    synthetic sample activates enter it: on the others G is zero (one-hot
-    maps leave buckets empty; dense maps activate every feature).  G over
+    every target.  Only the m_occ features that some synthetic sample
+    activates enter the system: on the others G is zero (one-hot maps
+    leave buckets empty; dense maps activate every feature).  G over
     those features is built on the first solve as lower-triangle panels
-    (linalg.LowerPanels, about 4 m_occ^2 bytes) and factored in place.  A
-    second penalty (or a shifted retry) rebuilds G from the samples once
-    and keeps that copy to restore from, so a sweep over sketches holds
-    two panel sets, and a single-penalty command one.  Many targets and
-    many sketches share one sample set, drawn deterministically from the
+    (linalg.LowerPanels) and factored in place, as solve describes: in
+    float32 when it spans more than two panels, in float64 otherwise.  A
+    second penalty (or a retry) rebuilds G from the samples once and
+    keeps that copy to restore from, so a sweep over sketches holds two
+    panel sets, and a single-penalty command one.  Many targets and many
+    sketches share one sample set, drawn deterministically from the
     config seed.
     """
 
@@ -193,6 +194,7 @@ class SyntheticFeatures:
         self._buf = None  # LowerPanels; G, then factored in place
         self._gram = None  # a kept copy of G, from the second factorization on
         self._factor = None  # (lam, lam + s, factored panels) of the last penalty
+        self.cg_iterations = 0  # refinement steps of the last solve (0: direct)
 
     @property
     def n(self) -> int:
@@ -209,10 +211,16 @@ class SyntheticFeatures:
     def solve(self, rhs: np.ndarray, lam: float) -> np.ndarray:
         """Solve (G + (lam + s) I) x = rhs for a penalty 0 < lam < inf.
 
-        The shift s is the least of 0, s0, 2 s0, 4 s0, ... for which the
-        Cholesky factorization succeeds, with s0 = 1e-10 trace(G) / m; G
-        is positive semidefinite, so s is 0 unless rounding makes
+        A system of at most two panels (linalg.in_strips) is factored in
+        float64 with the shift s the least of 0, s0, 2 s0, 4 s0, ... for
+        which the Cholesky factorization succeeds, s0 = 1e-10 trace(G) / m;
+        G is positive semidefinite, so s is 0 unless rounding makes
         G + lam I indefinite, and a positive s is warned about by value.
+        A larger one stores G in float32, half the bytes, and factors
+        G + lam I there with no shift; x is then refined to the float64
+        system by conjugate gradients preconditioned with that factor
+        (see _refine).  If the float32 factor is not positive definite,
+        its panels are dropped and the float64 path above runs instead.
         Only the occupied columns are factored; on the others the system
         reads (lam + s) x = rhs.  Only the last penalty's factor is kept,
         in place in the one set of panels: every estimate from one sketch
@@ -227,20 +235,91 @@ class SyntheticFeatures:
             self._factor = (lam, *self._factorize(lam))
         _, shifted, factor = self._factor
         cols = self._cols
+        rhs = np.asarray(rhs, dtype=float)
         if cols is None:
-            return cholesky_solve(factor, rhs)
+            return self._solve_factored(factor, rhs, lam)
         full = np.divide(rhs, shifted)  # (lam + s) x = rhs off the block
-        full[cols] = cholesky_solve(factor, np.asarray(rhs, dtype=float)[cols])
+        full[cols] = self._solve_factored(factor, rhs[cols], lam)
         return full
 
+    def _solve_factored(self, factor: LowerPanels, b: np.ndarray,
+                        lam: float) -> np.ndarray:
+        """x from the factor over the kept columns: directly from a
+        float64 one, refined column by column from a float32 one."""
+        self.cg_iterations = 0
+        if factor.dtype == np.float64:
+            return cholesky_solve(factor, b)
+        if b.ndim == 1:
+            return self._refine(factor, b, lam)
+        return np.stack([self._refine(factor, c, lam) for c in b.T], axis=1)
+
+    def _refine(self, M: LowerPanels, b: np.ndarray, lam: float) -> np.ndarray:
+        """Solve (G + lam I) x = b over the kept columns in float64 by
+        conjugate gradients, preconditioned with the float32 Cholesky
+        factor M of the same matrix (iterative refinement with a low
+        precision factor; Carson & Higham, SIAM J. Sci. Comput. 2018).
+
+        The operator is exact: G v = (1/n) P^T (P v) from the samples, not
+        the rounded panels.  Each step recomputes the residual b - A x
+        from x, and the steps stop when its norm stops falling, so x is
+        as accurate as the float64 operator allows; after CG_MAX_ITER
+        steps the solve warns and stops.  Every inner product runs
+        through einsum, whose order does not depend on the BLAS thread
+        count, and over contiguous vectors (einsum's order depends on the
+        layout).
+        """
+        b, cols = np.ascontiguousarray(b), self._cols
+
+        def times_a(v):  # (G + lam I) v
+            if cols is None:
+                return self.dot_targets(self.apply(v)) + lam * v
+            full = np.zeros(self.spec.m)
+            full[cols] = v
+            return self.dot_targets(self.apply(full))[cols] + lam * v
+
+        def precondition(r, scale):  # r / scale neither under- nor
+            # overflows in float32
+            return scale * cholesky_solve(M, r / scale).astype(float)
+
+        x = precondition(b, max(_norm(b), 1e-300))
+        r = b - times_a(x)
+        norm, p, rz, steps = _norm(r), None, 0.0, 0
+        while norm > 0:
+            if steps == CG_MAX_ITER:
+                warnings.warn(f"conjugate gradients did not settle in "
+                              f"{CG_MAX_ITER} steps; relative residual "
+                              f"{norm / _norm(b):.1e}", stacklevel=4)
+                break
+            z = precondition(r, norm)
+            rz, rz_old = _dot(r, z), rz
+            p = z if p is None else z + (rz / rz_old) * p
+            x_next = x + (rz / _dot(p, times_a(p))) * p
+            r_next = b - times_a(x_next)
+            norm_next = _norm(r_next)
+            steps += 1
+            if not norm_next < norm:
+                break
+            x, r, norm = x_next, r_next, norm_next
+        self.cg_iterations += steps
+        return x
+
     def _factorize(self, lam: float) -> tuple[float, LowerPanels]:
-        """Factor G + (lam + s) I in place, doubling s from its floor until
-        it factors (Nocedal & Wright, Alg. 3.3); return (lam + s, panels)."""
-        if self._buf is None:
-            self._buf = self.spec.gram(self._P, self._cols)
-        else:
-            self._buf.copy_from(self._kept_gram())
-        A = self._buf
+        """Factor G + lam I in float32 if the system is in strips and that
+        succeeds; else G + (lam + s) I in float64, doubling s from its
+        floor until it factors (Nocedal & Wright, Alg. 3.3).  Return
+        (lam + s, panels)."""
+        order = self.spec.m if self._cols is None else self._cols.size
+        if in_strips(order):
+            A = self._gram_panels(np.float32)
+            A.set_diagonal(A.diagonal() + lam)
+            try:
+                cholesky_in_place(A)
+            except np.linalg.LinAlgError:  # free them for float64
+                A = self._buf = self._gram = None
+            else:
+                self._warn_condition(A.diagonal())
+                return lam, A
+        A = self._gram_panels(np.float64)
         gram_diag = A.diagonal()  # read while A holds G
         floor = max(1e-10 * float(gram_diag.sum()) / self.spec.m, 1e-300)
         shift = 0.0
@@ -259,11 +338,24 @@ class SyntheticFeatures:
         self._warn_condition(A.diagonal())
         return lam + shift, A
 
+    def _gram_panels(self, dtype) -> LowerPanels:
+        """The one set of panels, holding G in dtype: built from the
+        samples on the first solve (and whenever the dtype changes, the
+        other dtype's panels being dropped first), copied from the kept
+        copy after that."""
+        if self._buf is not None and self._buf.dtype == dtype:
+            self._buf.copy_from(self._kept_gram())
+        else:
+            self._buf = self._gram = None
+            self._buf = self.spec.gram(self._P, self._cols, dtype)
+        return self._buf
+
     def _kept_gram(self) -> LowerPanels:
-        """G to copy over a factor: built from the samples the first time
-        a factorization needs it again, and kept from then on."""
+        """G to copy over a factor, in the panels' dtype: built from the
+        samples the first time a factorization needs it again, and kept
+        from then on."""
         if self._gram is None:
-            self._gram = self.spec.gram(self._P, self._cols)
+            self._gram = self.spec.gram(self._P, self._cols, self._buf.dtype)
         return self._gram
 
     @staticmethod
@@ -321,6 +413,14 @@ class SyntheticFeatures:
             "n_synth": self.n,
         }
         return SketchModel(coef, lam, self.spec.spec_id, diagnostics)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    return float(np.einsum("i,i->", u, v))
+
+
+def _norm(u: np.ndarray) -> float:
+    return math.sqrt(_dot(u, u))
 
 
 def loss_value(spec: FeatureMap, a: np.ndarray, f, samples, lam: float) -> float:

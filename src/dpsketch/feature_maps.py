@@ -89,10 +89,11 @@ class FeatureMap:
         for one-hot maps, a DenseMatrix otherwise."""
         raise NotImplementedError
 
-    def gram(self, P, cols=None) -> LowerPanels:
-        """(1/n) P^T P as a LowerPanels, which the estimator factors in
-        place.  Each map computes dense blocks of it its own way and hands
-        them to LowerPanels.store, which keeps the lower triangle.
+    def gram(self, P, cols=None, dtype=np.float64) -> LowerPanels:
+        """(1/n) P^T P as a LowerPanels of the given dtype, which the
+        estimator factors in place.  Each map computes dense blocks of it
+        its own way and hands them to LowerPanels.store, which keeps the
+        lower triangle.
 
         With cols, sorted indices that include P.occupied() (one-hot P
         only), the (k, k) matrix (1/n) P[:, cols]^T P[:, cols].
@@ -144,11 +145,12 @@ class OneHotMatrix(_Encoding):
     """An (n, m) matrix of zeros with one 1.0 per row in each block.
 
     indices is the (n, B) array of the columns that hold the ones, sorted
-    within each row, int32 when m fits that type.  The products follow
-    the order of a compressed sparse row (CSR) kernel, so they round the
-    same way: P @ v adds the B picked entries of each row to zero in
-    column order, and P.tmatmul(F) and the column sums accumulate row by
-    row through np.bincount.
+    within each row, int32 when m fits that type; every block is
+    m / B columns wide.  The products follow the order of a compressed
+    sparse row (CSR) kernel, so they round the same way: P @ v adds the
+    B picked entries of each row to zero in column order, and
+    P.tmatmul(F) and the column sums accumulate row by row through
+    np.bincount.
     """
 
     def __init__(self, indices: np.ndarray, m: int):
@@ -166,9 +168,15 @@ class OneHotMatrix(_Encoding):
         return out
 
     def _tcolumn(self, f: np.ndarray) -> np.ndarray:
-        return np.bincount(self.indices.ravel(),
-                           np.repeat(f, self.indices.shape[1]),
-                           minlength=self.shape[1])
+        # one block column at a time: each row adds to one column of a
+        # block, in row order, so the sums are CSR's without an n x B copy
+        B = self.indices.shape[1]
+        W = self.shape[1] // B
+        out = np.empty(self.shape[1])
+        for a in range(B):
+            out[a * W:(a + 1) * W] = np.bincount(self.indices[:, a] - a * W,
+                                                 f, minlength=W)
+        return out
 
     def sum(self, axis) -> np.ndarray:
         """Column sums (axis=0): how many rows hold a 1 in each column."""
@@ -249,20 +257,21 @@ class _OneHotBlocks:
     width: int
 
     def _indices(self, X) -> np.ndarray:
-        """The (n, B) positions of the active bucket within each block,
-        as integers or as integer-valued floats."""
+        """The (n, B) int64 positions of the active bucket within each
+        block."""
         raise NotImplementedError
 
     def encode_batch(self, X) -> OneHotMatrix:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         m = self.n_blocks * self.width
         dtype = np.int32 if m <= np.iinfo(np.int32).max else np.int64
-        idx = self._indices(X).astype(dtype)
+        idx = self._indices(X).astype(dtype, copy=False)
         # now the column indices
         idx += self.width * np.arange(idx.shape[1], dtype=dtype)
         return OneHotMatrix(idx, m)
 
-    def gram(self, P: OneHotMatrix, cols=None) -> LowerPanels:
+    def gram(self, P: OneHotMatrix, cols=None,
+             dtype=np.float64) -> LowerPanels:
         # Blockwise joint bucket counts; at the sizes used here this beats
         # a sparse P.T @ P.  Each bucket is numbered within its block among
         # the kept columns only, so every bincount is as small as the kept
@@ -277,15 +286,17 @@ class _OneHotBlocks:
         local[kept] = np.arange(kept.size) - np.repeat(edges[:-1],
                                                       np.diff(edges))
         idx = np.asfortranarray(local[P.indices])
-        G = LowerPanels(kept.size)
+        G = LowerPanels(kept.size, dtype)
         for a in range(B):
             ia, a0, a1 = idx[:, a], edges[a], edges[a + 1]
             for b in range(a, B):
                 b0, b1 = edges[b], edges[b + 1]
                 joint = np.bincount(ia * (b1 - b0) + idx[:, b],
                                     minlength=(a1 - a0) * (b1 - b0))
-                # rows b0..b1 of columns a0..a1
-                G.store(b0, a0, joint.reshape(a1 - a0, b1 - b0).T / n)
+                # rows b0..b1 of columns a0..a1; counts / n rounded once,
+                # straight to the storage dtype
+                G.store(b0, a0, np.divide(joint, n, dtype=dtype)
+                        .reshape(a1 - a0, b1 - b0).T)
         return G
 
 
@@ -385,13 +396,14 @@ class RffMap(FeatureMap):
     def kernel_scale(self) -> float:
         return float(self.m_half)
 
-    def gram(self, P: DenseMatrix, cols=None) -> LowerPanels:
+    def gram(self, P: DenseMatrix, cols=None,
+             dtype=np.float64) -> LowerPanels:
         if cols is not None:
             raise ValueError("a dense P has no empty columns to leave out")
         n, m = P.shape
         dense = P.padded.T @ P.padded
         dense /= n
-        G = LowerPanels(m)
+        G = LowerPanels(m, dtype)
         G.store(0, 0, dense[:m, :m])
         return G
 
@@ -447,16 +459,16 @@ class RaceMap(_OneHotBlocks, FeatureMap):
                 raise FeatureMapError("r_width is too small for the domain")
 
     def _indices(self, X) -> np.ndarray:
-        # in one float buffer: the floor is an integer of magnitude under
-        # 2^62 (the constructor's bound), exact in a double, and the mod
-        # of an exact integer is exact, so these are the int64 buckets
+        # the floor is an integer of magnitude under 2^62 (the
+        # constructor's bound), exact in a double, so the int64 cast is
+        # exact and the remainder is taken on integers
         if not np.all(np.isfinite(X)):
             raise FeatureMapError("points must be finite")
         Z = X @ self.projections.T
         Z += self.offsets
         Z /= self.r_width
-        np.floor(Z, out=Z)
-        return np.mod(Z, self.n_buckets, out=Z)
+        idx = np.floor(Z, out=Z).astype(np.int64)
+        return np.remainder(idx, self.n_buckets, out=idx)
 
     def sensitivity_l1(self) -> float:
         return float(self.n_hashes)

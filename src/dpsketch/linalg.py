@@ -8,7 +8,8 @@ Wasniewski, Dongarra and Langou, ACM TOMS 2010, cut into panels).  Each
 panel's rows below its diagonal square are one Fortran-order block; the
 square itself is held from its diagonal down in LEAF-wide strips, so
 only the strips' own top squares keep entries above the diagonal (in a
-system of at most two panels each square is held whole).
+system of at most two panels each square is held whole).  The storage,
+the factor and every workspace hold one dtype, float64 or float32.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ import numpy as np
 # wide and are brought up to date from their left in PANEL-row blocks.
 LEAF = 96
 PANEL = 576
+
+
+def in_strips(m: int) -> bool:
+    """Whether a system of order m holds its squares in strips: more than
+    two panels, where the PANEL x PANEL workspace costs less than what
+    the strips save."""
+    return m > 2 * PANEL
 
 
 class LowerPanels:
@@ -36,23 +44,24 @@ class LowerPanels:
     not part of the matrix: nothing reads them, and store and
     cholesky_in_place may leave any values there.  This module is the
     only one that indexes the storage; the feature maps write G through
-    store.
+    store.  Every array has the dtype given to the constructor.
     """
 
-    def __init__(self, m: int):
-        """The zero matrix of order m."""
+    def __init__(self, m: int, dtype=np.float64):
+        """The zero matrix of order m, stored as dtype."""
         self.m = m
+        self.dtype = np.dtype(dtype)
         self.starts = list(range(0, m, PANEL))
-        strip = LEAF if len(self.starts) > 2 else PANEL
+        strip = LEAF if in_strips(m) else PANEL
         # per panel, (first row, first column, array) of each stored array
         self._pieces = []
         for p0 in self.starts:
             w = min(PANEL, m - p0)
             self._pieces.append(
                 [(p0 + j0, p0 + j0,
-                  np.zeros((w - j0, min(strip, w - j0)), order="F"))
+                  np.zeros((w - j0, min(strip, w - j0)), self.dtype, "F"))
                  for j0 in range(0, w, strip)]
-                + [(p0 + w, p0, np.zeros((m - p0 - w, w), order="F"))])
+                + [(p0 + w, p0, np.zeros((m - p0 - w, w), self.dtype, "F"))])
         self.strips = [[X for _, _, X in pieces[:-1]]
                        for pieces in self._pieces]
         self.below = [pieces[-1][2] for pieces in self._pieces]
@@ -62,9 +71,9 @@ class LowerPanels:
 
     def store(self, r0: int, c0: int, block: np.ndarray) -> None:
         """Write the dense block at rows r0.. and columns c0.. of the
-        matrix.  Its rows above a strip's first row are dropped, so every
-        entry on or below the diagonal is kept, and any above it land
-        where nothing reads them."""
+        matrix, rounded to the storage dtype.  Its rows above a strip's
+        first row are dropped, so every entry on or below the diagonal is
+        kept, and any above it land where nothing reads them."""
         r1, c1 = r0 + block.shape[0], c0 + block.shape[1]
         for k in range(c0 // PANEL, -(-c1 // PANEL)):  # the panels it spans
             pieces = self._pieces[k]
@@ -100,8 +109,8 @@ class LowerPanels:
             np.copyto(X, Y)
 
     def dense(self) -> np.ndarray:
-        """The full symmetric (m, m) matrix."""
-        out = np.zeros((self.m, self.m))
+        """The full symmetric (m, m) matrix, of the storage dtype."""
+        out = np.zeros((self.m, self.m), self.dtype)
         for t, c, X in self._all_pieces():
             out[t:t + X.shape[0], c:c + X.shape[1]] = X
         out = np.tril(out)
@@ -112,7 +121,7 @@ class LowerPanels:
         every square is held whole."""
         if all(len(strips) == 1 for strips in self.strips):
             return None
-        return np.zeros((PANEL, PANEL), order="F")
+        return np.zeros((PANEL, PANEL), self.dtype, "F")
 
     def _square(self, k: int, work: np.ndarray | None) -> np.ndarray:
         """Panel k's diagonal square: its one strip itself, or its strips
@@ -156,11 +165,11 @@ def cholesky_in_place(A: LowerPanels) -> LowerPanels:
     square PANEL rows at a time.  np.linalg.cholesky reads only a leaf's
     lower triangle, so the updates run over whole squares and leave
     values above the diagonal that nothing reads.
-    Workspaces, with t = min(PANEL, m - PANEL) rows: the update block
-    (t x PANEL), the leaf products' C-order buffer (t x LEAF), a
-    PANEL x PANEL square to unpack strips into (only when a system has
-    more than two panels) and, for a narrow last panel, a PANEL x PANEL
-    zero-padded copy of its left panels' rows.
+    Workspaces, of A's dtype, with t = min(PANEL, m - PANEL) rows: the
+    update block (t x PANEL), the leaf products' C-order buffer
+    (t x LEAF), a PANEL x PANEL square to unpack strips into (only when a
+    system has more than two panels) and, for a narrow last panel, a
+    PANEL x PANEL zero-padded copy of its left panels' rows.
     The factor does not depend on the BLAS thread count: the leaves are
     factored unblocked on one thread, the leaf updates are LEAF wide and
     a multiple of LEAF deep, and the panel updates PANEL wide and PANEL
@@ -170,14 +179,15 @@ def cholesky_in_place(A: LowerPanels) -> LowerPanels:
     np.linalg.LinAlgError if a leaf is not positive definite; A is then
     partly overwritten.
     """
-    tall = min(PANEL, A.m - PANEL)
-    work = np.empty((tall, PANEL), order="F") if tall > 0 else None
-    leaf_out = np.empty((tall, LEAF)) if tall > 0 else None
+    tall, dtype = min(PANEL, A.m - PANEL), A.dtype
+    work = np.empty((tall, PANEL), dtype, "F") if tall > 0 else None
+    leaf_out = np.empty((tall, LEAF), dtype) if tall > 0 else None
     square = A._square_workspace()
     for k, B in enumerate(A.below):
         p0, X = A.starts[k], A._square(k, square)
         w = X.shape[1]
-        pad = np.zeros((PANEL, PANEL), order="F") if k and w < PANEL else None
+        pad = (np.zeros((PANEL, PANEL), dtype, "F") if k and w < PANEL
+               else None)
         for q0, Q in zip(A.starts[:k], A.below[:k]):
             rows = Q[p0 - q0 - PANEL:]  # rows p0..m of the left panel
             cols = rows[:w]  # its rows of this panel's columns
@@ -211,13 +221,13 @@ def cholesky_in_place(A: LowerPanels) -> LowerPanels:
 
 def cholesky_solve(L: LowerPanels, b: np.ndarray) -> np.ndarray:
     """Solve L L^T x = b for the Cholesky factor L (as cholesky_in_place
-    leaves it); b is (m,) or (m, t).  Leaf by leaf, like the
-    factorization: each leaf is solved on its own and the rest of x
-    updated by a matmul over the leaf's columns (forward) or its rows
-    (backward, panel by panel to its left).  Each panel's square is
+    leaves it); b is (m,) or (m, t), and x has L's dtype.  Leaf by leaf,
+    like the factorization: each leaf is solved on its own and the rest
+    of x updated by a matmul over the leaf's columns (forward) or its
+    rows (backward, panel by panel to its left).  Each panel's square is
     unpacked into one reused PANEL x PANEL workspace unless it is held
     whole."""
-    x = np.array(b, dtype=float)
+    x = np.array(b, dtype=L.dtype)
     square = L._square_workspace()
     for k, B in enumerate(L.below):  # L y = b
         p0, X = L.starts[k], L._square(k, square)

@@ -541,7 +541,8 @@ class TestFactorBuffer:
         M = (Q * eigs) @ Q.T
         M = (M + M.T) / 2
         floor = 1e-10 * np.trace(M) / m
-        monkeypatch.setattr(spec, "gram", lambda P, cols=None: _stored(M))
+        monkeypatch.setattr(spec, "gram",
+                            lambda P, cols=None, dtype=None: _stored(M))
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=500, seed=10))
         rhs = rng.normal(size=m)
 
@@ -583,6 +584,156 @@ class TestFactorBuffer:
             {"solve": lambda: feats.solve(np.ones(spec.m), lam),
              "fit": lambda: feats.fit(Moment(1, 1), lam),
              "weights": lambda: feats.weights(sk, lam)}[call]()
+
+
+class TestMixedPrecision:
+    """Systems of more than two panels factor G + lam I in float32 and
+    refine x to the float64 system by conjugate gradients.  HIST 4x500 at
+    n_synth 20 000 occupies all 2000 bins (four panels), RACE 40x80 with
+    r_width 0.05 at n_synth 4000 1702 of its 3200 buckets (three panels,
+    in strips)."""
+
+    hist = (HistMap(Domain.unit(4), 500), TrainConfig(n_synth=20_000, seed=3))
+    race = (build_race(3, 40, 80, 0.05, seed=5),
+            TrainConfig(n_synth=4000, seed=4))
+
+    @staticmethod
+    def _sketch(spec, epsilon):
+        X = np.random.default_rng(0).uniform(size=(3000, spec.d))
+        return privatize(sketch_exact(spec, X), spec, epsilon, seed=2)
+
+    @staticmethod
+    def _reference(feats, sketch, lam):
+        # the weights of the float64 panel factor of G + lam I
+        P = feats.spec.encode_batch(feats.points)
+        cols = P.occupied()
+        A = feats.spec.gram(P, cols)
+        A.set_diagonal(A.diagonal() + lam)
+        cholesky_in_place(A)
+        x = sketch.normalized / lam
+        if cols is None:
+            x = cholesky_solve(A, sketch.normalized)
+        else:
+            x[cols] = cholesky_solve(A, sketch.normalized[cols])
+        return P @ x / feats.n
+
+    @staticmethod
+    def _recording_factor(monkeypatch):
+        dtypes = []
+        factor = estimator.cholesky_in_place
+
+        def recording(a):
+            dtypes.append(a.dtype)
+            return factor(a)
+
+        monkeypatch.setattr(estimator, "cholesky_in_place", recording)
+        return dtypes
+
+    @pytest.mark.parametrize("system", ["hist", "race"])
+    def test_refined_weights_match_float64_solve(self, monkeypatch, system):
+        spec, config = getattr(self, system)
+        sk = self._sketch(spec, 1.0)
+        feats = SyntheticFeatures(spec, config)
+        dtypes = self._recording_factor(monkeypatch)
+        lam = feats.penalty(sk)
+        w = feats.weights(sk, lam)
+        assert dtypes == [np.float32]
+        assert 1 <= feats.cg_iterations <= 10
+        ref = self._reference(feats, sk, lam)
+        assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
+        # an (m, t) right-hand side is refined one column at a time
+        B = np.stack([sk.normalized, np.ones(spec.m)], axis=1)
+        X = feats.solve(B, lam)
+        for j in range(2):
+            assert X[:, j].tobytes() == feats.solve(B[:, j], lam).tobytes()
+        # a capped refinement warns
+        monkeypatch.setattr(estimator, "CG_MAX_ITER", 1)
+        with pytest.warns(UserWarning, match="did not settle in 1 steps"):
+            feats.solve(sk.normalized, lam)
+        assert feats.cg_iterations == 1
+
+    def test_float32_factor_not_positive_definite_falls_back(self,
+                                                            monkeypatch):
+        # at the noiseless floor the float32 factor of RACE's G breaks
+        # down; its panels are dropped and the float64 path runs as for a
+        # small system, bit for bit
+        spec, config = self.race
+        sk = self._sketch(spec, math.inf)
+        feats = SyntheticFeatures(spec, config)
+        dtypes = self._recording_factor(monkeypatch)
+        w = feats.weights(sk, LAMBDA_FLOOR)
+        assert dtypes == [np.float32, np.float64]
+        assert feats.cg_iterations == 0
+        assert w.tobytes() == \
+            self._reference(feats, sk, LAMBDA_FLOOR).tobytes()
+
+    def test_penalty_sweep_matches_fresh_instances(self, monkeypatch):
+        # a second float32 penalty restores G from a float32 kept copy;
+        # the fallback drops the float32 panels, and the next float32
+        # penalty builds them again
+        spec, config = self.race
+        sk = self._sketch(spec, 1.0)
+        feats = SyntheticFeatures(spec, config)
+        fresh = [SyntheticFeatures(spec, config).weights(sk, lam)
+                 for lam in (1e-3, 2e-3, LAMBDA_FLOOR)]
+        grams = []
+        gram = spec.gram
+
+        def recording_gram(P, cols=None, dtype=np.float64):
+            grams.append(np.dtype(dtype))
+            return gram(P, cols, dtype)
+
+        monkeypatch.setattr(spec, "gram", recording_gram)
+        for k in (0, 1, 0, 2, 1):
+            lam = (1e-3, 2e-3, LAMBDA_FLOOR)[k]
+            assert feats.weights(sk, lam).tobytes() == fresh[k].tobytes()
+        assert grams == [np.float32, np.float32, np.float64, np.float32]
+
+    def test_first_float32_solve_holds_storage_workspaces_and_vectors(self):
+        # the float32 panels, cholesky_in_place's float32 workspaces (see
+        # TestFactorBuffer) and a few float64 vectors of the refinement:
+        # of length m and of length n_synth (P v and the int64 indices of
+        # one block column in P^T y).  Measured: 1.032 times the panels
+        # and workspaces alone
+        spec, config = self.hist
+        sk = self._sketch(spec, 1.0)
+        feats = SyntheticFeatures(spec, config)
+        lam = feats.penalty(sk)
+        tracemalloc.start()
+        try:
+            feats.weights(sk, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m, n = spec.m, feats.n
+        tall = min(PANEL, m - PANEL)
+        workspaces = 4 * (2 * PANEL * PANEL + tall * (PANEL + LEAF))
+        vectors = 8 * (12 * m + 3 * n)
+        held = LowerPanels(m, np.float32).nbytes + workspaces + vectors
+        assert peak <= 1.05 * held, peak / held
+
+    def test_strip_factor_independent_of_blas_thread_count(self, child_env):
+        # RACE 40x80 with r_width 0.03: 2508 occupied buckets, five panels
+        code = textwrap.dedent("""
+            import numpy as np
+            from dpsketch import (SyntheticFeatures, TrainConfig, build_race,
+                                  privatize, sketch_exact)
+            spec = build_race(3, 40, 80, 0.03, seed=5)
+            X = np.random.default_rng(0).uniform(size=(3000, 3))
+            sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=2)
+            feats = SyntheticFeatures(spec, TrainConfig(n_synth=4000, seed=4))
+            w = feats.weighted(sk).weights
+            print(feats.cg_iterations, w.tobytes().hex())
+        """)
+        outputs = []
+        for threads in (1, 2):
+            res = subprocess.run([sys.executable, "-c", code],
+                                 env=child_env(threads),
+                                 capture_output=True, text=True)
+            assert res.returncode == 0, res.stderr
+            outputs.append(res.stdout)
+        assert outputs[0] == outputs[1]
+        assert int(outputs[0].split()[0]) > 0
 
 
 class TestOccupiedColumns:

@@ -153,6 +153,18 @@ class TestRace:
             with pytest.raises(FeatureMapError, match="offsets"):
                 RaceMap(np.ones((2, 2)), offsets, 8, 0.1)
 
+    @pytest.mark.parametrize("r_width", [0.1, 1e-9, 1e-17])
+    def test_buckets_equal_float_floor_and_mod(self, r_width):
+        # the floor is cast to int64 and reduced there; it gives the
+        # buckets of a float mod of the float floor, which is exact too,
+        # up to |index| ~ 3e17 at r_width 1e-17
+        race = build_race(3, 50, 80, r_width, seed=6)
+        X = np.random.default_rng(8).uniform(size=(2000, 3))
+        Z = np.floor((X @ race.projections.T + race.offsets) / r_width)
+        assert np.abs(Z).max() > 1e16 or r_width > 1e-17
+        expected = np.mod(Z, 80).astype(np.int64) + 80 * np.arange(50)
+        np.testing.assert_array_equal(race.encode_batch(X).indices, expected)
+
     def test_sensitivity(self):
         assert build_race(4, 80, 80, 0.1, seed=0).sensitivity_l1() == 80.0
 
@@ -302,6 +314,25 @@ class TestBatchPathsAgreeWithDense:
         dense = sum(OneHotMatrix(P.indices[i:i + 500], spec.m).toarray()
                     .sum(axis=0) for i in range(0, P.shape[0], 500))
         assert sums.tobytes() == dense.tobytes()
+
+    def test_race_transposed_product_traces_little_memory(self):
+        # P^T f bincounts one block column at a time: no n x B repeat of f
+        # and no int64 copy of all the indices (12.85 MB at 10 000 x 80)
+        spec = build_race(10, 80, 80, 0.1, seed=1)
+        rng = np.random.default_rng(10)
+        P = spec.encode_batch(rng.uniform(size=(10_000, 10)))
+        f = rng.normal(size=10_000)
+        tracemalloc.start()
+        try:
+            out = P.tmatmul(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        # the sums of one bincount over all indices, bit for bit
+        whole = np.bincount(P.indices.ravel(), np.repeat(f, 80),
+                            minlength=spec.m)
+        assert out.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("build", [
         lambda: HistMap(Domain.unit(3), 4),
