@@ -29,6 +29,7 @@ LAMBDA_FLOOR = 1e-9  # numeric-stability regularization when there is no noise
 COND_WARN_THRESHOLD = 1e12
 
 CG_MAX_ITER = 50  # refinement steps after which a solve warns and stops
+BACKWARD_ERROR = 16 * 2.0 ** -52  # the refinement's normwise stopping bound
 
 @dataclass
 class TrainConfig:
@@ -151,9 +152,9 @@ class SyntheticFeatures:
     activates enter the system: on the others G is zero (one-hot maps
     leave buckets empty; dense maps activate every feature).  G over
     those features is built on the first solve as lower-triangle panels
-    (linalg.LowerPanels) and factored in place, as solve describes: in
-    float32 when it spans more than two panels, in float64 otherwise.  A
-    second penalty (or a retry) rebuilds G from the samples once and
+    (linalg.LowerPanels), in float32 when it spans more than two panels
+    and in float64 otherwise, and factored in place as solve describes.
+    A second penalty (or a retry) rebuilds G from the samples once and
     keeps that copy to restore from, so a sweep over sketches holds two
     panel sets, and a single-penalty command one.  Many targets and many
     sketches share one sample set, drawn deterministically from the
@@ -191,10 +192,13 @@ class SyntheticFeatures:
             )
         self._P = spec.encode_batch(points)
         self._cols = self._P.occupied()  # None when every column may be
+        order = spec.m if self._cols is None else self._cols.size
+        self._dtype = np.float32 if in_strips(order) else np.float64
         self._buf = None  # LowerPanels; G, then factored in place
         self._gram = None  # a kept copy of G, from the second factorization on
-        self._factor = None  # (lam, lam + s, factored panels) of the last penalty
-        self.cg_iterations = 0  # refinement steps of the last solve (0: direct)
+        self._lam = None  # the penalty whose factor _buf holds
+        self._trace = 0.0  # trace(G), read at each factorization
+        self.cg_iterations = 0  # conjugate-gradient steps of the last solve
 
     @property
     def n(self) -> int:
@@ -209,66 +213,61 @@ class SyntheticFeatures:
         return self._P @ np.asarray(v, dtype=float)
 
     def solve(self, rhs: np.ndarray, lam: float) -> np.ndarray:
-        """Solve (G + (lam + s) I) x = rhs for a penalty 0 < lam < inf.
+        """Solve (G + lam I) x = rhs for a penalty 0 < lam < inf.
 
-        A system of at most two panels (linalg.in_strips) is factored in
-        float64 with the shift s the least of 0, s0, 2 s0, 4 s0, ... for
-        which the Cholesky factorization succeeds, s0 = 1e-10 trace(G) / m;
-        G is positive semidefinite, so s is 0 unless rounding makes
-        G + lam I indefinite, and a positive s is warned about by value.
-        A larger one stores G in float32, half the bytes, and factors
-        G + lam I there with no shift; x is then refined to the float64
-        system by conjugate gradients preconditioned with that factor
-        (see _refine).  If the float32 factor is not positive definite,
-        its panels are dropped and the float64 path above runs instead.
-        Only the occupied columns are factored; on the others the system
-        reads (lam + s) x = rhs.  Only the last penalty's factor is kept,
-        in place in the one set of panels: every estimate from one sketch
-        uses one penalty, and a new penalty copies G back from the kept
-        copy (built from the samples the first time it is needed) and
-        factors again, so a sweep over sketches never holds a third set.
+        G over the occupied columns is held in panels of one dtype,
+        float32 if the system is in strips (linalg.in_strips) and float64
+        otherwise, and G + (lam + s) I is factored in place with the
+        shift s = 32 eps trace(G) / m_occ, eps that of the panels' dtype,
+        chosen before the first try; while the factorization breaks down,
+        G is copied back from the kept copy and s doubles (Nocedal &
+        Wright, Alg. 3.3).  x is then refined to the system at lam itself
+        by conjugate gradients preconditioned with that factor (see
+        _refine), so no answer carries s; an (m, t) rhs is refined column
+        by column.  On the columns no sample occupies the system reads
+        lam x = rhs.  Only the last penalty's factor is kept, in place in
+        the one set of panels: every estimate from one sketch uses one
+        penalty, and a new penalty copies G back from the kept copy
+        (built from the samples the first time it is needed) and factors
+        again, so a sweep over sketches never holds a third set.
         """
         if not 0 < lam < math.inf:
             raise ValueError("lambda must be positive and finite")
-        if self._factor is None or self._factor[0] != lam:
-            self._factor = None  # the panels are about to change under it
-            self._factor = (lam, *self._factorize(lam))
-        _, shifted, factor = self._factor
+        if self._lam != lam:
+            self._lam = None  # the panels are about to change under it
+            self._factorize(lam)
+            self._lam = lam
+        self.cg_iterations = 0
         cols = self._cols
         rhs = np.asarray(rhs, dtype=float)
+        b = rhs if cols is None else rhs[cols]
+        x = self._refine(b, lam) if b.ndim == 1 else \
+            np.stack([self._refine(c, lam) for c in b.T], axis=1)
         if cols is None:
-            return self._solve_factored(factor, rhs, lam)
-        full = np.divide(rhs, shifted)  # (lam + s) x = rhs off the block
-        full[cols] = self._solve_factored(factor, rhs[cols], lam)
+            return x
+        full = rhs / lam  # lam x = rhs off the block
+        full[cols] = x
         return full
 
-    def _solve_factored(self, factor: LowerPanels, b: np.ndarray,
-                        lam: float) -> np.ndarray:
-        """x from the factor over the kept columns: directly from a
-        float64 one, refined column by column from a float32 one."""
-        self.cg_iterations = 0
-        if factor.dtype == np.float64:
-            return cholesky_solve(factor, b)
-        if b.ndim == 1:
-            return self._refine(factor, b, lam)
-        return np.stack([self._refine(factor, c, lam) for c in b.T], axis=1)
-
-    def _refine(self, M: LowerPanels, b: np.ndarray, lam: float) -> np.ndarray:
+    def _refine(self, b: np.ndarray, lam: float) -> np.ndarray:
         """Solve (G + lam I) x = b over the kept columns in float64 by
-        conjugate gradients, preconditioned with the float32 Cholesky
-        factor M of the same matrix (iterative refinement with a low
+        conjugate gradients, preconditioned with the Cholesky factor of
+        G + (lam + s) I in the panels (iterative refinement with a low
         precision factor; Carson & Higham, SIAM J. Sci. Comput. 2018).
 
         The operator is exact: G v = (1/n) P^T (P v) from the samples, not
-        the rounded panels.  Each step recomputes the residual b - A x
-        from x, and the steps stop when its norm stops falling, so x is
-        as accurate as the float64 operator allows; after CG_MAX_ITER
-        steps the solve warns and stops.  Every inner product runs
+        the rounded panels.  Each step recomputes the residual r = b - A x
+        from x.  The steps stop at the first x whose normwise backward
+        error ||r|| / ((trace(G) + lam) ||x|| + ||b||) is at most
+        BACKWARD_ERROR (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2002, 7.1), or after CG_MAX_ITER steps with a warning,
+        and return the x of least residual.  Every inner product runs
         through einsum, whose order does not depend on the BLAS thread
         count, and over contiguous vectors (einsum's order depends on the
         layout).
         """
-        b, cols = np.ascontiguousarray(b), self._cols
+        b, cols, M = np.ascontiguousarray(b), self._cols, self._buf
+        norm_a, norm_b = self._trace + lam, _norm(b)
 
         def times_a(v):  # (G + lam I) v
             if cols is None:
@@ -279,83 +278,62 @@ class SyntheticFeatures:
 
         def precondition(r, scale):  # r / scale neither under- nor
             # overflows in float32
-            return scale * cholesky_solve(M, r / scale).astype(float)
+            y = cholesky_solve(M, r / scale)
+            return scale * y.astype(float, copy=False)
 
-        x = precondition(b, max(_norm(b), 1e-300))
+        x = precondition(b, max(norm_b, 1e-300))
         r = b - times_a(x)
         norm, p, rz, steps = _norm(r), None, 0.0, 0
-        while norm > 0:
+        best = norm, x
+        while norm > BACKWARD_ERROR * (norm_a * _norm(x) + norm_b):
             if steps == CG_MAX_ITER:
                 warnings.warn(f"conjugate gradients did not settle in "
                               f"{CG_MAX_ITER} steps; relative residual "
-                              f"{norm / _norm(b):.1e}", stacklevel=4)
+                              f"{best[0] / norm_b:.1e}", stacklevel=3)
                 break
             z = precondition(r, norm)
             rz, rz_old = _dot(r, z), rz
             p = z if p is None else z + (rz / rz_old) * p
-            x_next = x + (rz / _dot(p, times_a(p))) * p
-            r_next = b - times_a(x_next)
-            norm_next = _norm(r_next)
+            x = x + (rz / _dot(p, times_a(p))) * p
+            r = b - times_a(x)
+            norm = _norm(r)
             steps += 1
-            if not norm_next < norm:
-                break
-            x, r, norm = x_next, r_next, norm_next
+            if norm < best[0]:
+                best = norm, x
         self.cg_iterations += steps
-        return x
+        return best[1]
 
-    def _factorize(self, lam: float) -> tuple[float, LowerPanels]:
-        """Factor G + lam I in float32 if the system is in strips and that
-        succeeds; else G + (lam + s) I in float64, doubling s from its
-        floor until it factors (Nocedal & Wright, Alg. 3.3).  Return
-        (lam + s, panels)."""
-        order = self.spec.m if self._cols is None else self._cols.size
-        if in_strips(order):
-            A = self._gram_panels(np.float32)
-            A.set_diagonal(A.diagonal() + lam)
-            try:
-                cholesky_in_place(A)
-            except np.linalg.LinAlgError:  # free them for float64
-                A = self._buf = self._gram = None
-            else:
-                self._warn_condition(A.diagonal())
-                return lam, A
-        A = self._gram_panels(np.float64)
+    def _factorize(self, lam: float) -> None:
+        """Factor G + (lam + s) I in place in the panels, as solve
+        describes."""
+        A = self._gram_panels()
         gram_diag = A.diagonal()  # read while A holds G
-        floor = max(1e-10 * float(gram_diag.sum()) / self.spec.m, 1e-300)
-        shift = 0.0
+        self._trace = float(gram_diag.sum(dtype=float))
+        shift = 32 * float(np.finfo(A.dtype).eps) * self._trace / A.m
         while True:
-            A.set_diagonal(gram_diag + lam + shift)
+            A.set_diagonal(gram_diag + (lam + shift))
             try:
                 cholesky_in_place(A)
                 break
             except np.linalg.LinAlgError:
                 A.copy_from(self._kept_gram())
-                shift = max(2.0 * shift, floor)
-        if shift > 0:
-            warnings.warn(f"G + lam I is not numerically positive definite; "
-                          f"factored it with an added shift {shift!r} I",
-                          stacklevel=3)
+                shift *= 2.0
         self._warn_condition(A.diagonal())
-        return lam + shift, A
 
-    def _gram_panels(self, dtype) -> LowerPanels:
-        """The one set of panels, holding G in dtype: built from the
-        samples on the first solve (and whenever the dtype changes, the
-        other dtype's panels being dropped first), copied from the kept
-        copy after that."""
-        if self._buf is not None and self._buf.dtype == dtype:
-            self._buf.copy_from(self._kept_gram())
+    def _gram_panels(self) -> LowerPanels:
+        """The one set of panels, holding G: built from the samples on
+        the first solve, copied from the kept copy after that."""
+        if self._buf is None:
+            self._buf = self.spec.gram(self._P, self._cols, self._dtype)
         else:
-            self._buf = self._gram = None
-            self._buf = self.spec.gram(self._P, self._cols, dtype)
+            self._buf.copy_from(self._kept_gram())
         return self._buf
 
     def _kept_gram(self) -> LowerPanels:
-        """G to copy over a factor, in the panels' dtype: built from the
-        samples the first time a factorization needs it again, and kept
-        from then on."""
+        """G to copy over a factor: built from the samples the first time
+        a factorization needs it again, and kept from then on."""
         if self._gram is None:
-            self._gram = self.spec.gram(self._P, self._cols, self._buf.dtype)
+            self._gram = self.spec.gram(self._P, self._cols, self._dtype)
         return self._gram
 
     @staticmethod

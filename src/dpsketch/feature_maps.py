@@ -321,8 +321,13 @@ class HistMap(_OneHotBlocks, FeatureMap):
         self.width = self.n_bins
         self._finish(domain)
 
+    def embed_batch(self, X) -> np.ndarray:
+        # per point, the domain check; sketch_exact checks whole batches
+        # before it encodes them, and the estimator's samples are drawn
+        # from the domain
+        return super().embed_batch(self.domain.validate(X))
+
     def _indices(self, X) -> np.ndarray:
-        X = self.domain.validate(X)
         lo = self.domain.lower_arr
         widths = (self.domain.upper_arr - lo) / self.n_bins
         idx = np.floor((X - lo) / widths).astype(np.int64)

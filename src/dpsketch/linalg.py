@@ -65,6 +65,7 @@ class LowerPanels:
         self.strips = [[X for _, _, X in pieces[:-1]]
                        for pieces in self._pieces]
         self.below = [pieces[-1][2] for pieces in self._pieces]
+        self.inverses = None  # per panel, L^-T of each leaf of a factor
 
     def _all_pieces(self):
         return [piece for pieces in self._pieces for piece in pieces]
@@ -165,6 +166,8 @@ def cholesky_in_place(A: LowerPanels) -> LowerPanels:
     square PANEL rows at a time.  np.linalg.cholesky reads only a leaf's
     lower triangle, so the updates run over whole squares and leave
     values above the diagonal that nothing reads.
+    Each leaf's inverse L^-T is kept in A.inverses, of A's dtype (about
+    LEAF * m entries), for cholesky_solve.
     Workspaces, of A's dtype, with t = min(PANEL, m - PANEL) rows: the
     update block (t x PANEL), the leaf products' C-order buffer
     (t x LEAF), a PANEL x PANEL square to unpack strips into (only when a
@@ -180,6 +183,7 @@ def cholesky_in_place(A: LowerPanels) -> LowerPanels:
     partly overwritten.
     """
     tall, dtype = min(PANEL, A.m - PANEL), A.dtype
+    A.inverses = [[] for _ in A.starts]
     work = np.empty((tall, PANEL), dtype, "F") if tall > 0 else None
     leaf_out = np.empty((tall, LEAF), dtype) if tall > 0 else None
     square = A._square_workspace()
@@ -211,6 +215,7 @@ def cholesky_in_place(A: LowerPanels) -> LowerPanels:
                     B[r0:r1, :j0], left.T, out=leaf_out[:r1 - r0, :j1 - j0])
             X[j0:j1, j0:j1] = L
             inv = np.linalg.inv(L).T
+            A.inverses[k].append(inv)
             X[j1:w, j0:j1] = X[j1:w, j0:j1] @ inv
             for r0, r1 in _row_blocks(B.shape[0]):
                 B[r0:r1, j0:j1] = np.matmul(
@@ -222,11 +227,11 @@ def cholesky_in_place(A: LowerPanels) -> LowerPanels:
 def cholesky_solve(L: LowerPanels, b: np.ndarray) -> np.ndarray:
     """Solve L L^T x = b for the Cholesky factor L (as cholesky_in_place
     leaves it); b is (m,) or (m, t), and x has L's dtype.  Leaf by leaf,
-    like the factorization: each leaf is solved on its own and the rest
-    of x updated by a matmul over the leaf's columns (forward) or its
-    rows (backward, panel by panel to its left).  Each panel's square is
-    unpacked into one reused PANEL x PANEL workspace unless it is held
-    whole."""
+    like the factorization: each leaf is solved by a product with its
+    kept inverse and the rest of x updated by a matmul over the leaf's
+    columns (forward) or its rows (backward, panel by panel to its
+    left).  Each panel's square is unpacked into one reused
+    PANEL x PANEL workspace unless it is held whole."""
     x = np.array(b, dtype=L.dtype)
     square = L._square_workspace()
     for k, B in enumerate(L.below):  # L y = b
@@ -235,7 +240,7 @@ def cholesky_solve(L: LowerPanels, b: np.ndarray) -> np.ndarray:
         for j0 in range(0, w, LEAF):
             j1 = min(j0 + LEAF, w)
             y = x[p0 + j0:p0 + j1]
-            y[...] = np.linalg.solve(np.tril(X[j0:j1, j0:j1]), y)
+            y[...] = L.inverses[k][j0 // LEAF].T @ y
             x[p0 + j1:p0 + w] -= X[j1:, j0:j1] @ y
             x[p0 + w:] -= B[:, j0:j1] @ y
     for k in reversed(range(len(L.below))):  # L^T x = y
@@ -244,7 +249,7 @@ def cholesky_solve(L: LowerPanels, b: np.ndarray) -> np.ndarray:
         for j0 in reversed(range(0, w, LEAF)):
             j1 = min(j0 + LEAF, w)
             y = x[p0 + j0:p0 + j1]
-            y[...] = np.linalg.solve(np.tril(X[j0:j1, j0:j1]).T, y)
+            y[...] = L.inverses[k][j0 // LEAF] @ y
             x[p0:p0 + j0] -= X[j0:j1, :j0].T @ y
             for q0, Q in zip(L.starts[:k], L.below[:k]):
                 r0 = p0 + j0 - q0 - PANEL  # the leaf's rows in Q

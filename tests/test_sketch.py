@@ -61,6 +61,21 @@ class TestExactSketch:
         with pytest.raises(DomainError):
             sketch_exact(build(), [[0.2, 0.3], [50.0, 0.5]])
 
+    def test_hist_validates_records_once(self, monkeypatch):
+        # the whole batch, not each block again
+        calls = []
+        validate = Domain.validate
+
+        def counting(domain, records):
+            calls.append(len(records))
+            return validate(domain, records)
+
+        monkeypatch.setattr(Domain, "validate", counting)
+        n = 2 * SKETCH_BLOCK + 1
+        X = np.random.default_rng(4).uniform(size=(n, 3))
+        sketch_exact(HistMap(Domain.unit(3), 5), X)
+        assert calls == [n]
+
 
 class TestBlockedSum:
     """sketch_exact encodes and sums SKETCH_BLOCK records at a time."""
