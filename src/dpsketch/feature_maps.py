@@ -146,11 +146,12 @@ class OneHotMatrix(_Encoding):
 
     indices is the (n, B) array of the columns that hold the ones, sorted
     within each row, int32 when m fits that type; every block is
-    m / B columns wide.  The products follow the order of a compressed
-    sparse row (CSR) kernel, so they round the same way: P @ v adds the
-    B picked entries of each row to zero in column order, and
-    P.tmatmul(F) and the column sums accumulate row by row through
-    np.bincount.
+    m / B columns wide.  Encodings hold it in column-major order, so the
+    products read each block column from contiguous memory.  The
+    products follow the order of a compressed sparse row (CSR) kernel,
+    so they round the same way: P @ v adds the B picked entries of each
+    row to zero in column order, and P.tmatmul(F) and the column sums
+    accumulate row by row through np.bincount.
     """
 
     def __init__(self, indices: np.ndarray, m: int):
@@ -187,7 +188,7 @@ class OneHotMatrix(_Encoding):
     def sum_onto(self, counts: np.ndarray | None) -> np.ndarray:
         """Add this matrix's column counts into counts, the int64 counts
         of earlier rows (a new zero array if None), and return it."""
-        flat = self.indices.ravel()
+        flat = self.indices.ravel(order="K")  # counts need no order: no copy
         if counts is None:
             counts = np.zeros(self.shape[1], dtype=np.int64)
         for start in range(0, flat.size, SUM_CHUNK):
@@ -265,7 +266,7 @@ class _OneHotBlocks:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         m = self.n_blocks * self.width
         dtype = np.int32 if m <= np.iinfo(np.int32).max else np.int64
-        idx = self._indices(X).astype(dtype, copy=False)
+        idx = self._indices(X).astype(dtype, order="F", copy=False)
         # now the column indices
         idx += self.width * np.arange(idx.shape[1], dtype=dtype)
         return OneHotMatrix(idx, m)
@@ -275,8 +276,9 @@ class _OneHotBlocks:
         # Blockwise joint bucket counts; at the sizes used here this beats
         # a sparse P.T @ P.  Each bucket is numbered within its block among
         # the kept columns only, so every bincount is as small as the kept
-        # part of its two blocks.  Column-major indices, so that each
-        # bincount reads its two block columns from contiguous memory.
+        # part of its two blocks.  local[P.indices] keeps P's column-major
+        # order, so each bincount reads its two block columns from
+        # contiguous memory.
         n = P.shape[0]
         B, W = self.n_blocks, self.width
         kept = np.arange(B * W) if cols is None else np.asarray(cols)
@@ -285,7 +287,7 @@ class _OneHotBlocks:
         local = np.zeros(B * W, dtype=np.int32)
         local[kept] = np.arange(kept.size) - np.repeat(edges[:-1],
                                                       np.diff(edges))
-        idx = np.asfortranarray(local[P.indices])
+        idx = local[P.indices]
         G = LowerPanels(kept.size, dtype)
         for a in range(B):
             ia, a0, a1 = idx[:, a], edges[a], edges[a + 1]

@@ -34,6 +34,31 @@ def child_env():
     return make
 
 
+@pytest.fixture
+def csv_parts(monkeypatch):
+    """Make read_csv cut even small files into parts.
+
+    The per-part minimum drops to 64 bytes and three CPUs read as
+    usable, so a body of a few hundred bytes splits in three.  The
+    returned list gets one entry per read_csv call: True when the parts
+    answered, False when the one-process parse did.
+    """
+    from dpsketch import domain
+
+    monkeypatch.setattr(domain, "PART_MIN_BYTES", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    answered = []
+    in_parts = domain._parse_in_parts
+
+    def spy(fh):
+        data = in_parts(fh)
+        answered.append(data is not None)
+        return data
+
+    monkeypatch.setattr(domain, "_parse_in_parts", spy)
+    return answered
+
+
 @pytest.fixture(params=[
     "race-d", "rff-truncated-frequencies", "domain-unknown-kind",
     "domain-upper-below-lower", "domain-infinite-bound", "domain-dimension",

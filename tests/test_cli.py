@@ -240,6 +240,39 @@ class TestSketchCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_split_csv_read_gives_the_one_process_bytes(tmp_path, capsys,
+                                                    monkeypatch, csv_parts):
+    """sketch for every map and cdf --truth print and write the same bytes
+    when read_csv parses the input in parts as when it parses it whole."""
+    from dpsketch import domain
+
+    path = tmp_path / "data.csv"
+    write_csv(path, np.random.default_rng(2).uniform(size=(2000, 3)))
+    out = tmp_path / "s.json"
+    seeds = ["--epsilon", "1", "--noise-seed", "5"]
+    maps = [["--map", "hist", "--bins", "8"],
+            ["--map", "race", "--hashes", "6", "--buckets", "5",
+             "--map-seed", "3"],
+            ["--map", "rff", "--m", "30", "--map-seed", "3"]]
+
+    def outputs():
+        seen = []
+        for flags in maps:
+            code, stdout, _ = run_cli(capsys, "sketch", str(path), "--out",
+                                      str(out), *flags, *seeds)
+            assert code == 0
+            seen += [stdout, out.read_bytes()]
+        code, stdout, _ = run_cli(capsys, "cdf", str(out), "--attr", "2",
+                                  "--truth", str(path), "--n-synth", "500")
+        assert code == 0
+        return seen + [stdout]
+
+    split = outputs()
+    assert csv_parts == [True] * 4
+    monkeypatch.setattr(domain, "PART_MIN_BYTES", 1 << 62)
+    assert outputs() == split
+    assert csv_parts[4:] == [False] * 4
+
 class TestEstimateCommand:
     def test_library_warning_is_one_line(self, tmp_path, dataset, capsys):
         path, _ = dataset

@@ -1,10 +1,24 @@
 import math
+import os
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from dpsketch import Domain, DomainError, read_csv
+from dpsketch import Domain, DomainError, domain, read_csv
+
+MALFORMED = [
+    ("", "empty file"),
+    ("x,y\n", "no data rows"),
+    ("x,y\n\n\n", "no data rows"),
+    ("x,y\n1,2\n3\n", "non-numeric value"),         # ragged
+    ("x,y\n1,2\n3,4,5\n", "non-numeric value"),     # ragged
+    ("x,y\n1,oops\n", "non-numeric value"),
+    ("x,y\n#1,2\n", "non-numeric value"),          # not a comment
+    ("x,y\n1,nan\n", "non-finite value"),
+    ("x,y\n-inf,2\n", "non-finite value"),
+]
 
 
 class TestConstruction:
@@ -124,17 +138,7 @@ class TestReadCsv:
     def test_always_two_dimensional(self, tmp_path, text, shape):
         assert self._read(tmp_path, text)[0].shape == shape
 
-    @pytest.mark.parametrize("text, words", [
-        ("", "empty file"),
-        ("x,y\n", "no data rows"),
-        ("x,y\n\n\n", "no data rows"),
-        ("x,y\n1,2\n3\n", "non-numeric value"),         # ragged
-        ("x,y\n1,2\n3,4,5\n", "non-numeric value"),     # ragged
-        ("x,y\n1,oops\n", "non-numeric value"),
-        ("x,y\n#1,2\n", "non-numeric value"),          # not a comment
-        ("x,y\n1,nan\n", "non-finite value"),
-        ("x,y\n-inf,2\n", "non-finite value"),
-    ])
+    @pytest.mark.parametrize("text, words", MALFORMED)
     def test_malformed_files_raise_naming_the_path(self, tmp_path, text,
                                                    words):
         with warnings.catch_warnings():
@@ -146,3 +150,173 @@ class TestReadCsv:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_csv(tmp_path / "nope.csv")
+
+
+def _outcome(path):
+    """read_csv's data bytes, shape and header, or its error message."""
+    try:
+        data, header = read_csv(path)
+    except DomainError as err:
+        return str(err)
+    return data.tobytes(), data.shape, header
+
+
+def _one_process_outcome(monkeypatch, path):
+    with monkeypatch.context() as patch:
+        patch.setattr(domain, "PART_MIN_BYTES", 1 << 62)
+        return _outcome(path)
+
+
+def _rows(n, end="\n"):
+    values = np.random.default_rng(1).normal(scale=1e3, size=(n, 2))
+    return "".join(f"{a!r},{b!r}{end}" for a, b in values.tolist())
+
+
+def _bit_equal_values():
+    values = np.random.default_rng(0).normal(scale=1e3, size=(500, 4))
+    values[0] = [0.1, -0.0, 1e-300, 5e-324]
+    return "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
+
+
+class TestReadCsvInParts:
+    """A body split among worker processes reads as one process reads it."""
+
+    @pytest.mark.parametrize("text, splits", [
+        ("x,y\r\n" + _rows(40, "\r\n"), True),                    # CRLF
+        ("x,y\n" + "".join(f"{i},{i}.5\n" + "\n" * 30 for i in range(12)),
+         True),                                    # blank lines at a cut
+        ("x,y\n" + _rows(40).rstrip("\n"), True),   # no newline at the end
+        ("a,b,c,d\n" + _bit_equal_values(), True),
+        ("x,y\r" + _rows(40, "\r"), False),                 # \r endings
+        ("x,y\r" + _rows(40), False),            # only the header ends in \r
+        ("x,y\n1.5,2\n", False),                           # one data row
+    ], ids=["crlf", "blank-lines-at-cut", "no-final-newline", "bit-equal",
+            "cr-only", "cr-header", "one-row"])
+    def test_same_bytes_as_one_process(self, tmp_path, monkeypatch,
+                                       csv_parts, text, splits):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(path) == _one_process_outcome(monkeypatch, path)
+        assert csv_parts[0] is splits
+        if "\n\n" in text:  # some part starts on a blank line
+            with open(path, "rb") as fh:
+                cuts = domain._cuts(fh.fileno())
+            assert any(text[cut] == "\n" for cut in cuts[1:-1])
+
+    @pytest.mark.parametrize("text, words", MALFORMED)
+    def test_bad_row_in_a_later_part_names_it_as_one_process(
+            self, tmp_path, monkeypatch, csv_parts, text, words):
+        header, _, body = text.partition("\n")
+        if body.strip():  # the bad row goes after 200 good ones
+            text = header + "\n" + "1,2\n" * 200 + body
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        message = _outcome(path)
+        assert words in message and str(path) in message
+        assert message == _one_process_outcome(monkeypatch, path)
+        # only the finite check, after the parse, fails on parts' numbers
+        assert csv_parts[:1] == ([words == "non-finite value"] if text else [])
+
+    def test_parts_of_another_width_name_the_row_as_one_process(
+            self, tmp_path, monkeypatch, csv_parts):
+        # two parts, cut exactly where the rows turn three wide
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        path = tmp_path / "d.csv"
+        path.write_bytes(("x,y\n" + "1,2\n" * 101 + "1,2,3\n" * 67).encode())
+        with open(path, "rb") as fh:
+            assert domain._cuts(fh.fileno()) == [4, 4 + 404, 4 + 806]
+        message = _outcome(path)
+        assert "non-numeric value or ragged row" in message
+        assert message == _one_process_outcome(monkeypatch, path)
+        assert csv_parts[0] is False
+
+    @pytest.mark.parametrize("text", [
+        "x,y\n" + _rows(40) + '"1.5","2"\n' + _rows(40),
+        "x,y\n" + _rows(40) + '3,"4\n' + _rows(40),
+        '"x,y\n' + _rows(80),  # the header's quote takes in the whole file
+    ], ids=["quoted-fields", "unterminated-in-body", "unterminated-header"])
+    def test_a_quote_is_parsed_in_one_process(self, tmp_path, monkeypatch,
+                                              csv_parts, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(path) == _one_process_outcome(monkeypatch, path)
+        assert csv_parts[0] is False
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts descriptors in /proc/self/fd")
+    @pytest.mark.parametrize("case", ["read", "bad-row", "worker-fails",
+                                      "interrupted"])
+    def test_no_worker_or_descriptor_outlives_the_read(
+            self, tmp_path, monkeypatch, csv_parts, case):
+        path = tmp_path / "d.csv"
+        bad = "1,oops\n" if case == "bad-row" else ""
+        path.write_bytes(("x,y\n" + _rows(80) + bad).encode())
+        parent = os.getpid()
+        if case == "worker-fails":
+            parse = domain._parse
+
+            def failing(lines):
+                if os.getpid() != parent:
+                    raise ValueError("worker failed")
+                return parse(lines)
+
+            monkeypatch.setattr(domain, "_parse", failing)
+        if case == "interrupted":  # while the workers still parse
+            def hang(lines):
+                time.sleep(60)
+
+            def interrupt(fd, out):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(domain, "_parse", hang)
+            monkeypatch.setattr(domain, "_receive", interrupt)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        if case == "interrupted":
+            start = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                read_csv(path)
+            assert time.monotonic() - start < 30  # killed, not waited for
+        else:
+            outcome = _outcome(path)
+            assert csv_parts == [case == "read"]
+            assert outcome == _one_process_outcome(monkeypatch, path)
+        assert os.getpid() == parent
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+
+    def test_no_warning_when_warnings_are_errors(self, tmp_path, csv_parts):
+        path = tmp_path / "d.csv"
+        path.write_bytes(("x,y\n" + _rows(80)).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            read_csv(path)
+        assert csv_parts == [True]
+
+    @pytest.mark.parametrize("case", ["no-fork", "one-cpu"])
+    def test_falls_back_to_one_process(self, tmp_path, monkeypatch,
+                                       csv_parts, case):
+        if case == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        path = tmp_path / "d.csv"
+        path.write_bytes(("x,y\n" + _rows(80)).encode())
+        assert _outcome(path) == _one_process_outcome(monkeypatch, path)
+        assert csv_parts[0] is False
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"),
+                        reason="names a pipe as /dev/fd/N")
+    def test_a_pipe_is_parsed_in_one_process(self, tmp_path, csv_parts):
+        text = "x,y\n" + _rows(80)
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(text.encode())  # fits the pipe's buffer
+        try:
+            data, header = read_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert (data.tobytes(), data.shape, header) == _outcome(path)
+        assert csv_parts == [False, True]

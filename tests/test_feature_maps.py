@@ -345,6 +345,8 @@ class TestBatchPathsAgreeWithDense:
         assert isinstance(P, OneHotMatrix)
         assert P.shape == (50, spec.m)
         assert P.indices.shape == (50, spec.n_blocks)
+        # column-major, so each block column is contiguous
+        assert P.indices.flags.f_contiguous
         # column a * width + position: one per block, sorted in each row
         np.testing.assert_array_equal(P.indices // spec.width,
                                       np.tile(np.arange(spec.n_blocks), (50, 1)))
