@@ -24,7 +24,6 @@ from .sketch import (
     SketchError,
     load_sketch,
     laplace_noise,
-    merge,
     privatize,
     save_sketch,
     sketch_exact,

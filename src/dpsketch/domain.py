@@ -145,19 +145,23 @@ def read_csv(path) -> tuple[np.ndarray, list[str]]:
     """Read a CSV file of numbers under a header line: (n, d) data, header.
 
     Blank lines are skipped and fields may be quoted or padded with
-    spaces; nothing is read as a comment.  An empty file, a file without
-    data rows, a non-numeric value, a row of another width or a
-    non-finite value raises DomainError naming the path; OSError
-    propagates.
+    spaces; nothing is read as a comment.  An empty file, a header whose
+    quote does not close on its line, a file without data rows, a
+    non-numeric value, a row of another width or a non-finite value
+    raises DomainError naming the path; OSError propagates.
 
     A large body is parsed in forked worker processes (see
     _parse_in_parts), with the same result bytes; whenever that cannot
     answer, the body is parsed here, which also raises every error.
     """
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header is None:
             raise DomainError(f"{path}: empty file")
+        if reader.line_num > 1:  # the quote took in the lines after it
+            raise DomainError(f"{path}: a quote in the header does not "
+                              f"close on its line")
         data = _parse_in_parts(fh)
         if data is None:
             try:

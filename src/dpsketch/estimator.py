@@ -150,7 +150,8 @@ class SyntheticFeatures:
     only on the sketch and the penalty, so one solve per sketch answers
     every target.  Only the m_occ features that some synthetic sample
     activates enter the system: on the others G is zero (one-hot maps
-    leave buckets empty; dense maps activate every feature).  G over
+    leave buckets empty; dense maps activate every feature), so the
+    samples' encoding is compacted to those columns once.  G over
     those features is built on the first solve as lower-triangle panels
     (linalg.LowerPanels), in float32 when it spans more than two panels
     and in float64 otherwise, and factored in place as solve describes.
@@ -190,10 +191,9 @@ class SyntheticFeatures:
                 f"m={spec.m}; the fit may overfit the synthetic samples",
                 stacklevel=3,
             )
-        self._P = spec.encode_batch(points)
-        self._cols = self._P.occupied()  # None when every column may be
-        order = spec.m if self._cols is None else self._cols.size
-        self._dtype = np.float32 if in_strips(order) else np.float64
+        # P without its empty columns, and the columns it keeps
+        self._P, self._cols = spec.encode_batch(points).compact()
+        self._dtype = np.float32 if in_strips(self._cols.size) else np.float64
         self._buf = None  # LowerPanels; G, then factored in place
         self._gram = None  # a kept copy of G, from the second factorization on
         self._lam = None  # the penalty whose factor _buf holds
@@ -204,13 +204,15 @@ class SyntheticFeatures:
     def n(self) -> int:
         return self.points.shape[0]
 
-    def dot_targets(self, F) -> np.ndarray:
-        """(1/n) P^T F for target values F of shape (n,) or (n, t)."""
-        return self._P.tmatmul(F) / self.n
+    def dot_targets(self, f) -> np.ndarray:
+        """(1/n) P^T f for target values f of shape (n,)."""
+        out = np.zeros(self.spec.m)
+        out[self._cols] = self._P.tmatmul(f) / self.n
+        return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """P @ v, the feature combination v at every synthetic sample."""
-        return self._P @ np.asarray(v, dtype=float)
+        return self._P @ np.asarray(v, dtype=float)[self._cols]
 
     def solve(self, rhs: np.ndarray, lam: float) -> np.ndarray:
         """Solve (G + lam I) x = rhs for a penalty 0 < lam < inf.
@@ -223,13 +225,13 @@ class SyntheticFeatures:
         G is copied back from the kept copy and s doubles (Nocedal &
         Wright, Alg. 3.3).  x is then refined to the system at lam itself
         by conjugate gradients preconditioned with that factor (see
-        _refine), so no answer carries s; an (m, t) rhs is refined column
-        by column.  On the columns no sample occupies the system reads
-        lam x = rhs.  Only the last penalty's factor is kept, in place in
-        the one set of panels: every estimate from one sketch uses one
-        penalty, and a new penalty copies G back from the kept copy
-        (built from the samples the first time it is needed) and factors
-        again, so a sweep over sketches never holds a third set.
+        _refine), so no answer carries s.  On the columns no sample
+        occupies the system reads lam x = rhs.  Only the last penalty's
+        factor is kept, in place in the one set of panels: every estimate
+        from one sketch uses one penalty, and a new penalty copies G back
+        from the kept copy (built from the samples the first time it is
+        needed) and factors again, so a sweep over sketches never holds a
+        third set.
         """
         if not 0 < lam < math.inf:
             raise ValueError("lambda must be positive and finite")
@@ -237,17 +239,10 @@ class SyntheticFeatures:
             self._lam = None  # the panels are about to change under it
             self._factorize(lam)
             self._lam = lam
-        self.cg_iterations = 0
-        cols = self._cols
         rhs = np.asarray(rhs, dtype=float)
-        b = rhs if cols is None else rhs[cols]
-        x = self._refine(b, lam) if b.ndim == 1 else \
-            np.stack([self._refine(c, lam) for c in b.T], axis=1)
-        if cols is None:
-            return x
-        full = rhs / lam  # lam x = rhs off the block
-        full[cols] = x
-        return full
+        x = rhs / lam  # lam x = rhs off the occupied columns
+        x[self._cols] = self._refine(rhs[self._cols], lam)
+        return x
 
     def _refine(self, b: np.ndarray, lam: float) -> np.ndarray:
         """Solve (G + lam I) x = b over the kept columns in float64 by
@@ -266,15 +261,11 @@ class SyntheticFeatures:
         count, and over contiguous vectors (einsum's order depends on the
         layout).
         """
-        b, cols, M = np.ascontiguousarray(b), self._cols, self._buf
+        P, M = self._P, self._buf
         norm_a, norm_b = self._trace + lam, _norm(b)
 
         def times_a(v):  # (G + lam I) v
-            if cols is None:
-                return self.dot_targets(self.apply(v)) + lam * v
-            full = np.zeros(self.spec.m)
-            full[cols] = v
-            return self.dot_targets(self.apply(full))[cols] + lam * v
+            return P.tmatmul(P @ v) / self.n + lam * v
 
         def precondition(r, scale):  # r / scale neither under- nor
             # overflows in float32
@@ -300,7 +291,7 @@ class SyntheticFeatures:
             steps += 1
             if norm < best[0]:
                 best = norm, x
-        self.cg_iterations += steps
+        self.cg_iterations = steps
         return best[1]
 
     def _factorize(self, lam: float) -> None:
@@ -324,7 +315,7 @@ class SyntheticFeatures:
         """The one set of panels, holding G: built from the samples on
         the first solve, copied from the kept copy after that."""
         if self._buf is None:
-            self._buf = self.spec.gram(self._P, self._cols, self._dtype)
+            self._buf = self.spec.gram(self._P, self._dtype)
         else:
             self._buf.copy_from(self._kept_gram())
         return self._buf
@@ -333,7 +324,7 @@ class SyntheticFeatures:
         """G to copy over a factor: built from the samples the first time
         a factorization needs it again, and kept from then on."""
         if self._gram is None:
-            self._gram = self.spec.gram(self._P, self._cols, self._dtype)
+            self._gram = self.spec.gram(self._P, self._dtype)
         return self._gram
 
     @staticmethod

@@ -3,10 +3,11 @@ features, and one-hot LSH buckets.
 
 Each map embeds points of R^d into R^m.  The batch encoding of n points
 is the (n, m) feature matrix P itself; the estimator and the sketch only
-need the operations of _Encoding and the lower triangle of the averaged
-Gram matrix, which each map computes its own way.  One-hot maps (HIST,
-RACE) encode to a OneHotMatrix, which holds the one active column of
-each block; RFF encodes to a DenseMatrix, which holds P zero-padded.
+need its products, column sums and compaction, and the lower triangle
+of the averaged Gram matrix, which each map computes its own way.
+One-hot maps (HIST, RACE) encode to a OneHotMatrix, which holds the one
+active position of each block; RFF encodes to a DenseMatrix, which holds
+P zero-padded.
 """
 
 from __future__ import annotations
@@ -89,14 +90,11 @@ class FeatureMap:
         for one-hot maps, a DenseMatrix otherwise."""
         raise NotImplementedError
 
-    def gram(self, P, cols=None, dtype=np.float64) -> LowerPanels:
+    def gram(self, P, dtype=np.float64) -> LowerPanels:
         """(1/n) P^T P as a LowerPanels of the given dtype, which the
-        estimator factors in place.  Each map computes dense blocks of it
-        its own way and hands them to LowerPanels.store, which keeps the
-        lower triangle.
-
-        With cols, sorted indices that include P.occupied() (one-hot P
-        only), the (k, k) matrix (1/n) P[:, cols]^T P[:, cols].
+        estimator factors in place; P is this map's encoding, compacted
+        or not.  Each map computes dense blocks of it its own way and
+        hands them to LowerPanels.store, which keeps the lower triangle.
         """
         raise NotImplementedError
 
@@ -124,39 +122,27 @@ class FeatureMap:
         return isinstance(other, FeatureMap) and self.to_dict() == other.to_dict()
 
 
-SUM_CHUNK = 1 << 16  # indices per int64-casting bincount in OneHotMatrix
-
-
-class _Encoding:
-    """What every (n, m) feature matrix P offers: P @ v, P.tmatmul(F)
-    (P^T F through _tcolumn), P.sum(axis=0), P.sum_onto(total) (the
-    column sums carried on from earlier rows), P.toarray() and
-    P.occupied(), the columns that may hold a nonzero entry."""
-
-    def tmatmul(self, F) -> np.ndarray:
-        """P^T F for F of shape (n,) or (n, t), one column of F at a time."""
-        F = np.asarray(F, dtype=float)
-        if F.ndim == 1:
-            return self._tcolumn(F)
-        return np.stack([self._tcolumn(f) for f in F.T], axis=1)
-
-
-class OneHotMatrix(_Encoding):
+class OneHotMatrix:
     """An (n, m) matrix of zeros with one 1.0 per row in each block.
 
-    indices is the (n, B) array of the columns that hold the ones, sorted
-    within each row, int32 when m fits that type; every block is
-    m / B columns wide.  Encodings hold it in column-major order, so the
-    products read each block column from contiguous memory.  The
-    products follow the order of a compressed sparse row (CSR) kernel,
-    so they round the same way: P @ v adds the B picked entries of each
-    row to zero in column order, and P.tmatmul(F) and the column sums
-    accumulate row by row through np.bincount.
+    Block a spans columns edges[a]..edges[a + 1]; positions is the (n, B)
+    array of the column each row holds its 1 in, counted within its
+    block, int32 when m fits that type.  Encodings hold it in
+    column-major order, so the products read each block column from
+    contiguous memory.  The products follow the order of a compressed
+    sparse row (CSR) kernel, so they round the same way: P @ v adds the B
+    picked entries of each row to zero in column order, and P.tmatmul(f)
+    and the column sums accumulate row by row through np.bincount.
     """
 
-    def __init__(self, indices: np.ndarray, m: int):
-        self.indices = indices
-        self.shape = (indices.shape[0], m)
+    def __init__(self, positions: np.ndarray, edges: list[int]):
+        self.positions = positions
+        self.edges = edges
+        self.shape = (positions.shape[0], edges[-1])
+
+    def blocks(self):
+        """(first column, end column, positions) of each block."""
+        return zip(self.edges[:-1], self.edges[1:], self.positions.T)
 
     def __matmul__(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -164,53 +150,54 @@ class OneHotMatrix(_Encoding):
             raise ValueError(f"cannot multiply a {self.shape} matrix by "
                              f"shape {v.shape}")
         out = np.zeros((self.shape[0],) + v.shape[1:])
-        for col in self.indices.T:
-            out += v[col]
+        for a0, a1, col in self.blocks():
+            out += v[a0:a1][col]
         return out
 
-    def _tcolumn(self, f: np.ndarray) -> np.ndarray:
-        # one block column at a time: each row adds to one column of a
-        # block, in row order, so the sums are CSR's without an n x B copy
-        B = self.indices.shape[1]
-        W = self.shape[1] // B
+    def tmatmul(self, f) -> np.ndarray:
+        """P^T f for f of shape (n,): each row adds to one column of a
+        block, in row order, so the sums are CSR's without an n x B copy."""
+        f = np.asarray(f, dtype=float)
         out = np.empty(self.shape[1])
-        for a in range(B):
-            out[a * W:(a + 1) * W] = np.bincount(self.indices[:, a] - a * W,
-                                                 f, minlength=W)
+        for a0, a1, col in self.blocks():
+            out[a0:a1] = np.bincount(col, f, minlength=a1 - a0)
         return out
-
-    def sum(self, axis) -> np.ndarray:
-        """Column sums (axis=0): how many rows hold a 1 in each column."""
-        if axis != 0:
-            raise ValueError("only column sums (axis=0) are supported")
-        return self.sum_onto(None).astype(float)
 
     def sum_onto(self, counts: np.ndarray | None) -> np.ndarray:
         """Add this matrix's column counts into counts, the int64 counts
         of earlier rows (a new zero array if None), and return it."""
-        flat = self.indices.ravel(order="K")  # counts need no order: no copy
         if counts is None:
             counts = np.zeros(self.shape[1], dtype=np.int64)
-        for start in range(0, flat.size, SUM_CHUNK):
-            chunk = np.bincount(flat[start:start + SUM_CHUNK])
-            counts[:chunk.size] += chunk
+        for a0, a1, col in self.blocks():
+            counts[a0:a1] += np.bincount(col, minlength=a1 - a0)
         return counts
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
-        np.put_along_axis(out, self.indices, 1.0, axis=1)
+        for a0, a1, col in self.blocks():
+            np.put_along_axis(out[:, a0:a1], col[:, None], 1.0, axis=1)
         return out
 
-    def occupied(self) -> np.ndarray | None:
-        """The sorted columns that hold a 1, or None when every one does."""
-        counts = self.sum(axis=0)
-        return None if counts.all() else np.flatnonzero(counts)
+    def compact(self) -> tuple["OneHotMatrix", np.ndarray]:
+        """This matrix without its all-zero columns, and the sorted
+        columns it keeps: each block numbers its positions among the
+        occupied ones."""
+        occupied = self.sum_onto(None) > 0
+        kept = np.flatnonzero(occupied)
+        positions = np.empty_like(self.positions)
+        for (a0, a1, col), out in zip(self.blocks(), positions.T):
+            rank = np.cumsum(occupied[a0:a1], dtype=positions.dtype) - 1
+            np.take(rank, col, out=out)
+        return (OneHotMatrix(positions,
+                             np.searchsorted(kept, self.edges).tolist()),
+                kept)
 
 
-class DenseMatrix(_Encoding):
+class DenseMatrix:
     """An (n, m) matrix, the first m columns of padded, a C-order array
-    _width8(m) wide whose other columns are zero.  P^T F and the Gram run
+    _width8(m) wide whose other columns are zero.  P^T f and the Gram run
     over all of padded (see _width8); the rest uses its view, not a copy.
+    It offers the operations of OneHotMatrix.
     """
 
     def __init__(self, padded: np.ndarray, m: int):
@@ -220,11 +207,8 @@ class DenseMatrix(_Encoding):
     def __matmul__(self, v) -> np.ndarray:
         return self.toarray() @ v
 
-    def _tcolumn(self, f: np.ndarray) -> np.ndarray:
-        return (self.padded.T @ f)[:self.shape[1]]
-
-    def sum(self, axis) -> np.ndarray:
-        return self.toarray().sum(axis=axis)
+    def tmatmul(self, f) -> np.ndarray:
+        return (self.padded.T @ np.asarray(f, dtype=float))[:self.shape[1]]
 
     def sum_onto(self, total: np.ndarray | None) -> np.ndarray:
         """total, the column sums of earlier rows (None for none), plus
@@ -240,8 +224,8 @@ class DenseMatrix(_Encoding):
     def toarray(self) -> np.ndarray:
         return self.padded[:, :self.shape[1]]
 
-    def occupied(self) -> None:
-        return None  # any column may hold a nonzero entry
+    def compact(self) -> tuple["DenseMatrix", np.ndarray]:
+        return self, np.arange(self.shape[1])  # any column may be nonzero
 
 
 class _OneHotBlocks:
@@ -249,15 +233,13 @@ class _OneHotBlocks:
 
     HIST concatenates d blocks of width n_bins (one active bin per
     attribute); RACE concatenates R blocks of width W (one active bucket
-    per hash).  P is a OneHotMatrix whose 1 in block a sits at column
-    a * W + (active position in block a), so the columns of each row are
-    sorted.
+    per hash).  P is a OneHotMatrix of blocks width columns wide.
     """
 
     n_blocks: int
     width: int
 
-    def _indices(self, X) -> np.ndarray:
+    def _positions(self, X) -> np.ndarray:
         """The (n, B) int64 positions of the active bucket within each
         block."""
         raise NotImplementedError
@@ -266,34 +248,20 @@ class _OneHotBlocks:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         m = self.n_blocks * self.width
         dtype = np.int32 if m <= np.iinfo(np.int32).max else np.int64
-        idx = self._indices(X).astype(dtype, order="F", copy=False)
-        # now the column indices
-        idx += self.width * np.arange(idx.shape[1], dtype=dtype)
-        return OneHotMatrix(idx, m)
+        return OneHotMatrix(
+            self._positions(X).astype(dtype, order="F", copy=False),
+            list(range(0, m + 1, self.width)))
 
-    def gram(self, P: OneHotMatrix, cols=None,
-             dtype=np.float64) -> LowerPanels:
+    def gram(self, P: OneHotMatrix, dtype=np.float64) -> LowerPanels:
         # Blockwise joint bucket counts; at the sizes used here this beats
-        # a sparse P.T @ P.  Each bucket is numbered within its block among
-        # the kept columns only, so every bincount is as small as the kept
-        # part of its two blocks.  local[P.indices] keeps P's column-major
-        # order, so each bincount reads its two block columns from
-        # contiguous memory.
+        # a sparse P.T @ P.  Each bincount is as small as its two blocks
+        # and reads their block columns of P from contiguous memory.
         n = P.shape[0]
-        B, W = self.n_blocks, self.width
-        kept = np.arange(B * W) if cols is None else np.asarray(cols)
-        edges = np.searchsorted(kept, W * np.arange(B + 1)).tolist()
-        # int32 is wide enough: a pair of blocks has at most W^2 cells
-        local = np.zeros(B * W, dtype=np.int32)
-        local[kept] = np.arange(kept.size) - np.repeat(edges[:-1],
-                                                      np.diff(edges))
-        idx = local[P.indices]
-        G = LowerPanels(kept.size, dtype)
-        for a in range(B):
-            ia, a0, a1 = idx[:, a], edges[a], edges[a + 1]
-            for b in range(a, B):
-                b0, b1 = edges[b], edges[b + 1]
-                joint = np.bincount(ia * (b1 - b0) + idx[:, b],
+        blocks = list(P.blocks())
+        G = LowerPanels(P.shape[1], dtype)
+        for k, (a0, a1, ia) in enumerate(blocks):
+            for b0, b1, ib in blocks[k:]:
+                joint = np.bincount(ia * (b1 - b0) + ib,
                                     minlength=(a1 - a0) * (b1 - b0))
                 # rows b0..b1 of columns a0..a1; counts / n rounded once,
                 # straight to the storage dtype
@@ -329,7 +297,7 @@ class HistMap(_OneHotBlocks, FeatureMap):
         # from the domain
         return super().embed_batch(self.domain.validate(X))
 
-    def _indices(self, X) -> np.ndarray:
+    def _positions(self, X) -> np.ndarray:
         lo = self.domain.lower_arr
         widths = (self.domain.upper_arr - lo) / self.n_bins
         idx = np.floor((X - lo) / widths).astype(np.int64)
@@ -403,10 +371,7 @@ class RffMap(FeatureMap):
     def kernel_scale(self) -> float:
         return float(self.m_half)
 
-    def gram(self, P: DenseMatrix, cols=None,
-             dtype=np.float64) -> LowerPanels:
-        if cols is not None:
-            raise ValueError("a dense P has no empty columns to leave out")
+    def gram(self, P: DenseMatrix, dtype=np.float64) -> LowerPanels:
         n, m = P.shape
         dense = P.padded.T @ P.padded
         dense /= n
@@ -465,7 +430,7 @@ class RaceMap(_OneHotBlocks, FeatureMap):
             if not np.all((reach + self.r_width) / self.r_width < 2.0 ** 62):
                 raise FeatureMapError("r_width is too small for the domain")
 
-    def _indices(self, X) -> np.ndarray:
+    def _positions(self, X) -> np.ndarray:
         # the floor is an integer of magnitude under 2^62 (the
         # constructor's bound), exact in a double, so the int64 cast is
         # exact and the remainder is taken on integers

@@ -4,8 +4,7 @@ The exact sketch of a dataset is the columnwise sum of the feature map
 over all records together with the record count.  Privatization adds
 i.i.d. Laplace noise calibrated to the map's L1 sensitivity to the sum,
 and Laplace(1/eps_den) noise to the count; the total budget eps splits as
-eps_num + eps_den.  Sketches of disjoint datasets with the same spec and
-noise scales merge by plain addition.
+eps_num + eps_den.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ class ExactSketch:
 class PrivateSketch:
     """The published artifact: noisy feature sum, noisy count, budget bookkeeping.
 
-    The sum representation is stored (not the normalized sketch) so that
-    sketches stay mergeable; `normalized` is always recomputed, with the
-    noisy count clamped to >= 1 only at normalization time.
+    The sum representation is stored (not the normalized sketch);
+    `normalized` is always recomputed, with the noisy count clamped to
+    >= 1 only at normalization time.
     """
 
     noisy_sum: np.ndarray
@@ -157,17 +156,6 @@ def privatize(exact: ExactSketch, spec: FeatureMap, epsilon: float,
     noisy_count = exact.count + laplace_noise(count_scale, rng)
     return PrivateSketch(noisy_sum, noisy_count, eps_num, eps_den,
                          spec.spec_id)
-
-
-def merge(a: PrivateSketch, b: PrivateSketch) -> PrivateSketch:
-    """Combine sketches of two datasets into the sketch of their union."""
-    if a.spec_id != b.spec_id:
-        raise SketchError("cannot merge sketches with different feature-map specs")
-    if (a.epsilon_num, a.epsilon_den) != (b.epsilon_num, b.epsilon_den):
-        raise SketchError("cannot merge sketches with different noise scales")
-    return PrivateSketch(a.noisy_sum + b.noisy_sum,
-                         a.noisy_count + b.noisy_count,
-                         a.epsilon_num, a.epsilon_den, a.spec_id)
 
 
 # -- file format ----------------------------------------------------------

@@ -18,6 +18,7 @@ MALFORMED = [
     ("x,y\n#1,2\n", "non-numeric value"),          # not a comment
     ("x,y\n1,nan\n", "non-finite value"),
     ("x,y\n-inf,2\n", "non-finite value"),
+    ('"x,y\n1,2\n', "quote in the header does not close"),
 ]
 
 
@@ -214,8 +215,11 @@ class TestReadCsvInParts:
         message = _outcome(path)
         assert words in message and str(path) in message
         assert message == _one_process_outcome(monkeypatch, path)
-        # only the finite check, after the parse, fails on parts' numbers
-        assert csv_parts[:1] == ([words == "non-finite value"] if text else [])
+        # only the finite check, after the parse, fails on parts' numbers;
+        # an empty file or an unclosed header quote fails before the parse
+        parsed = text and not text.startswith('"')
+        assert csv_parts[:1] == ([words == "non-finite value"] if parsed
+                                 else [])
 
     def test_parts_of_another_width_name_the_row_as_one_process(
             self, tmp_path, monkeypatch, csv_parts):
@@ -233,14 +237,20 @@ class TestReadCsvInParts:
     @pytest.mark.parametrize("text", [
         "x,y\n" + _rows(40) + '"1.5","2"\n' + _rows(40),
         "x,y\n" + _rows(40) + '3,"4\n' + _rows(40),
-        '"x,y\n' + _rows(80),  # the header's quote takes in the whole file
+        '"x,y\n' + _rows(80),  # the header's quote would take in the file
     ], ids=["quoted-fields", "unterminated-in-body", "unterminated-header"])
     def test_a_quote_is_parsed_in_one_process(self, tmp_path, monkeypatch,
                                               csv_parts, text):
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode())
-        assert _outcome(path) == _one_process_outcome(monkeypatch, path)
-        assert csv_parts[0] is False
+        outcome = _outcome(path)
+        assert outcome == _one_process_outcome(monkeypatch, path)
+        if text.startswith('"'):  # rejected before the body is parsed
+            assert outcome == (f"{path}: a quote in the header does not "
+                               f"close on its line")
+            assert csv_parts == []
+        else:
+            assert csv_parts[0] is False
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="counts descriptors in /proc/self/fd")

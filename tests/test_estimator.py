@@ -447,9 +447,9 @@ class TestFactorBuffer:
                              ids=_MAP_IDS + ["race-panels"])
     def test_gram_is_exactly_symmetric(self, spec):
         # The panels hold (1/n) P^T P's lower triangle bit for bit, over
-        # all columns and, for one-hot maps, over the occupied ones;
-        # dense() mirrors it, so it matches the product only if P^T P is
-        # exactly symmetric.  A dense P takes no column subset.
+        # all columns and over the occupied ones (P compacted; all of
+        # them for a dense P); dense() mirrors it, so it matches the
+        # product only if P^T P is exactly symmetric.
         points = SyntheticFeatures(spec, TrainConfig(n_synth=3000, seed=1)).points
         P = spec.embed_batch(points)
         ref = P.T @ P
@@ -457,12 +457,9 @@ class TestFactorBuffer:
         ref /= points.shape[0]
         encoded = spec.encode_batch(points)
         assert spec.gram(encoded).dense().tobytes() == ref.tobytes()
-        cols = np.flatnonzero(np.diagonal(ref))
-        if spec.variant == "RFF":
-            with pytest.raises(ValueError):
-                spec.gram(encoded, cols)
-            return
-        assert spec.gram(encoded, cols).dense().tobytes() == \
+        compact, cols = encoded.compact()
+        np.testing.assert_array_equal(cols, np.flatnonzero(np.diagonal(ref)))
+        assert spec.gram(compact).dense().tobytes() == \
             ref[np.ix_(cols, cols)].tobytes()
 
     @pytest.mark.parametrize("spec", _MAPS + [_MULTI_PANEL],
@@ -546,9 +543,9 @@ class TestFactorBuffer:
         grams, diagonals = [], []
         gram, factor = spec.gram, estimator.cholesky_in_place
 
-        def recording_gram(P, cols=None, dtype=np.float64):
+        def recording_gram(P, dtype=np.float64):
             grams.append(np.dtype(dtype))
-            return gram(P, cols, dtype)
+            return gram(P, dtype)
 
         def breaking_down_once(a):
             diagonals.append(a.diagonal())
@@ -629,15 +626,12 @@ class TestMixedPrecision:
     def _reference(feats, sketch, lam):
         # the weights of the float64 panel factor of G + lam I
         P = feats.spec.encode_batch(feats.points)
-        cols = P.occupied()
-        A = feats.spec.gram(P, cols)
+        compact, cols = P.compact()
+        A = feats.spec.gram(compact)
         A.set_diagonal(A.diagonal() + lam)
         cholesky_in_place(A)
         x = sketch.normalized / lam
-        if cols is None:
-            x = cholesky_solve(A, sketch.normalized)
-        else:
-            x[cols] = cholesky_solve(A, sketch.normalized[cols])
+        x[cols] = cholesky_solve(A, sketch.normalized[cols])
         return P @ x / feats.n
 
     @staticmethod
@@ -657,9 +651,9 @@ class TestMixedPrecision:
         dtypes = []
         gram = spec.gram
 
-        def recording(P, cols=None, dtype=np.float64):
+        def recording(P, dtype=np.float64):
             dtypes.append(np.dtype(dtype))
-            return gram(P, cols, dtype)
+            return gram(P, dtype)
 
         monkeypatch.setattr(spec, "gram", recording)
         return dtypes
@@ -676,11 +670,6 @@ class TestMixedPrecision:
         assert 1 <= feats.cg_iterations <= 10
         ref = self._reference(feats, sk, lam)
         assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
-        # an (m, t) right-hand side is refined one column at a time
-        B = np.stack([sk.normalized, np.ones(spec.m)], axis=1)
-        X = feats.solve(B, lam)
-        for j in range(2):
-            assert X[:, j].tobytes() == feats.solve(B[:, j], lam).tobytes()
         # a capped refinement warns
         monkeypatch.setattr(estimator, "CG_MAX_ITER", 1)
         with pytest.warns(UserWarning, match="did not settle in 1 steps"):
@@ -692,7 +681,7 @@ class TestMixedPrecision:
         # of the refined x over the occupied columns, with RACE's
         # trace(G) = R: every sample activates one bucket per hash
         x = feats.solve(b, lam)
-        cols = feats.spec.encode_batch(feats.points).occupied()
+        cols = feats.spec.encode_batch(feats.points).compact()[1]
         r = (b - feats.dot_targets(feats.apply(x)) - lam * x)[cols]
         norm_a = feats.spec.n_hashes + lam
         return np.linalg.norm(r) / (norm_a * np.linalg.norm(x[cols])

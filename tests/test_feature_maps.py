@@ -162,8 +162,9 @@ class TestRace:
         X = np.random.default_rng(8).uniform(size=(2000, 3))
         Z = np.floor((X @ race.projections.T + race.offsets) / r_width)
         assert np.abs(Z).max() > 1e16 or r_width > 1e-17
-        expected = np.mod(Z, 80).astype(np.int64) + 80 * np.arange(50)
-        np.testing.assert_array_equal(race.encode_batch(X).indices, expected)
+        expected = np.mod(Z, 80).astype(np.int64)
+        np.testing.assert_array_equal(race.encode_batch(X).positions,
+                                      expected)
 
     def test_sensitivity(self):
         assert build_race(4, 80, 80, 0.1, seed=0).sensitivity_l1() == 80.0
@@ -271,6 +272,7 @@ class TestBatchPathsAgreeWithDense:
         lambda: build_rff(3, 16, 1.0, seed=0),
         lambda: build_race(3, 5, 4, 0.3, seed=0),
         lambda: build_race(3, 5, 40, 0.05, seed=0),  # with empty buckets
+        lambda: HistMap(Domain.unit(3), 60),  # with empty bins
     ])
     def test_gram_dot_apply_sum(self, build):
         spec = build()
@@ -286,38 +288,48 @@ class TestBatchPathsAgreeWithDense:
         np.testing.assert_allclose(feats.apply(v), P @ v, atol=1e-12)
         np.testing.assert_allclose(sketch_exact(spec, X).sum_features,
                                    P.sum(axis=0), atol=1e-12)
-        # one interface for both matrix types, 2-D operands included
+        # one interface for both matrix types, 2-D P @ V included
         encoded = spec.encode_batch(X)
         V = np.random.default_rng(6).normal(size=(spec.m, 3))
-        F2 = np.random.default_rng(7).normal(size=(200, 4))
         np.testing.assert_allclose(encoded @ V, P @ V, atol=1e-12)
-        np.testing.assert_allclose(encoded.tmatmul(F2), P.T @ F2, atol=1e-12)
-        occupied = np.flatnonzero(P.any(axis=0))
-        if spec.variant == "RFF" or occupied.size == spec.m:
-            assert encoded.occupied() is None
+        # compacted: the kept columns are the occupied ones (every column
+        # of a dense P), and each operation gives the uncompacted
+        # results on them bit for bit
+        compact, kept = encoded.compact()
+        if spec.variant == "RFF":
+            assert compact is encoded
+            np.testing.assert_array_equal(kept, np.arange(spec.m))
         else:
-            np.testing.assert_array_equal(encoded.occupied(), occupied)
+            np.testing.assert_array_equal(kept, np.flatnonzero(P.any(axis=0)))
+        assert compact.shape == (200, kept.size)
+        assert (compact @ v[kept]).tobytes() == (encoded @ v).tobytes()
+        assert compact.tmatmul(F).tobytes() == \
+            encoded.tmatmul(F)[kept].tobytes()
+        assert compact.sum_onto(None).tobytes() == \
+            encoded.sum_onto(None)[kept].tobytes()
+        assert spec.gram(compact).dense().tobytes() == \
+            spec.gram(encoded).dense()[np.ix_(kept, kept)].tobytes()
 
     def test_race_column_sums_trace_little_memory(self):
-        # the sums bincount SUM_CHUNK indices at a time: no int64 copy of
-        # the 50 000 x 80 int32 indices (32 MB)
+        # the sums bincount one block column at a time: no int64 copy of
+        # the 50 000 x 80 int32 positions (32 MB)
         spec = build_race(10, 80, 80, 0.1, seed=1)
         X = np.random.default_rng(9).uniform(size=(50_000, 10))
         P = spec.encode_batch(X)
         tracemalloc.start()
         try:
-            sums = P.sum(axis=0)
+            sums = P.sum_onto(None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000, peak
-        dense = sum(OneHotMatrix(P.indices[i:i + 500], spec.m).toarray()
+        dense = sum(OneHotMatrix(P.positions[i:i + 500], P.edges).toarray()
                     .sum(axis=0) for i in range(0, P.shape[0], 500))
-        assert sums.tobytes() == dense.tobytes()
+        assert sums.astype(float).tobytes() == dense.tobytes()
 
     def test_race_transposed_product_traces_little_memory(self):
         # P^T f bincounts one block column at a time: no n x B repeat of f
-        # and no int64 copy of all the indices (12.85 MB at 10 000 x 80)
+        # and no int64 copy of all the positions (12.85 MB at 10 000 x 80)
         spec = build_race(10, 80, 80, 0.1, seed=1)
         rng = np.random.default_rng(10)
         P = spec.encode_batch(rng.uniform(size=(10_000, 10)))
@@ -330,7 +342,8 @@ class TestBatchPathsAgreeWithDense:
             tracemalloc.stop()
         assert peak < 1_000_000, peak
         # the sums of one bincount over all indices, bit for bit
-        whole = np.bincount(P.indices.ravel(), np.repeat(f, 80),
+        columns = P.positions + P.edges[:-1]
+        whole = np.bincount(columns.ravel(), np.repeat(f, 80),
                             minlength=spec.m)
         assert out.tobytes() == whole.tobytes()
 
@@ -344,13 +357,12 @@ class TestBatchPathsAgreeWithDense:
         P = spec.encode_batch(X)
         assert isinstance(P, OneHotMatrix)
         assert P.shape == (50, spec.m)
-        assert P.indices.shape == (50, spec.n_blocks)
+        assert P.positions.shape == (50, spec.n_blocks)
         # column-major, so each block column is contiguous
-        assert P.indices.flags.f_contiguous
-        # column a * width + position: one per block, sorted in each row
-        np.testing.assert_array_equal(P.indices // spec.width,
-                                      np.tile(np.arange(spec.n_blocks), (50, 1)))
-        assert np.all(np.diff(P.indices, axis=1) > 0)
+        assert P.positions.flags.f_contiguous
+        # one position per block, within blocks width columns wide
+        assert P.edges == list(range(0, spec.m + 1, spec.width))
+        assert 0 <= P.positions.min() and P.positions.max() < spec.width
         dense = P.toarray()
         np.testing.assert_array_equal(dense.sum(axis=1), spec.n_blocks)
         assert set(np.unique(dense)) == {0.0, 1.0}
@@ -358,28 +370,37 @@ class TestBatchPathsAgreeWithDense:
             dense, np.array([spec.embed(x) for x in X]))
 
     @pytest.mark.parametrize("build", [
-        lambda: HistMap(Domain.unit(3), 7),
-        lambda: build_race(3, 6, 9, 0.3, seed=0),
+        lambda: HistMap(Domain.unit(3), 7),  # all 21 bins occupied
+        lambda: build_race(3, 6, 9, 0.3, seed=0),  # 37 of 54 occupied
+        lambda: build_race(3, 6, 60, 0.02, seed=0),  # 321 of 360; one
+        # block full, the others not
     ])
     def test_one_hot_products_match_csr_bit_for_bit(self, build):
-        # the same sums in the same order as a compressed sparse row matrix
+        # the same sums in the same order as a compressed sparse row
+        # matrix, for P and for P compacted to its occupied columns
         spec = build()
         rng = np.random.default_rng(7)
         P = spec.encode_batch(rng.uniform(size=(300, 3)))
-        n, B = P.indices.shape
+        n, B = P.positions.shape
+        columns = (P.positions + P.edges[:-1]).ravel()
         csr = scipy.sparse.csr_array(
-            (np.ones(n * B), P.indices.ravel(), np.arange(0, n * B + 1, B)),
+            (np.ones(n * B), columns, np.arange(0, n * B + 1, B)),
             shape=P.shape)
-        v = rng.normal(size=spec.m)
-        V = rng.normal(size=(spec.m, 3))
-        F = rng.normal(size=n)
-        F2 = rng.normal(size=(n, 4))
-        for ours, ref in ((P @ v, csr @ v), (P @ V, csr @ V),
-                          (P.tmatmul(F), csr.T @ F),
-                          (P.tmatmul(F2), csr.T @ F2),
-                          (P.sum(axis=0), csr.sum(axis=0))):
-            assert ours.shape == ref.shape
-            assert ours.tobytes() == np.ascontiguousarray(ref).tobytes()
+        compact, kept = P.compact()
+        occupied = np.flatnonzero(csr.sum(axis=0))
+        np.testing.assert_array_equal(kept, occupied)
+        for ours, ref in ((P, csr),
+                          (compact, scipy.sparse.csr_array(
+                              csr.toarray()[:, kept]))):
+            v = rng.normal(size=ref.shape[1])
+            V = rng.normal(size=(ref.shape[1], 3))
+            F = rng.normal(size=n)
+            for got, want in ((ours @ v, ref @ v), (ours @ V, ref @ V),
+                              (ours.tmatmul(F), ref.T @ F),
+                              (ours.sum_onto(None).astype(float),
+                               ref.sum(axis=0))):
+                assert got.shape == want.shape
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
         np.testing.assert_array_equal(P.toarray(), csr.toarray())
         for bad in (np.ones(spec.m + 1), np.ones(n)):
             with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from dpsketch import (
     build_race,
     build_rff,
     load_sketch,
-    merge,
     laplace_noise,
     privatize,
     save_sketch,
@@ -97,7 +96,7 @@ class TestBlockedSum:
         X = np.random.default_rng(3).uniform(size=(2 * B + 1, 10))
         for n in (1, 2, B - 1, B, B + 1, 2 * B + 1):
             exact = sketch_exact(spec, X[:n])
-            whole = spec.encode_batch(X[:n]).sum(axis=0)
+            whole = spec.encode_batch(X[:n]).sum_onto(None).astype(float)
             assert exact.count == n
             assert exact.sum_features.tobytes() == whole.tobytes(), n
 
@@ -225,50 +224,6 @@ class TestNeighboringSensitivity:
             full = sketch_exact(spec, X).sum_features
             rest = sketch_exact(spec, X[1:]).sum_features
             assert np.abs(full - rest).sum() == spec.sensitivity_l1()
-
-
-class TestMerge:
-    def test_inf_merge_equals_union(self, hist2):
-        rng = np.random.default_rng(1)
-        A = rng.uniform(size=(30, 2))
-        B = rng.uniform(size=(20, 2))
-        sa = privatize(sketch_exact(hist2, A), hist2, math.inf)
-        sb = privatize(sketch_exact(hist2, B), hist2, math.inf)
-        su = privatize(sketch_exact(hist2, np.vstack([A, B])), hist2, math.inf)
-        merged = merge(sa, sb)
-        np.testing.assert_array_equal(merged.noisy_sum, su.noisy_sum)
-        assert merged.noisy_count == su.noisy_count
-
-    def test_commutative(self, hist2):
-        sa = privatize(sketch_exact(hist2, [[0.1, 0.1]]), hist2, 1.0, seed=1)
-        sb = privatize(sketch_exact(hist2, [[0.9, 0.9]]), hist2, 1.0, seed=2)
-        ab, ba = merge(sa, sb), merge(sb, sa)
-        np.testing.assert_array_equal(ab.noisy_sum, ba.noisy_sum)
-        assert ab.noisy_count == ba.noisy_count
-
-    def test_noise_variance_adds(self, hist2):
-        ex = sketch_exact(hist2, [[0.5, 0.5]])
-        singles, merged = [], []
-        for s in range(3000):
-            a = privatize(ex, hist2, 1.0, seed=(s, 0))
-            b = privatize(ex, hist2, 1.0, seed=(s, 1))
-            singles.append(a.noisy_sum[0] - 1.0)
-            merged.append(merge(a, b).noisy_sum[0] - 2.0)
-        ratio = np.var(merged) / np.var(singles)
-        assert ratio == pytest.approx(2.0, rel=0.15)
-
-    def test_mismatched_spec_rejected(self, hist2):
-        other = HistMap(Domain.unit(2), 3)
-        sa = privatize(sketch_exact(hist2, [[0.1, 0.1]]), hist2, 1.0, seed=0)
-        sb = privatize(sketch_exact(other, [[0.1, 0.1]]), other, 1.0, seed=0)
-        with pytest.raises(SketchError):
-            merge(sa, sb)
-
-    def test_mismatched_epsilon_rejected(self, hist2):
-        ex = sketch_exact(hist2, [[0.1, 0.1]])
-        with pytest.raises(SketchError):
-            merge(privatize(ex, hist2, 1.0, seed=0),
-                  privatize(ex, hist2, 2.0, seed=0))
 
 
 class TestFileFormat:
