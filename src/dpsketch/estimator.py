@@ -21,12 +21,10 @@ import numpy as np
 
 from .domain import Domain, DomainError
 from .feature_maps import FeatureMap
-from .linalg import LowerPanels, cholesky_in_place, cholesky_solve, in_strips
+from .linalg import PANEL, LowerPanels, cholesky_in_place, cholesky_solve
 from .sketch import PrivateSketch, SketchError
 
 LAMBDA_FLOOR = 1e-9  # numeric-stability regularization when there is no noise
-
-COND_WARN_THRESHOLD = 1e12
 
 CG_MAX_ITER = 50  # refinement steps after which a solve warns and stops
 BACKWARD_ERROR = 16 * 2.0 ** -52  # the refinement's normwise stopping bound
@@ -142,6 +140,14 @@ class WeightedSamples:
                          for f in targets], dtype=float)
 
 
+def _panel_dtype(m_occ: int) -> np.dtype:
+    """The dtype of the Gram panels of a system of order m_occ: float32
+    when it spans more than two panels, which halves a query's largest
+    allocation at the price of a few refinement steps, and float64 for a
+    smaller one."""
+    return np.dtype(np.float32 if m_occ > 2 * PANEL else np.float64)
+
+
 class SyntheticFeatures:
     """Synthetic prior samples with their embedding and the factored Gram.
 
@@ -193,7 +199,7 @@ class SyntheticFeatures:
             )
         # P without its empty columns, and the columns it keeps
         self._P, self._cols = spec.encode_batch(points).compact()
-        self._dtype = np.float32 if in_strips(self._cols.size) else np.float64
+        self._dtype = _panel_dtype(self._cols.size)
         self._buf = None  # LowerPanels; G, then factored in place
         self._gram = None  # a kept copy of G, from the second factorization on
         self._lam = None  # the penalty whose factor _buf holds
@@ -217,9 +223,9 @@ class SyntheticFeatures:
     def solve(self, rhs: np.ndarray, lam: float) -> np.ndarray:
         """Solve (G + lam I) x = rhs for a penalty 0 < lam < inf.
 
-        G over the occupied columns is held in panels of one dtype,
-        float32 if the system is in strips (linalg.in_strips) and float64
-        otherwise, and G + (lam + s) I is factored in place with the
+        G over the occupied columns is held in panels of one dtype
+        (_panel_dtype: float32 for more than two panels, float64
+        otherwise), and G + (lam + s) I is factored in place with the
         shift s = 32 eps trace(G) / m_occ, eps that of the panels' dtype,
         chosen before the first try; while the factorization breaks down,
         G is copied back from the kept copy and s doubles (Nocedal &
@@ -309,7 +315,6 @@ class SyntheticFeatures:
             except np.linalg.LinAlgError:
                 A.copy_from(self._kept_gram())
                 shift *= 2.0
-        self._warn_condition(A.diagonal())
 
     def _gram_panels(self) -> LowerPanels:
         """The one set of panels, holding G: built from the samples on
@@ -326,16 +331,6 @@ class SyntheticFeatures:
         if self._gram is None:
             self._gram = self.spec.gram(self._P, self._dtype)
         return self._gram
-
-    @staticmethod
-    def _warn_condition(factor_diag: np.ndarray) -> None:
-        diag = np.abs(factor_diag)
-        kappa = (diag.max() / diag.min()) ** 2 if diag.min() > 0 else math.inf
-        if kappa > COND_WARN_THRESHOLD:
-            warnings.warn(
-                f"regularized Gram matrix is ill-conditioned (kappa ~ {kappa:.2e})",
-                stacklevel=3,
-            )
 
     def weights(self, sketch: PrivateSketch, lam: float) -> np.ndarray:
         """Per-sample weights w with w @ f(points) = <fit(f, lam).coef, sketch>.

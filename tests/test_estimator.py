@@ -319,8 +319,8 @@ class TestWeightsPath:
         # one-hot P @ v needs no BLAS, and the blocked Cholesky factors
         # leaves below OpenBLAS's thread-dependent blocking; factor orders
         # 400 and 464 span several leaves, 1284 three panels, the last 132
-        # wide, and 2000 four panels, the last 272 wide, with squares in
-        # strips and 1424 rows below the first square, three row blocks.
+        # wide, and 2000 four panels, the last 272 wide, with 1424 rows
+        # below the first square, three row blocks.
         # RFF encodes and forms its Gram over widths padded to multiples
         # of 8; at m = 98, 202, 386 and 1000 the unpadded products gave
         # other bytes on 1 and 2 threads
@@ -384,17 +384,9 @@ class TestLowerPanels:
         G = _spd(m, 11)
         A = LowerPanels(m)
         assert A.starts == [0, PANEL, 2 * PANEL]
-
-        def held(p0):  # the square in LEAF-wide strips, the rows below it
-            w = min(PANEL, m - p0)
-            return (sum((w - j0) * min(LEAF, w - j0)
-                        for j0 in range(0, w, LEAF)) + (m - p0 - w) * w)
-
-        assert A.nbytes == 8 * sum(held(p0) for p0 in A.starts)
-        # less than whole panels, and within 48 m doubles of the triangle
-        assert A.nbytes < 8 * sum((m - p0) * min(PANEL, m - p0)
-                                  for p0 in A.starts)
-        assert A.nbytes - 4 * m * (m + 1) <= 8 * (LEAF // 2) * m
+        # each panel whole: its rows from its first one down
+        assert A.nbytes == 8 * sum((m - p0) * min(PANEL, m - p0)
+                                   for p0 in A.starts)
         # blocks straddle the column edges at 576 and 1152, and the ones
         # on the diagonal start above the first row of a panel they cover
         spans = [(0, 500), (500, 600), (600, 1100), (1100, 1200),
@@ -434,6 +426,19 @@ class TestBlockedCholesky:
         assert np.linalg.norm(x - x_ref) <= rtol * np.linalg.norm(x_ref)
         x0 = cholesky_solve(A, b[:, 0])
         assert np.linalg.norm(x0 - x[:, 0]) <= rtol * np.linalg.norm(x0)
+
+    def test_solve_allocates_little_beyond_x(self):
+        # float32, order 2000 (four panels): beyond x, cholesky_solve
+        # allocates only the leaf products, vectors of at most m entries
+        A = cholesky_in_place(_stored(_spd(2000, 5), np.float32))
+        b = np.random.default_rng(6).normal(size=2000)
+        tracemalloc.start()
+        try:
+            x = cholesky_solve(A, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.nbytes + 100_000, peak
 
     def test_indefinite_raises(self):
         G = _spd(700, 3)
@@ -508,11 +513,11 @@ class TestFactorBuffer:
 
     def test_first_solve_holds_storage_and_factor_workspaces(self):
         # every one of the 2000 bins is occupied: four panels, the last
-        # 272 wide, their squares held in strips.  cholesky_in_place
-        # documents its workspaces: a square, a panel-update block and a
-        # leaf buffer min(PANEL, m - PANEL) = 576 rows tall, and the
-        # narrow panel's zero-padded copy.  Measured peak: 1.018 times the
-        # storage plus those workspaces.
+        # 272 wide.  cholesky_in_place documents its workspaces: a
+        # panel-update block and a leaf buffer min(PANEL, m - PANEL) = 576
+        # rows tall, and the narrow panel's zero-padded copy.  The system
+        # is factored in float32, so this float64 budget has room:
+        # measured peak 0.55 times the storage plus those workspaces.
         spec = HistMap(Domain.unit(4), 500)
         X = np.random.default_rng(0).uniform(size=(3000, 4))
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=2)
@@ -527,7 +532,7 @@ class TestFactorBuffer:
         m = spec.m
         assert len(LowerPanels(m).starts) == 4 and m % PANEL
         tall = min(PANEL, m - PANEL)
-        workspaces = 8 * (2 * PANEL * PANEL + tall * (PANEL + LEAF))
+        workspaces = 8 * (PANEL * PANEL + tall * (PANEL + LEAF))
         held = LowerPanels(m).nbytes + workspaces
         assert peak <= 1.05 * held, peak / held
 
@@ -611,7 +616,7 @@ class TestMixedPrecision:
     and refine x to the float64 system at lam by conjugate gradients.
     HIST 4x500 at n_synth 20 000 occupies all 2000 bins (four panels),
     RACE 40x80 with r_width 0.05 at n_synth 4000 1702 of its 3200 buckets
-    (three panels, in strips)."""
+    (three panels)."""
 
     hist = (HistMap(Domain.unit(4), 500), TrainConfig(n_synth=20_000, seed=3))
     race = (build_race(3, 40, 80, 0.05, seed=5),
@@ -734,11 +739,10 @@ class TestMixedPrecision:
 
     def test_first_float32_solve_holds_storage_workspaces_and_vectors(self):
         # the float32 panels, cholesky_in_place's float32 workspaces (see
-        # TestFactorBuffer) and a few float64 vectors of the refinement:
-        # of length m and of length n_synth (P v and the int64 indices of
-        # one block column in P^T y).  Measured: 1.076 times the panels
-        # and workspaces alone, 1.022 times the budget below, which does
-        # not count the kept leaf inverses (0.76 MB)
+        # TestFactorBuffer) and kept leaf inverses (LEAF m entries), and a
+        # few float64 vectors of the refinement: of length m and of length
+        # n_synth (P v and the int64 indices of one block column in
+        # P^T y).  Measured: 0.996 times the budget below
         spec, config = self.hist
         sk = self._sketch(spec, 1.0)
         feats = SyntheticFeatures(spec, config)
@@ -751,12 +755,12 @@ class TestMixedPrecision:
             tracemalloc.stop()
         m, n = spec.m, feats.n
         tall = min(PANEL, m - PANEL)
-        workspaces = 4 * (2 * PANEL * PANEL + tall * (PANEL + LEAF))
+        workspaces = 4 * (PANEL * PANEL + tall * (PANEL + LEAF) + LEAF * m)
         vectors = 8 * (12 * m + 3 * n)
         held = LowerPanels(m, np.float32).nbytes + workspaces + vectors
         assert peak <= 1.05 * held, peak / held
 
-    def test_strip_factor_independent_of_blas_thread_count(self, child_env):
+    def test_float32_factor_independent_of_blas_thread_count(self, child_env):
         # RACE 40x80 with r_width 0.03: 2508 occupied buckets, five panels;
         # at eps = inf its lam is the noiseless floor, where the factor of
         # G + lam I breaks down in float32 without the shift

@@ -80,17 +80,19 @@ class TestComputeWeights:
     def test_rejects_nonpositive_lambda(self):
         spec = HistMap(Domain.unit(2), 4)
         sk = privatize(sketch_exact(spec, [[0.5, 0.5]]), spec, math.inf)
+        with pytest.warns(UserWarning, match="below the sketch size"):
+            feats = SyntheticFeatures.from_points(spec, np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
-            SyntheticFeatures.from_points(
-                spec, np.array([[0.5, 0.5]])).weights(sk, 0.0)
+            feats.weights(sk, 0.0)
 
     def test_rejects_mismatched_sketch(self):
         spec = HistMap(Domain.unit(2), 4)
         other = HistMap(Domain.unit(2), 5)
         sk = privatize(sketch_exact(other, [[0.5, 0.5]]), other, math.inf)
+        with pytest.warns(UserWarning, match="below the sketch size"):
+            feats = SyntheticFeatures.from_points(spec, np.array([[0.5, 0.5]]))
         with pytest.raises(Exception):
-            SyntheticFeatures.from_points(
-                spec, np.array([[0.5, 0.5]])).weights(sk, 0.1)
+            feats.weights(sk, 0.1)
 
     def test_weights_loss_independent(self):
         spec = build_rff(2, 20, 1.0, seed=5)
