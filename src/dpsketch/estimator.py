@@ -204,6 +204,7 @@ class SyntheticFeatures:
         self._gram = None  # a kept copy of G, from the second factorization on
         self._lam = None  # the penalty whose factor _buf holds
         self._trace = 0.0  # trace(G), read at each factorization
+        self._norm_inf = 0.0  # ||G||_inf, read with it
         self.cg_iterations = 0  # conjugate-gradient steps of the last solve
 
     @property
@@ -259,16 +260,25 @@ class SyntheticFeatures:
         The operator is exact: G v = (1/n) P^T (P v) from the samples, not
         the rounded panels.  Each step recomputes the residual r = b - A x
         from x.  The steps stop at the first x whose normwise backward
-        error ||r|| / ((trace(G) + lam) ||x|| + ||b||) is at most
+        error ||r|| / ((||G||_inf + lam) ||x|| + ||b||) is at most
         BACKWARD_ERROR (Higham, Accuracy and Stability of Numerical
-        Algorithms, 2002, 7.1), or after CG_MAX_ITER steps with a warning,
-        and return the x of least residual.  Every inner product runs
-        through einsum, whose order does not depend on the BLAS thread
-        count, and over contiguous vectors (einsum's order depends on the
-        layout).
+        Algorithms, 2002, 7.1).  ||G||_inf bounds ||G||_2 for symmetric
+        G; for one-hot maps it lies far below trace(G), the number of
+        blocks.  The computed residual carries its own rounding, from
+        sums as long as a bucket's count, and may not get that low; there
+        CG steps make it grow.  So the steps also stop at the first one
+        that does not lower the least residual, once that residual meets
+        the bound with trace(G) for ||G||_inf.  After CG_MAX_ITER steps
+        they stop with a warning.  The x of least residual is returned.
+        Every inner product runs through einsum, whose order does not
+        depend on the BLAS thread count, and over contiguous vectors
+        (einsum's order depends on the layout).
         """
         P, M = self._P, self._buf
-        norm_a, norm_b = self._trace + lam, _norm(b)
+        norm_b = _norm(b)
+
+        def bound(v, norm_g):  # the residual norm BACKWARD_ERROR allows
+            return BACKWARD_ERROR * ((norm_g + lam) * _norm(v) + norm_b)
 
         def times_a(v):  # (G + lam I) v
             return P.tmatmul(P @ v) / self.n + lam * v
@@ -282,7 +292,7 @@ class SyntheticFeatures:
         r = b - times_a(x)
         norm, p, rz, steps = _norm(r), None, 0.0, 0
         best = norm, x
-        while norm > BACKWARD_ERROR * (norm_a * _norm(x) + norm_b):
+        while norm > bound(x, self._norm_inf):
             if steps == CG_MAX_ITER:
                 warnings.warn(f"conjugate gradients did not settle in "
                               f"{CG_MAX_ITER} steps; relative residual "
@@ -297,6 +307,8 @@ class SyntheticFeatures:
             steps += 1
             if norm < best[0]:
                 best = norm, x
+            elif best[0] <= bound(best[1], self._trace):
+                break
         self.cg_iterations = steps
         return best[1]
 
@@ -306,6 +318,7 @@ class SyntheticFeatures:
         A = self._gram_panels()
         gram_diag = A.diagonal()  # read while A holds G
         self._trace = float(gram_diag.sum(dtype=float))
+        self._norm_inf = A.norm_inf
         shift = 32 * float(np.finfo(A.dtype).eps) * self._trace / A.m
         while True:
             A.set_diagonal(gram_diag + (lam + shift))

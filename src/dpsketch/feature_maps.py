@@ -22,6 +22,32 @@ from .linalg import LowerPanels
 
 SERIALIZATION_VERSION = 1
 
+# One-hot maps encode rows in blocks of about this many bytes of float64
+# (rows x blocks), so that no n x B float64 or int64 array exists.
+# Encoding 10 000 rows with RACE 80x80 (2-core Xeon, 4 MiB L2) took
+# 10-13 ms in 128 KiB blocks, 24 ms in 16 KiB blocks (per-block
+# overhead), 17-48 ms in 1 MiB blocks and 48 ms as one batch.
+ENCODE_BLOCK_BYTES = 1 << 17
+
+
+def block_stops(n: int, size: int) -> list[int]:
+    """Where the blocks of n rows end: every size rows, but a last block
+    of one row, when there are others, takes the one before it with it.
+    A 1-row block goes through BLAS's matrix-vector path, whose x^T W
+    rounds differently from the matrix product of a whole batch."""
+    stops = list(range(size, n, size)) + [n]
+    if len(stops) > 1 and n - stops[-2] == 1:
+        stops[-2] -= 1
+    return stops
+
+
+def _position_dtype(width: int) -> np.dtype:
+    """The narrowest unsigned type that holds the positions 0..width - 1
+    of a one-hot block: uint8 up to 256 columns, uint16 up to 65 536."""
+    dtype = np.min_scalar_type(width - 1)
+    # np.bincount does not take uint64
+    return dtype if dtype.itemsize < 8 else np.dtype(np.intp)
+
 
 class FeatureMapError(ValueError):
     """Invalid feature-map parameters or inputs."""
@@ -94,7 +120,9 @@ class FeatureMap:
         """(1/n) P^T P as a LowerPanels of the given dtype, which the
         estimator factors in place; P is this map's encoding, compacted
         or not.  Each map computes dense blocks of it its own way and
-        hands them to LowerPanels.store, which keeps the lower triangle.
+        hands them to LowerPanels.store, which keeps the lower triangle,
+        and sets its norm_inf to the largest absolute row sum of the
+        float64 G before rounding.
         """
         raise NotImplementedError
 
@@ -127,8 +155,9 @@ class OneHotMatrix:
 
     Block a spans columns edges[a]..edges[a + 1]; positions is the (n, B)
     array of the column each row holds its 1 in, counted within its
-    block, int32 when m fits that type.  Encodings hold it in
-    column-major order, so the products read each block column from
+    block.  Encodings hold it in the narrowest unsigned type that holds
+    their block width (uint8 up to 256 columns, uint16 up to 65 536) and
+    in column-major order, so the products read each block column from
     contiguous memory.  The products follow the order of a compressed
     sparse row (CSR) kernel, so they round the same way: P @ v adds the B
     picked entries of each row to zero in column order, and P.tmatmul(f)
@@ -186,6 +215,8 @@ class OneHotMatrix:
         kept = np.flatnonzero(occupied)
         positions = np.empty_like(self.positions)
         for (a0, a1, col), out in zip(self.blocks(), positions.T):
+            # counted modulo the unsigned dtype: the ranks of occupied
+            # columns come out right, and no row holds another column
             rank = np.cumsum(occupied[a0:a1], dtype=positions.dtype) - 1
             np.take(rank, col, out=out)
         return (OneHotMatrix(positions,
@@ -241,25 +272,35 @@ class _OneHotBlocks:
 
     def _positions(self, X) -> np.ndarray:
         """The (n, B) int64 positions of the active bucket within each
-        block."""
+        block; encode_batch calls it on one block of rows at a time."""
         raise NotImplementedError
 
     def encode_batch(self, X) -> OneHotMatrix:
+        """P with positions of _position_dtype(width), filled from
+        _positions ENCODE_BLOCK_BYTES of float64 rows at a time."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        m = self.n_blocks * self.width
-        dtype = np.int32 if m <= np.iinfo(np.int32).max else np.int64
-        return OneHotMatrix(
-            self._positions(X).astype(dtype, order="F", copy=False),
-            list(range(0, m + 1, self.width)))
+        positions = np.empty((X.shape[0], self.n_blocks),
+                             _position_dtype(self.width), order="F")
+        start = 0
+        for stop in block_stops(X.shape[0], max(
+                2, ENCODE_BLOCK_BYTES // (8 * self.n_blocks))):
+            positions[start:stop] = self._positions(X[start:stop])
+            start = stop
+        return OneHotMatrix(positions,
+                            list(range(0, self.m + 1, self.width)))
 
     def gram(self, P: OneHotMatrix, dtype=np.float64) -> LowerPanels:
         # Blockwise joint bucket counts; at the sizes used here this beats
         # a sparse P.T @ P.  Each bincount is as small as its two blocks
         # and reads their block columns of P from contiguous memory.
+        # The joint indices ia * (b1 - b0) + ib lie below width^2, so each
+        # outer block column is widened once to a type that holds them.
         n = P.shape[0]
         blocks = list(P.blocks())
+        joint_dtype = _position_dtype(self.width ** 2)
         G = LowerPanels(P.shape[1], dtype)
         for k, (a0, a1, ia) in enumerate(blocks):
+            ia = ia.astype(joint_dtype)
             for b0, b1, ib in blocks[k:]:
                 joint = np.bincount(ia * (b1 - b0) + ib,
                                     minlength=(a1 - a0) * (b1 - b0))
@@ -267,6 +308,8 @@ class _OneHotBlocks:
                 # straight to the storage dtype
                 G.store(b0, a0, np.divide(joint, n, dtype=dtype)
                         .reshape(a1 - a0, b1 - b0).T)
+        # row j of G sums to B c_j / n, c_j the count of column j
+        G.norm_inf = len(blocks) * int(P.sum_onto(None).max()) / n
         return G
 
 
@@ -377,6 +420,7 @@ class RffMap(FeatureMap):
         dense /= n
         G = LowerPanels(m, dtype)
         G.store(0, 0, dense[:m, :m])
+        G.norm_inf = float(np.abs(dense, out=dense).sum(axis=1).max())
         return G
 
     @classmethod
@@ -433,7 +477,11 @@ class RaceMap(_OneHotBlocks, FeatureMap):
     def _positions(self, X) -> np.ndarray:
         # the floor is an integer of magnitude under 2^62 (the
         # constructor's bound), exact in a double, so the int64 cast is
-        # exact and the remainder is taken on integers
+        # exact and the remainder is taken on integers; it lies in
+        # 0..W - 1, which encode_batch stores in a narrower type.
+        # encode_batch passes blocks of two rows or more (block_stops)
+        # unless the batch has one, so X W^T runs through the matrix
+        # product, as for the whole batch
         if not np.all(np.isfinite(X)):
             raise FeatureMapError("points must be finite")
         Z = X @ self.projections.T

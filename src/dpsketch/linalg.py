@@ -42,6 +42,7 @@ class LowerPanels:
         self.panels = [np.zeros((m - p0, min(PANEL, m - p0)), self.dtype, "F")
                        for p0 in self.starts]
         self.inverses = None  # per panel, L^-T of each leaf of a factor
+        self.norm_inf = None  # ||A||_inf of the matrix its writer stored
 
     def store(self, r0: int, c0: int, block: np.ndarray) -> None:
         """Write the dense block at rows r0.. and columns c0.. of the

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feature_maps import FeatureMap, feature_map_from_dict
+from .feature_maps import FeatureMap, block_stops, feature_map_from_dict
 
 SKETCH_FILE_VERSION = 1
 
@@ -76,18 +76,6 @@ class PrivateSketch:
         return doc
 
 
-def _block_stops(n: int) -> list[int]:
-    """Where the blocks of n records end: every SKETCH_BLOCK records, but
-    a last block of one record, when there are others, takes the one
-    before it with it.  A 1-row RFF block goes through BLAS's
-    matrix-vector path, whose x^T Omega rounds differently from the
-    matrix product of a whole batch."""
-    stops = list(range(SKETCH_BLOCK, n, SKETCH_BLOCK)) + [n]
-    if len(stops) > 1 and n - stops[-2] == 1:
-        stops[-2] -= 1
-    return stops
-
-
 def sketch_exact(spec: FeatureMap, records) -> ExactSketch:
     """Sum the feature map over all records.
 
@@ -105,7 +93,7 @@ def sketch_exact(spec: FeatureMap, records) -> ExactSketch:
         return ExactSketch(np.zeros(spec.m), 0)
     records = spec.domain.validate(records)
     total, start = None, 0
-    for stop in _block_stops(records.shape[0]):
+    for stop in block_stops(records.shape[0], SKETCH_BLOCK):
         total = spec.encode_batch(records[start:stop]).sum_onto(total)
         start = stop
     return ExactSketch(total.astype(float), records.shape[0])

@@ -512,14 +512,14 @@ class TestFactorBuffer:
         assert peak <= 0.7 * square_bytes, peak / square_bytes
 
     def test_first_solve_holds_storage_and_factor_workspaces(self):
-        # every one of the 2000 bins is occupied: four panels, the last
-        # 272 wide.  cholesky_in_place documents its workspaces: a
-        # panel-update block and a leaf buffer min(PANEL, m - PANEL) = 576
-        # rows tall, and the narrow panel's zero-padded copy.  The system
-        # is factored in float32, so this float64 budget has room:
-        # measured peak 0.55 times the storage plus those workspaces.
-        spec = HistMap(Domain.unit(4), 500)
-        X = np.random.default_rng(0).uniform(size=(3000, 4))
+        # every one of the 1000 bins is occupied: a float64 system of two
+        # panels, the last 424 wide.  cholesky_in_place documents its
+        # workspaces: a panel-update block and a leaf buffer
+        # min(PANEL, m - PANEL) = 424 rows tall, the narrow panel's
+        # zero-padded PANEL x PANEL copy, and the kept leaf inverses
+        # (LEAF m entries).  Measured: 1.018 times the budget below
+        spec = HistMap(Domain.unit(2), 500)
+        X = np.random.default_rng(0).uniform(size=(3000, 2))
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=2)
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=20_000, seed=3))
         lam = feats.penalty(sk)
@@ -530,9 +530,10 @@ class TestFactorBuffer:
         finally:
             tracemalloc.stop()
         m = spec.m
-        assert len(LowerPanels(m).starts) == 4 and m % PANEL
+        assert feats._cols.size == m and feats._dtype == np.float64
+        assert len(LowerPanels(m).starts) == 2 and m % PANEL
         tall = min(PANEL, m - PANEL)
-        workspaces = 8 * (PANEL * PANEL + tall * (PANEL + LEAF))
+        workspaces = 8 * (PANEL * PANEL + tall * (PANEL + LEAF) + LEAF * m)
         held = LowerPanels(m).nbytes + workspaces
         assert peak <= 1.05 * held, peak / held
 
@@ -789,6 +790,54 @@ class TestMixedPrecision:
         assert len(steps) == 2 and min(steps) > 0
 
 
+class TestRefinementStop:
+    """The refinement stops at a backward error of BACKWARD_ERROR with
+    ||G||_inf for the norm of G, or at the rounding level of the residual
+    itself."""
+
+    def test_refinement_stops_near_a_refined_float64_solve(self):
+        # RACE 10-d 80x40 at n_synth 4000 (3175 occupied buckets), eps=1
+        # on 27 000 rows: trace(G) = 80 but ||G||_inf = B max_j c_j / n is
+        # about 10, and a stop that read trace(G) for ||G|| returned x
+        # 2.3e-9 off; with ||G||_inf it stops 3.2e-12 off
+        spec = build_race(10, 80, 40, 0.1, seed=5)
+        X = np.random.default_rng(0).uniform(size=(27_000, spec.d))
+        sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=2)
+        feats = SyntheticFeatures(spec, TrainConfig(n_synth=4000, seed=4))
+        lam = feats.penalty(sk)
+        P, cols = spec.encode_batch(feats.points).compact()
+        A = spec.gram(P)
+        assert A.norm_inf < spec.n_hashes / 4
+        x = feats.solve(sk.normalized, lam)[cols]
+        # the float64 factor's solve, refined three times
+        A.set_diagonal(A.diagonal() + lam)
+        cholesky_in_place(A)
+        b = sk.normalized[cols]
+        ref = cholesky_solve(A, b)
+        for _ in range(3):
+            ref += cholesky_solve(A, b - P.tmatmul(P @ ref) / feats.n
+                                  - lam * ref)
+        assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
+
+    def test_stops_at_the_rounding_level_of_the_residual(self):
+        # HIST 1x10 with the data on one bin, at the noiseless floor: the
+        # residual of the first iterate, a sum of about 1000 equal terms,
+        # is 1.35 times the bound with ||G||_inf = 0.105, and every CG
+        # step made it grow (2.5e-14, 3.8e-14, ... 2.5e-11): the solve
+        # stops after one such step and returns the first iterate
+        spec = HistMap(Domain.unit(1), 10)
+        sk = privatize(sketch_exact(spec, np.zeros((50, 1))), spec, math.inf)
+        feats = SyntheticFeatures(spec, TrainConfig(n_synth=10_000, seed=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = feats.solve(sk.normalized, LAMBDA_FLOOR)
+        assert feats.cg_iterations == 1
+        G = spec.gram(spec.encode_batch(feats.points)).dense()
+        ref = np.linalg.solve(G + LAMBDA_FLOOR * np.eye(spec.m),
+                              sk.normalized)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 class TestOccupiedColumns:
     """RACE 40x40 at n_synth 4000 occupies 464 of its 1600 buckets."""
 
@@ -846,6 +895,23 @@ class TestOccupiedColumns:
             tracemalloc.stop()
         buffer_bytes = 8 * m_occ * m_occ
         assert peak <= 1.5 * buffer_bytes, peak / buffer_bytes
+
+    def test_setup_holds_the_points_and_two_narrow_encodings(self):
+        # RACE 80x80 at n_synth 100 000: the encoding is filled a block of
+        # rows at a time, so setup traces no n x B float64 or int64 array
+        # (over 120 MiB of them at 8 bytes an entry), only the points, P
+        # and P compacted, at one byte an entry
+        spec = build_race(10, 80, 80, 0.1, seed=1)
+        n = 100_000
+        tracemalloc.start()
+        try:
+            feats = SyntheticFeatures(spec, TrainConfig(n_synth=n, seed=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert feats._P.positions.dtype == np.uint8
+        positions = n * spec.n_hashes
+        assert peak <= feats.points.nbytes + 2 * positions + 2 ** 21, peak
 
     def test_fit_is_zero_on_empty_buckets(self):
         feats = SyntheticFeatures(self.spec, self.config)

@@ -281,6 +281,9 @@ class TestBatchPathsAgreeWithDense:
         feats = SyntheticFeatures.from_points(spec, X)
         G = spec.gram(spec.encode_batch(feats.points))
         np.testing.assert_allclose(G.dense(), P.T @ P / 200, atol=1e-12)
+        # the largest absolute row sum, which the solver's stop reads
+        assert G.norm_inf == pytest.approx(
+            np.abs(P.T @ P / 200).sum(axis=1).max(), rel=1e-12)
         F = np.random.default_rng(4).normal(size=200)
         np.testing.assert_allclose(feats.dot_targets(F), P.T @ F / 200,
                                    atol=1e-12)
@@ -310,9 +313,18 @@ class TestBatchPathsAgreeWithDense:
         assert spec.gram(compact).dense().tobytes() == \
             spec.gram(encoded).dense()[np.ix_(kept, kept)].tobytes()
 
+    def test_gram_of_blocks_wider_than_256(self):
+        # uint16 positions; the joint indices, up to 300^2, in uint32
+        spec = HistMap(Domain.unit(2), 300)
+        P = spec.encode_batch(np.random.default_rng(11).uniform(size=(2000, 2)))
+        dense = P.toarray()
+        G = spec.gram(P)
+        assert G.dense().tobytes() == (dense.T @ dense / 2000).tobytes()
+        assert G.norm_inf == 2 * dense.sum(axis=0).max() / 2000
+
     def test_race_column_sums_trace_little_memory(self):
         # the sums bincount one block column at a time: no int64 copy of
-        # the 50 000 x 80 int32 positions (32 MB)
+        # the 50 000 x 80 uint8 positions (32 MB)
         spec = build_race(10, 80, 80, 0.1, seed=1)
         X = np.random.default_rng(9).uniform(size=(50_000, 10))
         P = spec.encode_batch(X)
@@ -369,11 +381,33 @@ class TestBatchPathsAgreeWithDense:
         np.testing.assert_array_equal(
             dense, np.array([spec.embed(x) for x in X]))
 
+    @pytest.mark.parametrize("width, dtype", [
+        (2, np.uint8), (256, np.uint8), (257, np.uint16),
+        (65_536, np.uint16), (65_537, np.uint32)])
+    def test_positions_take_the_narrowest_unsigned_type(self, width, dtype):
+        # one row per bin, so every bin of the block is occupied; compact
+        # keeps the dtype and numbers the ranks 0..width - 1 (a full
+        # 256-wide block counts them modulo 256 in uint8)
+        spec = HistMap(Domain.unit(1), width)
+        P = spec.encode_batch((np.arange(width)[:, None] + 0.5) / width)
+        assert P.positions.dtype == dtype
+        np.testing.assert_array_equal(P.positions[:, 0], np.arange(width))
+        compact, kept = P.compact()
+        assert compact.positions.dtype == dtype
+        np.testing.assert_array_equal(compact.positions, P.positions)
+        np.testing.assert_array_equal(kept, np.arange(width))
+        # every other bin: the ranks skip the empty ones
+        odd = OneHotMatrix(P.positions[1::2], P.edges).compact()[0]
+        np.testing.assert_array_equal(odd.positions[:, 0],
+                                      np.arange(width // 2))
+
     @pytest.mark.parametrize("build", [
         lambda: HistMap(Domain.unit(3), 7),  # all 21 bins occupied
         lambda: build_race(3, 6, 9, 0.3, seed=0),  # 37 of 54 occupied
         lambda: build_race(3, 6, 60, 0.02, seed=0),  # 321 of 360; one
         # block full, the others not
+        lambda: build_race(3, 4, 256, 0.001, seed=0),  # uint8's widest
+        lambda: HistMap(Domain.unit(3), 300),  # uint16 positions
     ])
     def test_one_hot_products_match_csr_bit_for_bit(self, build):
         # the same sums in the same order as a compressed sparse row
@@ -382,6 +416,8 @@ class TestBatchPathsAgreeWithDense:
         rng = np.random.default_rng(7)
         P = spec.encode_batch(rng.uniform(size=(300, 3)))
         n, B = P.positions.shape
+        dtype = np.uint8 if spec.width <= 256 else np.uint16
+        assert P.positions.dtype == P.compact()[0].positions.dtype == dtype
         columns = (P.positions + P.edges[:-1]).ravel()
         csr = scipy.sparse.csr_array(
             (np.ones(n * B), columns, np.arange(0, n * B + 1, B)),
