@@ -6,8 +6,8 @@ as column panels PANEL wide, panel k holding rows starts[k]..m of its
 columns as one Fortran-order array, its diagonal square on top and the
 rows below it underneath (the layout of the rectangular full packed
 format of Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 2010,
-cut into panels).  The storage, the factor and every workspace hold one
-dtype, float64 or float32.
+cut into panels).  The factor overwrites the storage, leaf inverses
+included; it and every workspace hold one dtype, float64 or float32.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ class LowerPanels:
     array of its rows p0..m, whose top w rows are its diagonal square.
     Entries above the diagonal of a square are not part of the matrix:
     nothing reads them, and store and cholesky_in_place may leave any
-    values there.  This module is the only one that indexes the storage;
+    values there; a factor's leaf blocks hold inverses (see
+    cholesky_in_place).  This module is the only one that indexes the storage;
     the feature maps write G through store.  Every array has the dtype
     given to the constructor.
     """
@@ -41,7 +42,6 @@ class LowerPanels:
         self.starts = list(range(0, m, PANEL))
         self.panels = [np.zeros((m - p0, min(PANEL, m - p0)), self.dtype, "F")
                        for p0 in self.starts]
-        self.inverses = None  # per panel, L^-T of each leaf of a factor
         self.norm_inf = None  # ||A||_inf of the matrix its writer stored
 
     def store(self, r0: int, c0: int, block: np.ndarray) -> None:
@@ -90,49 +90,42 @@ def _row_blocks(n: int):
 
 def cholesky_in_place(A: LowerPanels) -> LowerPanels:
     """Overwrite the symmetric positive definite A with its Cholesky
-    factor L, A = L L^T, in the same storage, and return A.
+    factor L, A = L L^T, in the same storage, and return A; the diagonal
+    block of each LEAF-wide leaf holds its L^-T, not its L.
 
     Left-looking, one panel at a time: the panel is updated from every
     panel to its left by matmuls PANEL rows at a time from its first row,
-    so the first block is its square; then its LEAF-wide blocks are
-    factored in turn by np.linalg.cholesky and applied below the diagonal
-    through the leaf's inverse (X L^T = B as X = B L^-T), under the
-    square PANEL rows at a time.  np.linalg.cholesky reads only a leaf's
-    lower triangle, so the updates run over whole squares and leave
-    values above the diagonal that nothing reads.
-    Each leaf's inverse L^-T is kept in A.inverses, of A's dtype (about
-    LEAF * m entries), for cholesky_solve.
-    Workspaces, of A's dtype, with t = min(PANEL, m - PANEL) rows: the
-    update block (t x PANEL), the leaf products' C-order buffer
-    (t x LEAF) and, for a narrow last panel, a PANEL x PANEL zero-padded
-    copy of its left panels' rows.
+    so the first block is its square; then its leaves are factored in
+    turn by np.linalg.cholesky and applied below the diagonal through
+    L^-T (X L^T = B as X = B L^-T), under the square PANEL rows at a
+    time.  L^-T then overwrites L, which no later step reads, for
+    cholesky_solve.  np.linalg.cholesky reads only a leaf's lower
+    triangle, so the updates run over whole squares and leave values
+    above the diagonal that nothing reads.  Workspaces, of A's dtype and
+    t = min(PANEL, m - PANEL) rows: the update block (t x PANEL) and the
+    leaf products' C-order buffer (t x LEAF).
     The factor does not depend on the BLAS thread count: the leaves are
     factored unblocked on one thread, the leaf updates are LEAF wide and
     a multiple of LEAF deep, and the panel updates PANEL wide and PANEL
-    deep, shapes whose entries OpenBLAS rounds the same on 1 and 2
-    threads; at some other widths and depths it does not.  Splitting
-    them by rows, into C-order outputs, keeps that.  Raises
-    np.linalg.LinAlgError if a leaf is not positive definite; A is then
-    partly overwritten.
+    deep (a narrow last panel of w columns takes the last w of PANEL
+    rows that end at its last row), shapes whose entries OpenBLAS rounds
+    the same on 1 and 2 threads; at some other widths and depths it does
+    not.  Splitting them by rows, into C-order outputs, keeps that.
+    Raises np.linalg.LinAlgError if a leaf is not positive definite; A
+    is then partly overwritten.
     """
     tall, dtype = min(PANEL, A.m - PANEL), A.dtype
-    A.inverses = [[] for _ in A.starts]
     work = np.empty((tall, PANEL), dtype, "F") if tall > 0 else None
     leaf_out = np.empty((tall, LEAF), dtype) if tall > 0 else None
     for k, panel in enumerate(A.panels):
         p0, w = A.starts[k], panel.shape[1]
         X, B = panel[:w], panel[w:]  # the square, the rows below it
-        pad = (np.zeros((PANEL, PANEL), dtype, "F") if k and w < PANEL
-               else None)
         for q0, Q in zip(A.starts[:k], A.panels[:k]):
             rows = Q[p0 - q0:]  # rows p0..m of the left panel
-            cols = rows[:w]  # its rows of this panel's columns
-            if pad is not None:
-                pad[:w] = cols
-                cols = pad
+            cols = Q[p0 - q0 + w - PANEL:p0 - q0 + w]  # PANEL rows to p0 + w
             for r0, r1 in _row_blocks(rows.shape[0]):
                 out = np.matmul(rows[r0:r1], cols.T, out=work[:r1 - r0])
-                panel[r0:r1] -= out[:, :w]
+                panel[r0:r1] -= out[:, PANEL - w:]
         for j0 in range(0, w, LEAF):
             j1 = min(j0 + LEAF, w)
             left = X[j0:j1, :j0]
@@ -142,9 +135,7 @@ def cholesky_in_place(A: LowerPanels) -> LowerPanels:
             for r0, r1 in _row_blocks(B.shape[0]):
                 B[r0:r1, j0:j1] -= np.matmul(
                     B[r0:r1, :j0], left.T, out=leaf_out[:r1 - r0, :j1 - j0])
-            X[j0:j1, j0:j1] = L
-            inv = np.linalg.inv(L).T
-            A.inverses[k].append(inv)
+            X[j0:j1, j0:j1] = inv = np.linalg.inv(L).T
             X[j1:, j0:j1] = X[j1:, j0:j1] @ inv
             for r0, r1 in _row_blocks(B.shape[0]):
                 B[r0:r1, j0:j1] = np.matmul(
@@ -155,17 +146,17 @@ def cholesky_in_place(A: LowerPanels) -> LowerPanels:
 def cholesky_solve(L: LowerPanels, b: np.ndarray) -> np.ndarray:
     """Solve L L^T x = b for the Cholesky factor L (as cholesky_in_place
     leaves it); b is (m,) or (m, t), and x has L's dtype.  Leaf by leaf,
-    like the factorization: each leaf is solved by a product with its
-    kept inverse and the rest of x updated by a matmul over the leaf's
-    columns (forward) or its rows (backward, panel by panel to its
-    left).  It allocates nothing but x and the products' results."""
+    like the factorization: each leaf is solved by a product with the
+    inverse in its diagonal block, the rest of x updated by a matmul
+    over the leaf's columns (forward) or rows (backward, panel by panel
+    to its left).  It allocates nothing but x and the products' results."""
     x = np.array(b, dtype=L.dtype)
     for k, panel in enumerate(L.panels):  # L y = b
         p0, w = L.starts[k], panel.shape[1]
         for j0 in range(0, w, LEAF):
             j1 = min(j0 + LEAF, w)
             y = x[p0 + j0:p0 + j1]
-            y[...] = L.inverses[k][j0 // LEAF].T @ y
+            y[...] = panel[j0:j1, j0:j1].T @ y
             x[p0 + j1:p0 + w] -= panel[j1:w, j0:j1] @ y
             x[p0 + w:] -= panel[w:, j0:j1] @ y
     for k in reversed(range(len(L.panels))):  # L^T x = y
@@ -174,7 +165,7 @@ def cholesky_solve(L: LowerPanels, b: np.ndarray) -> np.ndarray:
         for j0 in reversed(range(0, w, LEAF)):
             j1 = min(j0 + LEAF, w)
             y = x[p0 + j0:p0 + j1]
-            y[...] = L.inverses[k][j0 // LEAF] @ y
+            y[...] = panel[j0:j1, j0:j1] @ y
             x[p0:p0 + j0] -= panel[j0:j1, :j0].T @ y
             for q0, Q in zip(L.starts[:k], L.panels[:k]):
                 x[q0:q0 + PANEL] -= Q[p0 + j0 - q0:p0 + j1 - q0].T @ y

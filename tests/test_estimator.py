@@ -408,8 +408,13 @@ class TestBlockedCholesky:
         ids=[str(m) for m in ORDERS] + [f"float32-{m}" for m in ORDERS])
     def test_matches_lapack_and_keeps_upper_triangle(self, m, dtype):
         # the stored matrix keeps its upper triangle as the mirror of the
-        # lower one; the factor's is not part of it.  Measured worst
-        # errors in float32: 1.3e-6 in the factor, 2.1e-5 in x
+        # lower one; the factor's is not part of it.  The factor holds L
+        # below its leaves' diagonal blocks and L^-T of each leaf in the
+        # block.  Measured worst errors in float32: 1.3e-6 in L (in the
+        # leaves, as the inverse of the stored inverse), 2.1e-5 in x.
+        # The stored inverses themselves differ from the reference's by
+        # up to 3.8e-5: inverting scales the factor's rounding by the
+        # leaf's condition number
         atol, rtol = (1e-12, 1e-11) if dtype == np.float64 else (1e-5, 1e-4)
         G = _spd(m, m)
         A = _stored(G, dtype)
@@ -417,8 +422,17 @@ class TestBlockedCholesky:
         assert A.dense().tobytes() == G.astype(dtype).tobytes()
         assert cholesky_in_place(A) is A
         ref = scipy.linalg.cholesky(G, lower=True)
-        np.testing.assert_allclose(np.tril(A.dense()), ref, rtol=0,
-                                   atol=atol)
+        lower = np.tril(np.ones((m, m), bool))
+        for p0, X in zip(A.starts, A.panels):
+            w = X.shape[1]
+            for j0 in range(0, w, LEAF):
+                i0, i1 = p0 + j0, p0 + min(j0 + LEAF, w)
+                lower[i0:i1, i0:i1] = False
+                np.testing.assert_allclose(
+                    np.linalg.inv(X[j0:i1 - p0, j0:i1 - p0]).T,
+                    ref[i0:i1, i0:i1], rtol=0, atol=atol)
+        np.testing.assert_allclose(np.tril(A.dense())[lower], ref[lower],
+                                   rtol=0, atol=atol)
         b = np.random.default_rng(1).normal(size=(m, 3))
         x = cholesky_solve(A, b)
         assert x.dtype == dtype
@@ -439,6 +453,30 @@ class TestBlockedCholesky:
         finally:
             tracemalloc.stop()
         assert peak <= x.nbytes + 100_000, peak
+
+    @pytest.mark.parametrize("m, dtype", [(1000, np.float64),
+                                          (1729, np.float32),
+                                          (4555, np.float32)])
+    def test_factor_holds_only_its_documented_workspaces(self, m, dtype):
+        # orders with a narrow last panel (424, 1 and 523 wide).  Beyond
+        # the panels, cholesky_in_place documents the update block and
+        # the leaf buffer, tall rows each; the rest of the budget covers
+        # one leaf step's products: a LEAF-wide column of the square
+        # below the leaf and a few LEAF x LEAF arrays
+        A = LowerPanels(m, dtype)
+        for X in A.panels:
+            X.fill(0.5)
+        A.set_diagonal(np.full(m, 1.5))  # I + 0.5: positive definite
+        assert m % PANEL and len(A.starts) > 1
+        tall = min(PANEL, m - PANEL)
+        tracemalloc.start()
+        try:
+            cholesky_in_place(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = A.dtype.itemsize * (tall * (PANEL + LEAF) + 2 * tall * LEAF)
+        assert peak <= budget, peak / budget
 
     def test_indefinite_raises(self):
         G = _spd(700, 3)
@@ -515,9 +553,12 @@ class TestFactorBuffer:
         # every one of the 1000 bins is occupied: a float64 system of two
         # panels, the last 424 wide.  cholesky_in_place documents its
         # workspaces: a panel-update block and a leaf buffer
-        # min(PANEL, m - PANEL) = 424 rows tall, the narrow panel's
-        # zero-padded PANEL x PANEL copy, and the kept leaf inverses
-        # (LEAF m entries).  Measured: 1.018 times the budget below
+        # min(PANEL, m - PANEL) = 424 rows tall.  The budget holds
+        # PANEL^2 + LEAF m entries more, which the Gram's build uses: the
+        # panels then sit beside one pair of blocks' int64 joint counts
+        # and their quotient (2 x 500^2 entries), and the peak comes
+        # there, 0.883 times the budget below (9.9 MiB; 8.5 MiB in the
+        # factor)
         spec = HistMap(Domain.unit(2), 500)
         X = np.random.default_rng(0).uniform(size=(3000, 2))
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=2)
@@ -740,10 +781,11 @@ class TestMixedPrecision:
 
     def test_first_float32_solve_holds_storage_workspaces_and_vectors(self):
         # the float32 panels, cholesky_in_place's float32 workspaces (see
-        # TestFactorBuffer) and kept leaf inverses (LEAF m entries), and a
-        # few float64 vectors of the refinement: of length m and of length
-        # n_synth (P v and the int64 indices of one block column in
-        # P^T y).  Measured: 0.996 times the budget below
+        # TestFactorBuffer) with the same PANEL^2 + LEAF m entries more,
+        # and a few float64 vectors of the refinement: of length m and of
+        # length n_synth (P v and the int64 indices of one block column
+        # in P^T y).  The peak comes in the Gram's build, as there:
+        # 1.002 times the budget below
         spec, config = self.hist
         sk = self._sketch(spec, 1.0)
         feats = SyntheticFeatures(spec, config)

@@ -166,6 +166,18 @@ class TestRace:
         np.testing.assert_array_equal(race.encode_batch(X).positions,
                                       expected)
 
+    def test_positions_equal_numpy_remainder_of_negative_floors(self):
+        # negative bounds and a small r_width: floors far below zero,
+        # where idx - W (idx // W) must give np.remainder's 0..W - 1
+        domain = Domain((-50.0, -30.0, -9.0), (-10.0, 20.0, -1.0))
+        race = build_race(3, 40, 77, 1e-9, seed=3, domain=domain)
+        X = np.random.default_rng(5).uniform(domain.lower_arr,
+                                             domain.upper_arr, (500, 3))
+        Z = np.floor((X @ race.projections.T + race.offsets) / race.r_width)
+        assert Z.min() < -1e10
+        np.testing.assert_array_equal(race._positions(X),
+                                      np.remainder(Z, 77).astype(np.int64))
+
     def test_sensitivity(self):
         assert build_race(4, 80, 80, 0.1, seed=0).sensitivity_l1() == 80.0
 
@@ -174,6 +186,23 @@ class TestRace:
         b = build_race(3, 5, 8, 0.2, seed=11)
         x = np.random.default_rng(4).uniform(size=(20, 3))
         np.testing.assert_array_equal(a.embed_batch(x), b.embed_batch(x))
+
+
+class TestBatchShape:
+    @pytest.mark.parametrize("build", [
+        lambda: HistMap(Domain.unit(3), 4),
+        lambda: build_race(3, 5, 4, 0.3, seed=0),
+        lambda: build_rff(3, 16, 1.0, seed=0),
+    ], ids=["hist", "race", "rff"])
+    def test_encode_batch_takes_only_finite_points_of_d_columns(self, build):
+        spec = build()
+        for X in ([[0.1], [0.9]], np.zeros((2, 4)), np.zeros((2, 3, 1))):
+            with pytest.raises(FeatureMapError, match=r"d=3 must be \(n, 3\)"):
+                spec.encode_batch(X)
+        with pytest.raises(FeatureMapError, match="finite"):
+            spec.encode_batch([[0.1, np.nan, 0.2]])
+        assert spec.encode_batch([0.1, 0.2, 0.3]).shape == (1, spec.m)
+        assert spec.encode_batch(np.empty((0, 3))).shape == (0, spec.m)
 
 
 class TestKernelEstimates:
