@@ -102,8 +102,7 @@ def _parse_epsilon(text: str) -> float:
 
 def _load_schema(path, header):
     if path is None:
-        d = len(header)
-        return Domain.unit(d)
+        return Domain.unit(len(header))
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -172,8 +171,7 @@ def cmd_sketch(args) -> int:
     domain = _load_schema(args.schema, header)
     norm_extra = None
     if opt("normalize", False):
-        mins = data.min(axis=0)
-        maxs = data.max(axis=0)
+        mins, maxs = data.min(axis=0), data.max(axis=0)
         span = np.where(maxs > mins, maxs - mins, 1.0)
         data = (data - mins) / span
         domain = Domain.unit(data.shape[1])
@@ -357,7 +355,9 @@ def cmd_fit_logreg(args) -> int:
 
     config = _train_config(args, domain)
     features = SyntheticFeatures(spec, config)
-    model = reweighting.fit_logistic_from_sketch(features, sketch, args.iters)
+    lam, weighted = features.penalty(sketch), features.weighted(sketch)
+    del features  # the fit reads the weights alone: free encoding and factor
+    model = reweighting.fit_logistic_from_sketch(weighted, args.iters)
     fit = model.diagnostics
     if not fit["converged"]:
         print(f"warning: the fit stopped after {fit['iterations']} Newton "
@@ -378,7 +378,7 @@ def cmd_fit_logreg(args) -> int:
             "newton_steps": fit["iterations"],
             "converged": fit["converged"],
             "config": {"n_synth": config.n_synth, "iters": args.iters,
-                       "lambda": fit["lambda"]},
+                       "lambda": lam},
         }
         write_json(args.model_out, doc)
 

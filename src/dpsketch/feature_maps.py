@@ -313,12 +313,12 @@ class _OneHotBlocks:
         for k, (a0, a1, ia) in enumerate(blocks):
             ia = ia.astype(joint_dtype)
             for b0, b1, ib in blocks[k:]:
-                joint = np.bincount(ia * (b1 - b0) + ib,
-                                    minlength=(a1 - a0) * (b1 - b0))
-                # rows b0..b1 of columns a0..a1; counts / n rounded once,
-                # straight to the storage dtype
-                G.store(b0, a0, np.divide(joint, n, dtype=dtype)
-                        .reshape(a1 - a0, b1 - b0).T)
+                # rows b0..b1 of columns a0..a1: the counts, cast on store
+                # and freed before the next pair's are counted
+                G.store(b0, a0, np.bincount(
+                    ia * (b1 - b0) + ib, minlength=(a1 - a0) * (b1 - b0))
+                    .reshape(a1 - a0, b1 - b0).T)
+        G.divide(n)  # counts / n, rounded once in the storage dtype
         # row j of G sums to B c_j / n, c_j the count of column j
         G.norm_inf = len(blocks) * int(P.sum_onto(None).max()) / n
         return G

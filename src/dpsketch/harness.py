@@ -111,9 +111,7 @@ def gen_separable_classification(n: int, d: int, margin: float = 50.0,
         p = 1.0 / (1.0 + np.exp(-margin * (u - t)))
         y = (rng.uniform(size=n) < p).astype(float)
     data = np.column_stack([Xbar, y])
-    if return_direction:
-        return data, w
-    return data
+    return (data, w) if return_direction else data
 
 
 def write_dataset_csv(path, data: np.ndarray, header=None) -> None:
@@ -267,9 +265,9 @@ def logistic_sweep(epsilons, n: int = 20_000, d: int = 6, margin: float = 50.0,
         for run in range(n_runs):
             config = TrainConfig(n_synth=n_synth, seed=(seed, 3, run),
                                  domain=domain)
-            features = SyntheticFeatures(spec, config)
             sketch = privatize(exact, spec, eps, seed=(seed, 4, ei, run))
-            model = fit_logistic_from_sketch(features, sketch)
+            model = fit_logistic_from_sketch(
+                SyntheticFeatures(spec, config).weighted(sketch))
             aucs.append(evaluate_auc(model, test))
         results[eps] = float(np.mean(aucs))
     return results

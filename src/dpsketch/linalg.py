@@ -57,6 +57,10 @@ class LowerPanels:
                 X[top - p0:r1 - p0, lo - p0:hi - p0] = \
                     block[top - r0:, lo - c0:hi - c0]
 
+    def divide(self, n) -> None:  # every entry by n, in the storage dtype
+        for X in self.panels:
+            X /= self.dtype.type(n)
+
     @property
     def nbytes(self) -> int:
         return sum(X.nbytes for X in self.panels)

@@ -6,7 +6,9 @@ as a weighted sum of per-synthetic-sample losses, with weights that
 depend only on the feature map, the sketch and the ridge penalty, not on
 the model parameters or the loss.  Computing the weights once therefore
 turns fitting (e.g. logistic regression) into ordinary weighted empirical
-risk minimization over the synthetic samples.
+risk minimization over the synthetic samples.  The fits here read only
+those WeightedSamples (SyntheticFeatures.weighted solves for them), so a
+caller can free the samples' encoding and factor before fitting.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import BINARY
-from .estimator import SyntheticFeatures, WeightedSamples
+from .estimator import WeightedSamples
 from .metrics import auc
-from .sketch import PrivateSketch
 
 
 # The logistic fit's penalty is rho = RIDGE * sum|w|, so scaling every
@@ -148,29 +149,26 @@ def logistic_loss_and_grad(signed: np.ndarray, weights: np.ndarray,
     return value, grad, hess
 
 
-def fit_logistic_from_sketch(features: SyntheticFeatures, sketch: PrivateSketch,
+def fit_logistic_from_sketch(weighted: WeightedSamples,
                              iters: int = NEWTON_ITERS) -> LogisticModel:
-    """Train a logistic model from the sketch alone.
+    """Train a logistic model from a sketch's weighted synthetic samples.
 
-    The features' domain must have the binary label as its last
-    attribute, so that the synthetic points are uniform features with a
-    fair-coin label.  The loss-independent weights are computed once,
-    then the reweighted log-loss plus rho/2 ||theta||^2, rho = RIDGE *
+    weighted's domain must have the binary label as its last attribute,
+    so that the synthetic points are uniform features with a fair-coin
+    label.  The reweighted log-loss plus rho/2 ||theta||^2, rho = RIDGE *
     sum|w|, is minimized by Newton from theta = 0 in at most iters steps.
     The penalty bounds the objective below when weights are negative.
     The model's objective is the weighted log-loss without the penalty.
     """
-    if features.domain.kinds[-1] != BINARY:
+    if weighted.domain is None or weighted.domain.kinds[-1] != BINARY:
         raise ValueError("the domain's last attribute must be the binary label")
-    weighted = features.weighted(sketch)
     rho = RIDGE * float(np.abs(weighted.weights).sum())
-    p = features.spec.d  # d-1 feature coefficients plus intercept
+    p = weighted.points.shape[1]  # d-1 feature coefficients plus intercept
     theta, value, info = fit_weighted(
         weighted, logistic_objective(weighted, rho), np.zeros(p), iters)
     loss = value - 0.5 * rho * float(theta @ theta)
     return LogisticModel(theta[:-1], float(theta[-1]), loss,
-                         {"lambda": features.penalty(sketch), "rho": rho,
-                          "penalized_objective": value, **info})
+                         {"rho": rho, "penalized_objective": value, **info})
 
 
 def evaluate_auc(model: LogisticModel, test_points: np.ndarray) -> float:

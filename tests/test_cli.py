@@ -513,6 +513,30 @@ class TestFitLogreg:
         assert self._fit(capsys, rff_logreg, second)[0] == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_fit_holds_no_synthetic_features(self, tmp_path, rff_logreg,
+                                             capsys, monkeypatch):
+        # the fit reads the weighted samples alone, so the command frees
+        # the synthetic encoding and the factor before it
+        import gc
+
+        import dpsketch.reweighting
+        from dpsketch import SyntheticFeatures
+
+        def alive():
+            gc.collect()
+            return {id(obj) for obj in gc.get_objects()
+                    if isinstance(obj, SyntheticFeatures)}
+
+        before, during = alive(), []
+
+        def checked(*args, _fn=dpsketch.reweighting.fit_weighted, **kwargs):
+            during.append(alive() - before)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(dpsketch.reweighting, "fit_weighted", checked)
+        assert self._fit(capsys, rff_logreg, tmp_path / "model.json")[0] == 0
+        assert during == [set()]
+
     def test_hist_map_warns(self, tmp_path, dataset, hist_sketch, capsys):
         out, _ = hist_sketch
         rng = np.random.default_rng(2)

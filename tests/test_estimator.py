@@ -556,9 +556,8 @@ class TestFactorBuffer:
         # min(PANEL, m - PANEL) = 424 rows tall.  The budget holds
         # PANEL^2 + LEAF m entries more, which the Gram's build uses: the
         # panels then sit beside one pair of blocks' int64 joint counts
-        # and their quotient (2 x 500^2 entries), and the peak comes
-        # there, 0.883 times the budget below (9.9 MiB; 8.5 MiB in the
-        # factor)
+        # (500^2 entries; 8.0 MiB in all).  The peak comes in the factor,
+        # 0.759 times the budget below (8.5 MiB)
         spec = HistMap(Domain.unit(2), 500)
         X = np.random.default_rng(0).uniform(size=(3000, 2))
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=2)
@@ -577,6 +576,26 @@ class TestFactorBuffer:
         workspaces = 8 * (PANEL * PANEL + tall * (PANEL + LEAF) + LEAF * m)
         held = LowerPanels(m).nbytes + workspaces
         assert peak <= 1.05 * held, peak / held
+
+    def test_gram_build_holds_one_pair_of_counts(self):
+        # HIST 2x500 at n_synth 20 000 in float64: besides the panels, the
+        # build holds one pair of blocks' int64 joint counts (500^2
+        # entries) and bincount's intp copy of the n joint indices; each
+        # pair's counts are freed on store, before the next pair's are
+        # counted, and the panels are divided by n in place
+        spec = HistMap(Domain.unit(2), 500)
+        points = np.random.default_rng(3).uniform(size=(20_000, 2))
+        P, cols = spec.encode_batch(points).compact()
+        assert cols.size == spec.m
+        tracemalloc.start()
+        try:
+            G = spec.gram(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.dtype == np.float64
+        budget = G.nbytes + 8 * spec.n_bins ** 2 + 8 * len(points) + 2 ** 18
+        assert peak <= budget, peak / budget
 
     def test_breakdown_doubles_the_shift_and_refines_to_lam(self,
                                                            monkeypatch):
@@ -784,8 +803,8 @@ class TestMixedPrecision:
         # TestFactorBuffer) with the same PANEL^2 + LEAF m entries more,
         # and a few float64 vectors of the refinement: of length m and of
         # length n_synth (P v and the int64 indices of one block column
-        # in P^T y).  The peak comes in the Gram's build, as there:
-        # 1.002 times the budget below
+        # in P^T y).  The peak comes in the Gram's build, beside one pair
+        # of blocks' int64 joint counts: 0.863 times the budget below
         spec, config = self.hist
         sk = self._sketch(spec, 1.0)
         feats = SyntheticFeatures(spec, config)

@@ -362,8 +362,8 @@ class TestLogisticFromSketch:
         spec = build_rff(d, 100, 1.0, seed=1, domain=dom)
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         model = fit_logistic_from_sketch(
-            SyntheticFeatures(spec, TrainConfig(n_synth=20_000, seed=2)), sk,
-            iters=400)
+            SyntheticFeatures(spec, TrainConfig(n_synth=20_000, seed=2))
+            .weighted(sk), iters=400)
         train_auc = evaluate_auc(model, X)
         assert train_auc > 0.95
         # decision direction should agree in sign with the generator
@@ -377,9 +377,9 @@ class TestLogisticFromSketch:
         spec = build_rff(d, 40, 1.0, seed=6, domain=_label_domain(d))
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=7)
         features = SyntheticFeatures(spec, TrainConfig(n_synth=4000, seed=8))
-        model = fit_logistic_from_sketch(features, sk)
+        model = fit_logistic_from_sketch(features.weighted(sk))
         fit = model.diagnostics
-        w = features.weights(sk, fit["lambda"])
+        w = features.weights(sk, features.penalty(sk))
         assert fit["rho"] == RIDGE * np.abs(w).sum()
         assert fit["converged"] and 1 <= fit["iterations"] <= NEWTON_ITERS
         theta = np.append(model.theta, model.intercept)
@@ -402,9 +402,10 @@ class TestLogisticFromSketch:
     def test_requires_binary_last_attribute(self):
         spec = build_rff(3, 20, 1.0, seed=0)
         sk = privatize(sketch_exact(spec, [[0.1, 0.2, 0.3]]), spec, math.inf)
+        weighted = SyntheticFeatures(
+            spec, TrainConfig(n_synth=100, seed=0)).weighted(sk)
         with pytest.raises(ValueError):
-            fit_logistic_from_sketch(
-                SyntheticFeatures(spec, TrainConfig(n_synth=100, seed=0)), sk)
+            fit_logistic_from_sketch(weighted)
 
     def test_reproducible(self):
         d = 3
@@ -413,7 +414,9 @@ class TestLogisticFromSketch:
         spec = build_rff(d, 40, 1.0, seed=6, domain=dom)
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=7)
         cfg = TrainConfig(n_synth=4000, seed=8)
-        a = fit_logistic_from_sketch(SyntheticFeatures(spec, cfg), sk, 100)
-        b = fit_logistic_from_sketch(SyntheticFeatures(spec, cfg), sk, 100)
+        a = fit_logistic_from_sketch(
+            SyntheticFeatures(spec, cfg).weighted(sk), 100)
+        b = fit_logistic_from_sketch(
+            SyntheticFeatures(spec, cfg).weighted(sk), 100)
         np.testing.assert_array_equal(a.theta, b.theta)
         assert a.intercept == b.intercept
