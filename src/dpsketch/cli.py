@@ -16,8 +16,6 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
 # perfbench's tracer replaces sketch_exact, privatize, save_sketch,
 # load_sketch, estimate_cdf, estimate_covariance, answer_queries,
 # fit_logistic_from_sketch and evaluate_auc on their modules after this
@@ -44,15 +42,6 @@ class CliError(Exception):
     """A failure reported as one `error:` line; main exits 2 on it."""
 
 
-def _boolean(text: str) -> bool:
-    """True for 1 or true, False for 0 or false, in any case."""
-    if text.lower() not in ("1", "true", "0", "false"):
-        raise ValueError(text)
-    return text.lower() in ("1", "true")
-
-
-_boolean.__name__ = "boolean (1, true, 0 or false)"  # as errors name it
-
 # Every `sketch` option, each both a flag and a --config key:
 # name -> (reader, parameter of feature_maps.build_map it sets, help)
 SKETCH_OPTIONS = {
@@ -68,7 +57,6 @@ SKETCH_OPTIONS = {
     "map_seed": (int, None, None),
     "noise_seed": (int, None, "seed of the privacy noise (default: "
                    "DPSKETCH_SEED if set, else fresh OS entropy)"),
-    "normalize": (_boolean, None, None),
 }
 
 
@@ -167,35 +155,24 @@ def cmd_sketch(args) -> int:
                             SKETCH_OPTIONS[name][0])
         return default
 
-    data, header = read_csv(args.input)
-    domain = _load_schema(args.schema, header)
-    norm_extra = None
-    if opt("normalize", False):
-        mins, maxs = data.min(axis=0), data.max(axis=0)
-        span = np.where(maxs > mins, maxs - mins, 1.0)
-        data = (data - mins) / span
-        domain = Domain.unit(data.shape[1])
-        norm_extra = {"normalization": {"min": mins.tolist(), "max": maxs.tolist()}}
-        print("note: min/max normalization constants are computed from the "
-              "data and recorded in the sketch file; they leak information "
-              "outside the stated privacy budget", file=sys.stderr)
-
     map_seed = _seed("map seed", opt("map_seed"))
-    params = {param: opt(name)
-              for name, (_, param, _) in SKETCH_OPTIONS.items() if param}
-    spec = build_map(opt("map", "hist"), domain, map_seed, params)
-
     epsilon = _parse_epsilon(opt("epsilon", "inf"))
     split = opt("split", DEFAULT_SPLIT)
     # without an explicit seed the noise comes from OS entropy
     noise_seed = _seed("noise seed", opt("noise_seed"), None)
+
+    data, header = read_csv(args.input)
+    domain = _load_schema(args.schema, header)
+    params = {param: opt(name)
+              for name, (_, param, _) in SKETCH_OPTIONS.items() if param}
+    spec = build_map(opt("map", "hist"), domain, map_seed, params)
 
     try:
         exact = sketching.sketch_exact(spec, data)
     except (DomainError, FeatureMapError) as err:
         raise CliError(f"schema violation: {err}")
     sketch = sketching.privatize(exact, spec, epsilon, split, seed=noise_seed)
-    sketching.save_sketch(args.out, sketch, spec, extra=norm_extra)
+    sketching.save_sketch(args.out, sketch, spec)
 
     sum_scale, count_scale = noise_scales(spec, sketch.epsilon_num,
                                           sketch.epsilon_den)
@@ -241,7 +218,7 @@ def _read_truth(path, domain):
 
 
 def cmd_estimate(args) -> int:
-    sketch, spec, _doc = _load_sketch_file(args.sketch)
+    sketch, spec = _load_sketch_file(args.sketch)
     try:
         kind, payload = parse_target(args.target, spec.d)
     except TargetError as err:
@@ -299,7 +276,7 @@ def cmd_cov(args) -> int:
 
 
 def cmd_query_batch(args) -> int:
-    sketch, spec, _doc = _load_sketch_file(args.sketch)
+    sketch, spec = _load_sketch_file(args.sketch)
     with open(args.queries) as fh:
         lines = [line.strip() for line in fh if line.strip()]
     try:
@@ -332,7 +309,7 @@ def cmd_fit_logreg(args) -> int:
     if args.step is not None:
         print("note: --step is ignored; the fit takes Newton steps",
               file=sys.stderr)
-    sketch, spec, _doc = _load_sketch_file(args.sketch)
+    sketch, spec = _load_sketch_file(args.sketch)
     test_data, _ = read_csv(args.test)
     if spec.variant == "HIST":
         print("warning: the binned-marginal feature map carries no "
@@ -389,7 +366,7 @@ def cmd_fit_logreg(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    sketch, spec, doc = _load_sketch_file(args.sketch)
+    sketch, spec = _load_sketch_file(args.sketch)
     sum_scale, count_scale = noise_scales(spec, sketch.epsilon_num,
                                           sketch.epsilon_den)
     writer = _out_writer()
@@ -408,8 +385,6 @@ def cmd_inspect(args) -> int:
         ("noise_scale_sum", repr(sum_scale)),
         ("noise_scale_count", repr(count_scale)),
     ]
-    if "normalization" in doc:
-        rows.append(("normalized", "true"))
     for row in rows:
         writer.writerow(row)
     return EXIT_OK
@@ -479,11 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "sketch", "sketch a CSV dataset", cmd_sketch, "input")
     p.add_argument("--out", required=True)
     for name, (reader, _, text) in SKETCH_OPTIONS.items():
-        flag = "--" + name.replace("_", "-")
-        if reader is _boolean:  # a bare flag; None leaves it to --config
-            p.add_argument(flag, action="store_true", default=None, help=text)
-        else:
-            p.add_argument(flag, type=reader, help=text)
+        p.add_argument("--" + name.replace("_", "-"), type=reader, help=text)
     p.add_argument("--schema", default=None)
     p.add_argument("--config", default=None)
 

@@ -186,27 +186,23 @@ def write_json(path, doc) -> None:
     os.replace(tmp, path)
 
 
-def save_sketch(path, sketch: PrivateSketch, spec: FeatureMap,
-                extra: dict | None = None) -> None:
+def save_sketch(path, sketch: PrivateSketch, spec: FeatureMap) -> None:
     """Write a sketch file atomically."""
-    doc = _encode_inf(sketch.to_dict(spec))
-    if extra:
-        doc.update(_encode_inf(extra))
-    write_json(path, doc)
+    write_json(path, _encode_inf(sketch.to_dict(spec)))
 
 
-def load_sketch(path) -> tuple[PrivateSketch, FeatureMap, dict]:
-    """Read a sketch file; returns (sketch, feature map, full document)."""
+def load_sketch(path) -> tuple[PrivateSketch, FeatureMap]:
+    """Read a sketch file; returns (sketch, feature map)."""
     with open(path) as fh:
-        doc = json.load(fh)
-    return sketch_from_dict(doc) + (doc,)
+        return sketch_from_dict(json.load(fh))
 
 
 def sketch_from_dict(doc: dict) -> tuple[PrivateSketch, FeatureMap]:
     """Rebuild a sketch and its feature map from a file document.
 
-    Files written before the noise seed was dropped from the format may
-    still carry it under "rng_seed_of_noise"; the key is ignored.  A sum
+    Keys other than the format's are ignored, so files written before the
+    noise seed or `sketch --normalize` were dropped still load: their
+    "rng_seed_of_noise" or "normalization" key is not read.  A sum
     entry or count that is not a finite JSON number (numeric strings and
     booleans included), or a budget share that is neither a positive
     number nor "inf", raises SketchError: the solve never reads some sum

@@ -185,34 +185,54 @@ class TestSketchCommand:
         doc = json.loads(out.read_text())
         assert doc["spec"]["domain"]["upper"] == [10.0, 1.0]
 
-    def test_normalize_warns_and_records_constants(self, tmp_path, capsys):
-        path = tmp_path / "wide.csv"
-        write_csv(path, [[5.0, 0.5], [9.0, 0.2], [7.0, 0.9]])
-        out = tmp_path / "s.json"
-        code, _, stderr = run_cli(
-            capsys, "sketch", str(path), "--out", str(out), "--normalize",
-            "--map", "hist", "--bins", "4")
-        assert code == 0
-        assert "leak" in stderr
-        doc = json.loads(out.read_text())
-        assert doc["normalization"]["min"] == [5.0, 0.2]
-        assert doc["normalization"]["max"] == [9.0, 0.9]
-
-    @pytest.mark.parametrize("value, normalized", [
-        ("1", True), ("TRUE", True), ("true", True), ("0", False),
-        ("False", False),
-    ])
-    def test_config_normalize_values(self, tmp_path, dataset, capsys, value,
-                                     normalized):
+    def test_normalize_is_not_an_option(self, tmp_path, dataset, capsys):
+        """--normalize published the data's min and max; the flag and the
+        config key now fail as any unknown option does, writing nothing."""
         path, _ = dataset
-        cfg = tmp_path / "sketch.cfg"
-        cfg.write_text(f"normalize={value}\n")
         out = tmp_path / "s.json"
-        code, _, stderr = run_cli(capsys, "sketch", str(path), "--out",
-                                  str(out), "--config", str(cfg))
-        assert code == 0
-        assert ("normalization" in json.loads(out.read_text())) is normalized
-        assert ("leak" in stderr) is normalized
+        with pytest.raises(SystemExit) as exc:
+            main(["sketch", str(path), "--out", str(out), "--normalize"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --normalize" in capsys.readouterr().err
+        cfg = tmp_path / "sketch.cfg"
+        cfg.write_text("normalize=1\n")
+        code, stdout, stderr = run_cli(capsys, "sketch", str(path), "--out",
+                                       str(out), "--config", str(cfg))
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: {cfg}:1: unknown key 'normalize'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", [
+        "epsilon", "noise-seed", "map-seed", "env-seed", "config-split"])
+    def test_bad_options_exit_before_the_csv_is_read(
+            self, tmp_path, dataset, capsys, monkeypatch, case):
+        def unexpected_read(*args, **kwargs):
+            pytest.fail("sketch read the CSV before checking its options")
+
+        monkeypatch.setattr("dpsketch.cli.read_csv", unexpected_read)
+        monkeypatch.delenv("DPSKETCH_SEED", raising=False)
+        path, _ = dataset
+        out = tmp_path / "s.json"
+        cfg = tmp_path / "sketch.cfg"
+        cfg.write_text("split=abc\n")
+        flags, message = {
+            "epsilon": (["--epsilon", "abc"],
+                        "epsilon must be a number or inf, got 'abc'"),
+            "noise-seed": (["--noise-seed", "-1"],
+                           "noise seed must be a non-negative integer, got -1"),
+            "map-seed": (["--map-seed", "-1"],
+                         "map seed must be a non-negative integer, got -1"),
+            "env-seed": ([], "DPSKETCH_SEED must be a non-negative integer, "
+                             "got -3"),
+            "config-split": (["--config", str(cfg)],
+                             f"{cfg}: split='abc' is not a valid float"),
+        }[case]
+        if case == "env-seed":
+            monkeypatch.setenv("DPSKETCH_SEED", "-3")
+        code, stdout, stderr = run_cli(capsys, "sketch", str(path), "--out",
+                                       str(out), *flags)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("kind", ["hist", "rff", "race"])
     def test_map_defaults_are_the_library_defaults(self, tmp_path, dataset,
@@ -238,6 +258,63 @@ class TestSketchCommand:
                 "--noise-seed", "4")
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# What `sketch` publishes, per artefact: the values chosen before the data
+# is read, which neighbouring datasets must share, and the noised ones.
+PUBLISHED = {
+    "file": ({"version", "spec", "spec_id", "epsilon_num", "epsilon_den"},
+             {"noisy_sum", "noisy_count"}),
+    "stdout": ({"sensitivity_l1", "noise_scale_sum", "noise_scale_count"},
+               {"noisy_count"}),
+}
+
+
+@pytest.mark.parametrize("config", [False, True], ids=["flags", "config"])
+@pytest.mark.parametrize("schema", [False, True], ids=["unit", "schema"])
+@pytest.mark.parametrize("kind", ["hist", "rff", "race"])
+def test_sketch_publishes_only_chosen_or_noised_values(tmp_path, capsys,
+                                                       kind, schema, config):
+    """Two CSVs that differ in one record, sketched with the same seeds:
+    every file key and stdout column is on one list of PUBLISHED, and the
+    chosen ones are byte-equal between the two."""
+    upper = 10.0 if schema else 1.0
+    data = np.random.default_rng(1).uniform(0.0, upper, size=(50, 2))
+    data[-1] = 0.0
+    neighbour = data.copy()
+    neighbour[-1] = upper  # the one record moves between the extremes
+    options = {"hist": {"map": "hist", "bins": "4"},
+               "rff": {"map": "rff", "m": "12"},
+               "race": {"map": "race", "hashes": "4", "buckets": "5"}}[kind]
+    options.update(epsilon="1", map_seed="3", noise_seed="4")
+    if config:
+        cfg = tmp_path / "sketch.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in options.items()))
+        argv = ["--config", str(cfg)]
+    else:
+        argv = [a for k, v in options.items()
+                for a in ("--" + k.replace("_", "-"), v)]
+    if schema:
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps({"columns": [{"upper": upper}] * 2}))
+        argv += ["--schema", str(schema_path)]
+
+    files, rows = [], []
+    for name, records in (("a", data), ("b", neighbour)):
+        path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        write_csv(path, records)
+        code, stdout, stderr = run_cli(capsys, "sketch", str(path), "--out",
+                                       str(out), *argv)
+        assert code == 0, stderr
+        files.append(json.loads(out.read_text()))
+        rows.append(dict(zip(*parse_csv(stdout))))
+    assert files[0]["noisy_sum"] != files[1]["noisy_sum"]  # not vacuous
+    for artefact, (a, b) in (("file", files), ("stdout", rows)):
+        chosen, noised = PUBLISHED[artefact]
+        for key in a.keys() | b.keys():
+            assert (key in chosen) != (key in noised), (artefact, key)
+            if key in chosen:
+                assert json.dumps(a[key]) == json.dumps(b[key]), key
 
 
 def test_split_csv_read_gives_the_one_process_bytes(tmp_path, capsys,
@@ -612,6 +689,23 @@ class TestInspect:
         if epsilon == "inf":
             assert fields["noise_scale_sum"] == "0.0"
 
+    def test_retired_normalization_key_changes_no_output(self, tmp_path,
+                                                         hist_sketch, capsys):
+        """A file from the removed `sketch --normalize` reads as the same
+        file without its normalization key."""
+        plain, _ = hist_sketch
+        old = tmp_path / "old.json"
+        doc = json.loads(plain.read_text())
+        doc["normalization"] = {"min": [0.0] * 3, "max": [1.0] * 3}
+        old.write_text(json.dumps(doc))
+        for command, *rest in (["inspect"],
+                               ["estimate", "moment 1 1", "--n-synth", "500",
+                                "--synth-seed", "1"]):
+            plain_run, old_run = (run_cli(capsys, command, str(path), *rest)
+                                  for path in (plain, old))
+            assert plain_run[0] == 0
+            assert old_run == plain_run
+
 
 class TestEval:
     def test_quick_plan_run(self, tmp_path, capsys):
@@ -749,9 +843,8 @@ class TestBadOptionValues:
         if case.startswith("schema"):
             assert stderr.startswith(f"error: {cfg}: ")
         if case == "config-normalize":
-            # the file, the key and the accepted values
-            assert stderr == (f"error: {cfg}: normalize='yes' is not a valid "
-                              "boolean (1, true, 0 or false)\n")
+            # the option was removed, so its key is unknown
+            assert stderr == f"error: {cfg}:1: unknown key 'normalize'\n"
 
 
 class TestFileErrors:

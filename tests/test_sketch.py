@@ -232,12 +232,12 @@ class TestFileFormat:
                        hist2, 1.0, seed=9)
         path = tmp_path / "s.json"
         save_sketch(path, sk, hist2)
-        loaded, spec, doc = load_sketch(path)
+        loaded, spec = load_sketch(path)
         np.testing.assert_array_equal(loaded.noisy_sum, sk.noisy_sum)
         assert loaded.noisy_count == sk.noisy_count
         assert loaded.epsilon_num == sk.epsilon_num
         assert spec.spec_id == hist2.spec_id
-        assert doc["version"] == 1
+        assert json.loads(path.read_text())["version"] == 1
 
     def test_inf_epsilon_encoding(self, tmp_path, hist2):
         sk = privatize(sketch_exact(hist2, [[0.1, 0.9]]), hist2, math.inf)
@@ -245,7 +245,7 @@ class TestFileFormat:
         save_sketch(path, sk, hist2)
         doc = json.loads(path.read_text())
         assert doc["epsilon_num"] == "inf"
-        loaded, _, _ = load_sketch(path)
+        loaded, _ = load_sketch(path)
         assert math.isinf(loaded.epsilon_num)
 
     def test_save_is_byte_deterministic(self, tmp_path, hist2):
@@ -259,7 +259,7 @@ class TestFileFormat:
         sk = privatize(sketch_exact(hist2, [[0.3, 0.4]]), hist2, 0.7, seed=4)
         path = tmp_path / "s.json"
         save_sketch(path, sk, hist2)
-        loaded, _, _ = load_sketch(path)
+        loaded, _ = load_sketch(path)
         assert loaded.noisy_sum.tolist() == sk.noisy_sum.tolist()
         assert loaded.noisy_count == sk.noisy_count
 
@@ -290,10 +290,15 @@ class TestFileFormat:
         doc = json.loads(path.read_text())
         assert not [key for key in doc if "seed" in key]
 
-    def test_old_file_with_noise_seed_loads(self, hist2):
+    @pytest.mark.parametrize("key, value", [
+        ("rng_seed_of_noise", 5),
+        ("normalization", {"min": [0.1, 0.9], "max": [0.1, 0.9]}),
+    ], ids=["rng_seed_of_noise", "normalization"])
+    def test_old_file_with_retired_key_loads(self, hist2, key, value):
+        """Keys that older versions wrote, and that the format dropped."""
         sk = privatize(sketch_exact(hist2, [[0.1, 0.9]]), hist2, 1.0, seed=5)
         doc = json.loads(json.dumps(sk.to_dict(hist2)))
-        doc["rng_seed_of_noise"] = 5
+        doc[key] = value
         loaded, _ = sketch_from_dict(doc)
         assert loaded.noisy_sum.tolist() == sk.noisy_sum.tolist()
 
