@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import warnings
 
@@ -25,17 +24,16 @@ from . import reweighting, targets
 from . import sketch as sketching
 from .domain import BINARY, CONTINUOUS, Domain, DomainError, read_csv
 from .estimator import SyntheticFeatures, TrainConfig, WeightedSamples
-from .feature_maps import FeatureMapError, build_map
+from .feature_maps import FeatureMapError, build_map, map_kind
 from .metrics import emd_1d, frobenius, scored_error
-from .sketch import DEFAULT_SPLIT, SketchError, noise_scales, write_json
+from .sketch import (DEFAULT_SPLIT, SketchError, check_budget, noise_scales,
+                     write_json)
 from .targets import (TargetError, check_queries, default_thresholds,
                       parse_predicates, parse_target)
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
-
-SEED_ENV_VAR = "DPSKETCH_SEED"
 
 
 class CliError(Exception):
@@ -55,23 +53,14 @@ SKETCH_OPTIONS = {
     "epsilon": (str, None, None),
     "split": (float, None, None),
     "map_seed": (int, None, None),
-    "noise_seed": (int, None, "seed of the privacy noise (default: "
-                   "DPSKETCH_SEED if set, else fresh OS entropy)"),
+    "noise_seed": (int, None, "seed of the privacy noise (default: fresh "
+                   "OS entropy); must differ from the map seed"),
 }
 
 
-def _seed(name, value, fallback=0):
-    """The seed given as name, else DPSKETCH_SEED, else fallback; CliError
-    unless the seed is a non-negative integer."""
-    if value is None:
-        text = os.environ.get(SEED_ENV_VAR)
-        if text is None:
-            return fallback
-        try:
-            name, value = SEED_ENV_VAR, int(text)
-        except ValueError:
-            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {text!r}")
-    if value < 0:
+def _seed(name, value):
+    """value; CliError if it is a negative integer (None passes)."""
+    if value is not None and value < 0:
         raise CliError(f"{name} must be a non-negative integer, got {value}")
     return value
 
@@ -155,17 +144,22 @@ def cmd_sketch(args) -> int:
                             SKETCH_OPTIONS[name][0])
         return default
 
-    map_seed = _seed("map seed", opt("map_seed"))
+    map_seed = _seed("map seed", opt("map_seed", 0))
     epsilon = _parse_epsilon(opt("epsilon", "inf"))
     split = opt("split", DEFAULT_SPLIT)
     # without an explicit seed the noise comes from OS entropy
-    noise_seed = _seed("noise seed", opt("noise_seed"), None)
+    noise_seed = _seed("noise seed", opt("noise_seed"))
+    if noise_seed == map_seed:
+        raise CliError("the noise seed must differ from the map seed, which "
+                       "the sketch file publishes")
+    check_budget(epsilon, split)
+    kind = map_kind(opt("map", "hist"))
 
     data, header = read_csv(args.input)
     domain = _load_schema(args.schema, header)
     params = {param: opt(name)
               for name, (_, param, _) in SKETCH_OPTIONS.items() if param}
-    spec = build_map(opt("map", "hist"), domain, map_seed, params)
+    spec = build_map(kind, domain, map_seed, params)
 
     try:
         exact = sketching.sketch_exact(spec, data)
@@ -440,7 +434,7 @@ def _add_fit_args(sub, truth=True):
         sub.add_argument("--truth", default=None)
     sub.add_argument("--n-synth", type=int, default=100_000)
     sub.add_argument("--extra-reg", type=float, default=1.0)
-    sub.add_argument("--synth-seed", type=int, default=None)
+    sub.add_argument("--synth-seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:

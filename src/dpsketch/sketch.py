@@ -119,6 +119,14 @@ def laplace_noise(scale: float, rng: np.random.Generator, size=None):
     return rng.laplace(0.0, scale, size)
 
 
+def check_budget(epsilon: float, split_num: float) -> None:
+    """SketchError unless epsilon > 0 (inf allowed) and 0 < split_num < 1."""
+    if not (0.0 < split_num < 1.0):
+        raise SketchError("split_num must lie strictly between 0 and 1")
+    if not epsilon > 0:
+        raise SketchError("epsilon must be positive (or inf)")
+
+
 def privatize(exact: ExactSketch, spec: FeatureMap, epsilon: float,
               split_num: float = DEFAULT_SPLIT, seed=None) -> PrivateSketch:
     """Laplace-noise the exact sketch under total budget epsilon.
@@ -129,10 +137,7 @@ def privatize(exact: ExactSketch, spec: FeatureMap, epsilon: float,
     seed=None draws the noise from OS entropy.  The seed is not kept in
     the sketch: whoever knows it can subtract the noise.
     """
-    if not (0.0 < split_num < 1.0):
-        raise SketchError("split_num must lie strictly between 0 and 1")
-    if not epsilon > 0:
-        raise SketchError("epsilon must be positive (or inf)")
+    check_budget(epsilon, split_num)
     rng = np.random.default_rng(seed)
     if math.isinf(epsilon):
         eps_num = eps_den = math.inf
@@ -147,16 +152,6 @@ def privatize(exact: ExactSketch, spec: FeatureMap, epsilon: float,
 
 
 # -- file format ----------------------------------------------------------
-
-
-def _encode_inf(obj):
-    if isinstance(obj, dict):
-        return {k: _encode_inf(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_encode_inf(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    return obj
 
 
 def _json_number(value) -> float:
@@ -187,8 +182,14 @@ def write_json(path, doc) -> None:
 
 
 def save_sketch(path, sketch: PrivateSketch, spec: FeatureMap) -> None:
-    """Write a sketch file atomically."""
-    write_json(path, _encode_inf(sketch.to_dict(spec)))
+    """Write a sketch file atomically; an infinite budget share is written
+    as "inf", which JSON has no number for.  No other value can be
+    infinite: the maps and Domain reject infinite parameters and bounds."""
+    doc = sketch.to_dict(spec)
+    for key in ("epsilon_num", "epsilon_den"):
+        if math.isinf(doc[key]):
+            doc[key] = "inf"
+    write_json(path, doc)
 
 
 def load_sketch(path) -> tuple[PrivateSketch, FeatureMap]:

@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from dpsketch import Domain, build_map
+from dpsketch import Domain, build_map, load_sketch, sketch_exact
 from dpsketch.cli import main
 
 
@@ -203,18 +203,25 @@ class TestSketchCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("case", [
-        "epsilon", "noise-seed", "map-seed", "env-seed", "config-split"])
+        "epsilon", "noise-seed", "map-seed", "config-split", "split-range",
+        "map", "equal-seeds-hist", "equal-seeds-rff", "equal-seeds-race",
+        "equal-seeds-config"])
     def test_bad_options_exit_before_the_csv_is_read(
             self, tmp_path, dataset, capsys, monkeypatch, case):
         def unexpected_read(*args, **kwargs):
             pytest.fail("sketch read the CSV before checking its options")
 
         monkeypatch.setattr("dpsketch.cli.read_csv", unexpected_read)
-        monkeypatch.delenv("DPSKETCH_SEED", raising=False)
         path, _ = dataset
         out = tmp_path / "s.json"
         cfg = tmp_path / "sketch.cfg"
         cfg.write_text("split=abc\n")
+        seeds_cfg = tmp_path / "seeds.cfg"
+        seeds_cfg.write_text("map=race\nepsilon=1\nmap_seed=5\nnoise_seed=5\n")
+        # a noise seed equal to the map seed, which RFF and RACE files
+        # publish, would let any reader subtract the noise; HIST fails too
+        equal_seeds = ("the noise seed must differ from the map seed, which "
+                       "the sketch file publishes")
         flags, message = {
             "epsilon": (["--epsilon", "abc"],
                         "epsilon must be a number or inf, got 'abc'"),
@@ -222,13 +229,18 @@ class TestSketchCommand:
                            "noise seed must be a non-negative integer, got -1"),
             "map-seed": (["--map-seed", "-1"],
                          "map seed must be a non-negative integer, got -1"),
-            "env-seed": ([], "DPSKETCH_SEED must be a non-negative integer, "
-                             "got -3"),
             "config-split": (["--config", str(cfg)],
                              f"{cfg}: split='abc' is not a valid float"),
+            "split-range": (["--split", "1.5", "--epsilon", "1"],
+                            "split_num must lie strictly between 0 and 1"),
+            "map": (["--map", "wavelet"], "unknown feature map 'wavelet'; "
+                                          "expected one of hist, rff, race"),
+            "equal-seeds-config": (["--config", str(seeds_cfg)], equal_seeds),
+            **{f"equal-seeds-{kind}": (["--map", kind, "--epsilon", "1",
+                                        "--map-seed", "5", "--noise-seed",
+                                        "5"], equal_seeds)
+               for kind in ("hist", "rff", "race")},
         }[case]
-        if case == "env-seed":
-            monkeypatch.setenv("DPSKETCH_SEED", "-3")
         code, stdout, stderr = run_cli(capsys, "sketch", str(path), "--out",
                                        str(out), *flags)
         assert code == 2 and stdout == "" and not out.exists()
@@ -772,13 +784,13 @@ class TestBadOptionValues:
     @pytest.mark.parametrize("case", [
         "epsilon", "split", "config-bins", "schema-array", "schema-columns",
         "schema-lower", "plan-n", "n-synth", "map", "synth-seed",
-        "noise-seed", "env-seed", "map-seed-hist", "map-seed-rff",
-        "map-seed-race", "config-map-seed", "extra-reg-nan", "extra-reg-inf",
+        "noise-seed", "map-seed-hist", "map-seed-rff", "map-seed-race",
+        "config-map-seed", "extra-reg-nan", "extra-reg-inf",
         "sigma-inf", "sigma-tiny", "sigma-overflows", "r-width-inf",
         "r-width-overflows", "schema-upper-inf", "config-normalize",
     ])
     def test_exits_2_with_message(self, tmp_path, dataset, hist_sketch,
-                                  capsys, monkeypatch, case):
+                                  capsys, case):
         path, _ = dataset
         out = tmp_path / "s.json"
         sketch = ["sketch", str(path), "--out", str(out)]
@@ -799,8 +811,6 @@ class TestBadOptionValues:
             cfg.write_text("map=race\nmap_seed=-1\n")
         elif case == "config-normalize":
             cfg.write_text("normalize=yes\n")
-        elif case == "env-seed":
-            monkeypatch.setenv("DPSKETCH_SEED", "-3")
         argv = {
             "epsilon": sketch + ["--epsilon", "abc"],
             "map": sketch + ["--map", "wavelet"],
@@ -816,7 +826,6 @@ class TestBadOptionValues:
             "synth-seed": ["estimate", str(hist_sketch[0]), "moment 1 1",
                            "--n-synth", "500", "--synth-seed", "-1"],
             "noise-seed": sketch + ["--epsilon", "1", "--noise-seed", "-1"],
-            "env-seed": sketch + ["--epsilon", "1"],
             "map-seed-hist": sketch + ["--map", "hist", "--map-seed", "-1"],
             "map-seed-rff": sketch + ["--map", "rff", "--map-seed", "-1"],
             "map-seed-race": sketch + ["--map", "race", "--map-seed", "-1"],
@@ -1007,42 +1016,35 @@ class TestTruthFile:
 
 
 class TestSeedEnvVar:
-    def test_env_seed_changes_noise(self, tmp_path, dataset, capsys,
-                                    monkeypatch):
-        path, _ = dataset
-        outs = []
-        for seed in ("1", "2"):
-            monkeypatch.setenv("DPSKETCH_SEED", seed)
-            out = tmp_path / f"s{seed}.json"
-            run_cli(capsys, "sketch", str(path), "--out", str(out),
-                    "--map", "hist", "--bins", "5", "--epsilon", "1.0")
-            outs.append(json.loads(out.read_text()))
-        assert outs[0]["noisy_sum"] != outs[1]["noisy_sum"]
+    """DPSKETCH_SEED once seeded both the map and the noise, so an RFF or
+    RACE file published the noise seed as its map seed.  It seeds nothing
+    now: the noise is fresh unless --noise-seed gives a seed."""
 
-    def test_env_seed_reproduces(self, tmp_path, dataset, capsys, monkeypatch):
-        path, _ = dataset
-        monkeypatch.setenv("DPSKETCH_SEED", "9")
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for out in (a, b):
-            run_cli(capsys, "sketch", str(path), "--out", str(out),
-                    "--map", "hist", "--bins", "5", "--epsilon", "1.0")
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_malformed_env_seed_exits_2(self, tmp_path, dataset, capsys,
-                                        monkeypatch):
-        path, _ = dataset
-        monkeypatch.setenv("DPSKETCH_SEED", "abc")
-        out = tmp_path / "s.json"
-        code, stdout, stderr = run_cli(capsys, "sketch", str(path), "--out",
-                                       str(out), "--map", "hist")
-        assert code == 2
-        assert stdout == "" and not out.exists()
-        assert stderr.startswith("error: DPSKETCH_SEED")
+    def test_env_seed_changes_noise(self, tmp_path, capsys, monkeypatch):
+        data = np.random.default_rng(2).uniform(size=(50, 3))
+        path = tmp_path / "data.csv"
+        write_csv(path, data)
+        monkeypatch.setenv("DPSKETCH_SEED", "5")
+        for flags in (["--map", "rff", "--m", "20"],
+                      ["--map", "race", "--hashes", "4", "--buckets", "5"]):
+            sums = []
+            for name in ("a.json", "b.json"):
+                out = tmp_path / name
+                code, _, stderr = run_cli(capsys, "sketch", str(path), "--out",
+                                          str(out), *flags, "--epsilon", "1")
+                assert code == 0, stderr
+                sketch, spec = load_sketch(out)
+                # the noise as whoever reads the file's map seed would draw it
+                guess = np.random.default_rng(spec.to_dict()["seed"]).laplace(
+                    0.0, spec.sensitivity_l1() / sketch.epsilon_num, spec.m)
+                exact = sketch_exact(spec, data).sum_features
+                assert not np.allclose(sketch.noisy_sum - guess, exact)
+                sums.append(sketch.noisy_sum)
+            assert not np.array_equal(*sums)
 
     def test_default_noise_is_fresh_and_unpublished(self, tmp_path, dataset,
-                                                    capsys, monkeypatch):
+                                                    capsys):
         path, _ = dataset
-        monkeypatch.delenv("DPSKETCH_SEED", raising=False)
         docs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
