@@ -30,11 +30,9 @@ from .sketch import (
     sketch_from_dict,
 )
 from .estimator import (
-    SketchModel,
     SyntheticFeatures,
     TrainConfig,
     WeightedSamples,
-    loss_value,
     regularization_lambda,
     theorem_lambda,
 )

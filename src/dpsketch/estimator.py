@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import Domain, DomainError
 from .feature_maps import FeatureMap
 from .linalg import PANEL, LowerPanels, cholesky_in_place, cholesky_solve
-from .sketch import PrivateSketch, SketchError
+from .sketch import PrivateSketch, SketchError, noise_variance
 
 LAMBDA_FLOOR = 1e-9  # numeric-stability regularization when there is no noise
 
@@ -43,16 +43,6 @@ class TrainConfig:
             raise ValueError("n_synth must be >= 1")
         if not 0 < self.extra_reg < math.inf:
             raise ValueError("extra_reg must be positive and finite")
-
-
-@dataclass(frozen=True)
-class SketchModel:
-    """Fitted linear coefficients over the feature map, ready to query a sketch."""
-
-    coef: np.ndarray
-    lam: float
-    spec_id: str
-    diagnostics: dict = field(default_factory=dict, compare=False)
 
 
 def regularization_lambda(spec: FeatureMap, epsilon_num: float,
@@ -82,9 +72,7 @@ def theorem_lambda(spec: FeatureMap, epsilon_num: float, n: float) -> float:
     """
     if math.isinf(epsilon_num):
         return LAMBDA_FLOOR
-    delta = spec.sensitivity_l1()
-    sigma2 = 2.0 * delta * delta / (epsilon_num * epsilon_num)
-    return sigma2 / (n * n)
+    return noise_variance(spec, epsilon_num) / (n * n)
 
 
 def _evaluate_target(f, points: np.ndarray) -> np.ndarray:
@@ -151,10 +139,11 @@ def _panel_dtype(m_occ: int) -> np.dtype:
 class SyntheticFeatures:
     """Synthetic prior samples with their embedding and the factored Gram.
 
-    The single estimation object: the ridge estimate <fit(f), sketch> of
-    any target f equals w @ f(points) for per-sample weights w that depend
-    only on the sketch and the penalty, so one solve per sketch answers
-    every target.  Only the m_occ features that some synthetic sample
+    The single estimation object: the ridge estimate <a, sketch> of any
+    target f, where a = (G + lam I)^-1 P^T f(points) / n, equals
+    w @ f(points) for per-sample weights w that depend only on the
+    sketch and the penalty, so one solve per sketch answers every
+    target.  Only the m_occ features that some synthetic sample
     activates enter the system: on the others G is zero (one-hot maps
     leave buckets empty; dense maps activate every feature), so the
     samples' encoding is compacted to those columns once.  G over
@@ -346,7 +335,8 @@ class SyntheticFeatures:
         return self._gram
 
     def weights(self, sketch: PrivateSketch, lam: float) -> np.ndarray:
-        """Per-sample weights w with w @ f(points) = <fit(f, lam).coef, sketch>.
+        """Per-sample weights w with w @ f(points) = <a, sketch>, for a =
+        solve(dot_targets(f(points)), lam) the ridge fit of any target f.
 
         One solve against the cached factor, then an inner product per
         sample.  The weights do not depend on the target: compute them
@@ -369,28 +359,6 @@ class SyntheticFeatures:
                                self.weights(sketch, self.penalty(sketch)),
                                self.domain)
 
-    def estimate(self, sketch: PrivateSketch, targets) -> np.ndarray:
-        """Estimated dataset averages of the targets, one per target."""
-        return self.weighted(sketch).sums(targets)
-
-    def fit(self, f, lam: float) -> SketchModel:
-        """Ridge-fit coefficients so that <coef, Phi(x)> approximates f(x).
-
-        The reference path: estimates come from weights; the coefficients
-        are for diagnostics and for checking the weights against.
-        """
-        F = _evaluate_target(f, self.points)
-        rhs = self.dot_targets(F)
-        coef = self.solve(rhs, lam)
-        residual = self.apply(coef) - F
-        train_loss = float(residual @ residual / self.n + lam * coef @ coef)
-        diagnostics = {
-            "train_loss": train_loss,
-            "residual_norm": float(np.linalg.norm(residual) / np.sqrt(self.n)),
-            "n_synth": self.n,
-        }
-        return SketchModel(coef, lam, self.spec.spec_id, diagnostics)
-
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", u, v))
@@ -398,13 +366,3 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
 
 def _norm(u: np.ndarray) -> float:
     return math.sqrt(_dot(u, u))
-
-
-def loss_value(spec: FeatureMap, a: np.ndarray, f, samples, lam: float) -> float:
-    """The regularized squared-error objective at coefficients a."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    a = np.asarray(a, dtype=float)
-    F = _evaluate_target(f, samples)
-    pred = spec.encode_batch(samples) @ a
-    r = F - pred
-    return float(r @ r / samples.shape[0] + lam * a @ a)

@@ -87,27 +87,9 @@ class FeatureMap:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise FeatureMapError(f"{name} must be finite")
 
-    # -- per-point API ----------------------------------------------------
-
-    def embed(self, x) -> np.ndarray:
-        """Embed a single point into R^m."""
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        return self.embed_batch(x)[0]
-
-    def embed_batch(self, X) -> np.ndarray:
-        """Embed an (n, d) batch into a dense (n, m) matrix."""
-        return self.encode_batch(X).toarray()
-
     def sensitivity_l1(self) -> float:
         """max_x ||Phi(x)||_1, the L1 sensitivity of the feature sum."""
         raise NotImplementedError
-
-    def kernel_scale(self) -> float:
-        """Normalizer turning <Phi(x), Phi(x')> into a kernel estimate in [0, 1]."""
-        raise NotImplementedError
-
-    def kernel_estimate(self, x, y) -> float:
-        return float(np.dot(self.embed(x), self.embed(y)) / self.kernel_scale())
 
     # -- batch encoding used by the estimator -----------------------------
 
@@ -345,12 +327,6 @@ class HistMap(_OneHotBlocks, FeatureMap):
         self.width = self.n_bins
         self._finish(domain)
 
-    def embed_batch(self, X) -> np.ndarray:
-        # per point, the domain check; sketch_exact checks whole batches
-        # before it encodes them, and the estimator's samples are drawn
-        # from the domain
-        return super().embed_batch(self.domain.validate(X))
-
     def _positions(self, X) -> np.ndarray:
         lo = self.domain.lower_arr
         widths = (self.domain.upper_arr - lo) / self.n_bins
@@ -358,9 +334,6 @@ class HistMap(_OneHotBlocks, FeatureMap):
         return np.clip(idx, 0, self.n_bins - 1)
 
     def sensitivity_l1(self) -> float:
-        return float(self.d)
-
-    def kernel_scale(self) -> float:
         return float(self.d)
 
     @classmethod
@@ -419,9 +392,6 @@ class RffMap(FeatureMap):
 
     def sensitivity_l1(self) -> float:
         return float(self.m_half * np.sqrt(2.0))
-
-    def kernel_scale(self) -> float:
-        return float(self.m_half)
 
     def gram(self, P: DenseMatrix, dtype=np.float64) -> LowerPanels:
         n, m = P.shape
@@ -500,9 +470,6 @@ class RaceMap(_OneHotBlocks, FeatureMap):
         return idx
 
     def sensitivity_l1(self) -> float:
-        return float(self.n_hashes)
-
-    def kernel_scale(self) -> float:
         return float(self.n_hashes)
 
     @classmethod

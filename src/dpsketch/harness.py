@@ -1,4 +1,4 @@
-"""Desk-scale experiment harness: dataset generators, sweep plans, results CSV.
+"""Desk-scale experiment harness: a dataset generator, sweep plans, results CSV.
 
 Reruns the reference protocol on generated data: a uniform artificial
 dataset of configurable shape, a grid of sketches and privacy budgets,
@@ -15,11 +15,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domain import BINARY, CONTINUOUS, Domain, DomainError, read_csv
+from .domain import Domain, DomainError, read_csv
 from .estimator import SyntheticFeatures, TrainConfig, WeightedSamples
 from .feature_maps import build_map, map_kind
 from .metrics import emd_1d, frobenius, mae, scored_error
-from .reweighting import evaluate_auc, fit_logistic_from_sketch
 from .sketch import privatize, sketch_exact
 from .targets import (
     BoxIndicator,
@@ -86,43 +85,6 @@ def gen_random10(n: int, d: int, seed) -> np.ndarray:
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     return np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, d))
-
-
-def gen_separable_classification(n: int, d: int, margin: float = 50.0,
-                                 seed=0, return_direction: bool = False):
-    """Classification data: uniform features plus a near-separable binary label.
-
-    The label is Bernoulli(sigmoid(margin * (w^T xbar - t))) for a seeded
-    unit direction w and centered threshold t.  margin=inf gives
-    deterministic labels; margin=0 gives coin-flip labels.  The default
-    margin leaves a plain logistic fit with AUC above 0.99.
-    """
-    if d < 2:
-        raise ValueError("need at least 2 attributes (features plus label)")
-    rng = np.random.default_rng(seed)
-    Xbar = rng.uniform(0.0, 1.0, size=(n, d - 1))
-    w = rng.normal(size=d - 1)
-    w /= np.linalg.norm(w)
-    u = Xbar @ w
-    t = float(w.sum()) / 2.0  # threshold at the box center
-    if math.isinf(margin):
-        y = (u > t).astype(float)
-    else:
-        p = 1.0 / (1.0 + np.exp(-margin * (u - t)))
-        y = (rng.uniform(size=n) < p).astype(float)
-    data = np.column_stack([Xbar, y])
-    return (data, w) if return_direction else data
-
-
-def write_dataset_csv(path, data: np.ndarray, header=None) -> None:
-    data = np.atleast_2d(data)
-    if header is None:
-        header = [f"x{j + 1}" for j in range(data.shape[1])]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in data:
-            writer.writerow([repr(float(v)) for v in row])
 
 
 def _random_queries(domain: Domain, n_queries: int, rng) -> list[BoxIndicator]:
@@ -242,32 +204,3 @@ def run_plan(plan: ExperimentPlan, out_dir) -> str:
             writer.writerow(key + (repr(float(np.mean(values))), len(values)))
     return results_path
 
-
-def logistic_sweep(epsilons, n: int = 20_000, d: int = 6, margin: float = 50.0,
-                   sketch_kind: str = "rff", n_runs: int = 10,
-                   n_synth: int = 20_000, seed: int = 0,
-                   sketch_params: dict | None = None) -> dict[float, float]:
-    """Mean held-out AUC of sketch-trained logistic models per budget.
-
-    Generates a near-separable dataset, holds out 10%, sketches the rest,
-    and trains via the reweighted synthetic loss for each epsilon.
-    """
-    data = gen_separable_classification(n, d, margin, (seed, 1))
-    n_test = n // 10
-    test, train = data[:n_test], data[n_test:]
-    kinds = (CONTINUOUS,) * (d - 1) + (BINARY,)
-    domain = Domain.unit(d, kinds)
-    spec = build_map(sketch_kind, domain, (seed, 2), sketch_params)
-    exact = sketch_exact(spec, train)
-    results = {}
-    for ei, eps in enumerate(epsilons):
-        aucs = []
-        for run in range(n_runs):
-            config = TrainConfig(n_synth=n_synth, seed=(seed, 3, run),
-                                 domain=domain)
-            sketch = privatize(exact, spec, eps, seed=(seed, 4, ei, run))
-            model = fit_logistic_from_sketch(
-                SyntheticFeatures(spec, config).weighted(sketch))
-            aucs.append(evaluate_auc(model, test))
-        results[eps] = float(np.mean(aucs))
-    return results

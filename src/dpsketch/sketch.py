@@ -107,6 +107,15 @@ def noise_scales(spec: FeatureMap, eps_num: float,
             1.0 / eps_den if math.isfinite(eps_den) else 0.0)
 
 
+def noise_variance(spec: FeatureMap, eps_num: float) -> float:
+    """Variance 2 * sensitivity^2 / eps_num^2 of the Laplace noise on each
+    entry of the sum; 0.0 for an infinite budget share."""
+    if math.isinf(eps_num):
+        return 0.0
+    delta = spec.sensitivity_l1()
+    return 2.0 * delta * delta / (eps_num * eps_num)
+
+
 def laplace_noise(scale: float, rng: np.random.Generator, size=None):
     """Centered Laplace noise: one float, or an array of `size` draws.
     Scale 0 gives zeros without drawing; a negative, infinite or NaN

@@ -11,22 +11,13 @@ import pytest
 
 from dpsketch import Domain, build_map, load_sketch, sketch_exact
 from dpsketch.cli import main
+from reference import gen_separable_classification, write_csv
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def write_csv(path, data, header=None):
-    data = np.atleast_2d(data)
-    if header is None:
-        header = [f"x{j + 1}" for j in range(data.shape[1])]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(data.tolist())
 
 
 def parse_csv(text):
@@ -495,8 +486,6 @@ class TestQueryBatch:
 
 class TestFitLogreg:
     def test_trains_and_writes_model(self, tmp_path, capsys):
-        from dpsketch.harness import gen_separable_classification
-
         data = gen_separable_classification(2000, 3, seed=1)
         train = tmp_path / "train.csv"
         test = tmp_path / "test.csv"
@@ -534,8 +523,6 @@ class TestFitLogreg:
 
     @pytest.fixture
     def rff_logreg(self, tmp_path, capsys):
-        from dpsketch.harness import gen_separable_classification
-
         data = gen_separable_classification(2000, 3, seed=1)
         train = tmp_path / "train.csv"
         test = tmp_path / "test.csv"
@@ -1149,7 +1136,8 @@ class TestTruncatedSketch:
 
 
 def test_cli_never_loads_scipy(tmp_path, child_env):
-    # importing scipy takes longer than importing numpy, on every command
+    # importing scipy takes longer than importing numpy, on every command;
+    # importing dpsketch.harness added about 5 ms, so only eval loads it
     code = textwrap.dedent("""
         import sys
         import numpy as np
@@ -1158,6 +1146,7 @@ def test_cli_never_loads_scipy(tmp_path, child_env):
         def report():
             print("scipy modules:", sorted(
                 m for m in sys.modules if m.split(".")[0] == "scipy"))
+            print("harness loaded:", "dpsketch.harness" in sys.modules)
 
         report()
         rng = np.random.default_rng(0)
@@ -1186,5 +1175,5 @@ def test_cli_never_loads_scipy(tmp_path, child_env):
                          capture_output=True, text=True, cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     reports = [line for line in res.stdout.splitlines()
-               if line.startswith("scipy modules:")]
-    assert reports == ["scipy modules: []"] * 2
+               if line.startswith(("scipy modules:", "harness loaded:"))]
+    assert reports == ["scipy modules: []", "harness loaded: False"] * 2

@@ -20,7 +20,6 @@ from dpsketch import (
     build_race,
     build_rff,
     estimate_covariance,
-    loss_value,
     privatize,
     regularization_lambda,
     sketch_exact,
@@ -31,6 +30,7 @@ from dpsketch.estimator import (LAMBDA_FLOOR, cholesky_in_place,
                                 cholesky_solve)
 from dpsketch.linalg import LEAF, PANEL, LowerPanels
 from dpsketch.sketch import SketchError
+from reference import fit, loss_value
 
 
 class TestPrior:
@@ -104,13 +104,32 @@ class TestLambda:
         lam = theorem_lambda(spec, 1.0, 50.0)
         assert lam == pytest.approx(2 * 9 / 2500)
 
+    @pytest.mark.parametrize("build", [
+        lambda: HistMap(Domain.unit(3), 6),
+        lambda: build_rff(3, 40, 1.0, seed=11),
+        lambda: build_race(3, 6, 5, 0.3, seed=12),
+    ], ids=["hist", "rff", "race"])
+    def test_penalty_follows_the_noise_variance(self, build, monkeypatch):
+        # the penalty reads the variance from sketch.noise_variance, the
+        # one place it is written
+        spec = build()
+        X = np.random.default_rng(0).uniform(size=(40, 3))
+        sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=1)
+        feats = SyntheticFeatures(spec, TrainConfig(n_synth=500, seed=2))
+        lam = feats.penalty(sk)
+        assert lam > 1e3 * LAMBDA_FLOOR  # away from the floor
+        variance = estimator.noise_variance
+        monkeypatch.setattr(estimator, "noise_variance",
+                            lambda *args: 2 * variance(*args))
+        assert feats.penalty(sk) == 2 * lam
+
 
 class TestFit:
     def test_recovers_single_component(self):
         spec = build_rff(3, 20, 1.0, seed=0)
         synth = Domain.unit(3).sample(2000, np.random.default_rng(1))
-        model = SyntheticFeatures.from_points(spec, synth).fit(
-            lambda X: spec.embed_batch(X)[:, 4], 1e-9)
+        model = fit(SyntheticFeatures.from_points(spec, synth),
+                    lambda X: spec.encode_batch(X).toarray()[:, 4], 1e-9)
         expected = np.zeros(20)
         expected[4] = 1.0
         np.testing.assert_allclose(model.coef, expected, atol=2e-4)
@@ -118,8 +137,8 @@ class TestFit:
     def test_zero_target_gives_zero_coefficients(self):
         spec = HistMap(Domain.unit(2), 5)
         synth = Domain.unit(2).sample(500, np.random.default_rng(2))
-        model = SyntheticFeatures.from_points(spec, synth).fit(
-            lambda X: np.zeros(X.shape[0]), 0.5)
+        model = fit(SyntheticFeatures.from_points(spec, synth),
+                    lambda X: np.zeros(X.shape[0]), 0.5)
         np.testing.assert_array_equal(model.coef, np.zeros(10))
 
     def test_rejects_target_of_another_shape(self):
@@ -128,21 +147,21 @@ class TestFit:
                                   TrainConfig(n_synth=200, seed=1))
         for f in (lambda X: 1.0, lambda X: X):
             with pytest.raises(ValueError, match=r"shape .* expected \(200,\)"):
-                feats.fit(f, 0.1)
+                fit(feats, f, 0.1)
 
     def test_span_member_has_tiny_residual(self):
         spec = HistMap(Domain.unit(2), 4)
         synth = Domain.unit(2).sample(4000, np.random.default_rng(3))
         # indicator of x1 <= 0.5 is the sum of the first two bins
-        model = SyntheticFeatures.from_points(spec, synth).fit(
-            lambda X: (X[:, 0] <= 0.5).astype(float), 1e-9)
+        model = fit(SyntheticFeatures.from_points(spec, synth),
+                    lambda X: (X[:, 0] <= 0.5).astype(float), 1e-9)
         assert model.diagnostics["residual_norm"] < 1e-6
 
     def test_normal_equations_hold(self):
         spec = build_race(3, 5, 6, 0.3, seed=0)
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=3000, seed=4))
         lam = 0.01
-        model = feats.fit(Moment(1, 2), lam)
+        model = fit(feats, Moment(1, 2), lam)
         G = spec.gram(spec.encode_batch(feats.points)).dense()
         rhs = feats.dot_targets(Moment(1, 2)(feats.points))
         lhs = (G + lam * np.eye(spec.m)) @ model.coef
@@ -151,7 +170,7 @@ class TestFit:
     def test_coef_norm_shrinks_with_lambda(self):
         spec = build_rff(2, 30, 1.0, seed=5)
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=2000, seed=5))
-        norms = [np.linalg.norm(feats.fit(Moment(1, 1), lam).coef)
+        norms = [np.linalg.norm(fit(feats, Moment(1, 1), lam).coef)
                  for lam in (1e-6, 1e-3, 1e-1, 10.0)]
         assert norms == sorted(norms, reverse=True)
 
@@ -159,7 +178,8 @@ class TestFit:
         spec = build_rff(2, 10, 1.0, seed=6)
         pts = Domain.unit(2).sample(500, np.random.default_rng(6))
         lam = 0.05
-        model = SyntheticFeatures.from_points(spec, pts).fit(Moment(2, 1), lam)
+        model = fit(SyntheticFeatures.from_points(spec, pts), Moment(2, 1),
+                    lam)
         best = loss_value(spec, model.coef, Moment(2, 1), pts, lam)
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -169,8 +189,8 @@ class TestFit:
     def test_reproducible_bitwise(self):
         spec = HistMap(Domain.unit(3), 6)
         cfg = TrainConfig(n_synth=1000, seed=8)
-        a = SyntheticFeatures(spec, cfg).fit(Moment(1, 1), 0.01)
-        b = SyntheticFeatures(spec, cfg).fit(Moment(1, 1), 0.01)
+        a = fit(SyntheticFeatures(spec, cfg), Moment(1, 1), 0.01)
+        b = fit(SyntheticFeatures(spec, cfg), Moment(1, 1), 0.01)
         assert a.coef.tolist() == b.coef.tolist()
 
     def test_warns_when_underdetermined(self):
@@ -202,7 +222,8 @@ class TestEstimate:
         X = np.random.default_rng(1).uniform(size=(100, 2))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=2000, seed=0))
-        [est] = feats.estimate(sk, [lambda Z: spec.embed_batch(Z)[:, 2]])
+        [est] = feats.weighted(sk).sums(
+            [lambda Z: spec.encode_batch(Z).toarray()[:, 2]])
         assert est == pytest.approx(sk.normalized[2])
 
     def test_spec_mismatch_rejected(self):
@@ -212,7 +233,8 @@ class TestEstimate:
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         pts = Domain.unit(2).sample(200, np.random.default_rng(0))
         with pytest.raises(SketchError):
-            SyntheticFeatures.from_points(other, pts).estimate(sk, [Moment(1, 1)])
+            SyntheticFeatures.from_points(other, pts).weighted(sk).sums(
+                [Moment(1, 1)])
 
 
 class TestLearnAndEstimate:
@@ -221,7 +243,7 @@ class TestLearnAndEstimate:
         X = np.random.default_rng(2).uniform(size=(1000, 3))
         sk = privatize(sketch_exact(spec, X), spec, math.inf)
         cfg = TrainConfig(n_synth=50_000, seed=0)
-        [est] = SyntheticFeatures(spec, cfg).estimate(sk, [Moment(1, 1)])
+        [est] = SyntheticFeatures(spec, cfg).weighted(sk).sums([Moment(1, 1)])
         # HIST quantizes to bins of width 0.02 -> error ~ bin width / sqrt(12n)
         assert est == pytest.approx(X[:, 0].mean(), abs=2e-3)
 
@@ -233,7 +255,7 @@ class TestLearnAndEstimate:
         f = Moment(1, 1)
         g = Moment(2, 2)
         combo = lambda X: 2.0 * f(X) - 0.5 * g(X)
-        ef, eg, ec = feats.estimate(sk, [f, g, combo])
+        ef, eg, ec = feats.weighted(sk).sums([f, g, combo])
         assert ec == pytest.approx(2.0 * ef - 0.5 * eg, abs=1e-10)
 
     def test_return_model_diagnostics(self):
@@ -241,8 +263,8 @@ class TestLearnAndEstimate:
         X = np.random.default_rng(4).uniform(size=(50, 2))
         sk = privatize(sketch_exact(spec, X), spec, 1.0, seed=0)
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=2000, seed=0))
-        [value] = feats.estimate(sk, [Moment(1, 1)])
-        model = feats.fit(Moment(1, 1), regularization_lambda(
+        [value] = feats.weighted(sk).sums([Moment(1, 1)])
+        model = fit(feats, Moment(1, 1), regularization_lambda(
             spec, sk.epsilon_num, sk.noisy_count))
         assert value == pytest.approx(model.coef @ sk.normalized, rel=1e-9)
         assert "train_loss" in model.diagnostics
@@ -253,11 +275,10 @@ class TestLearnAndEstimate:
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=10_000, seed=0))
         exact = sketch_exact(spec, X)
         truth = X[:, 0].mean()
-        err_inf = abs(feats.estimate(
-            privatize(exact, spec, math.inf), [Moment(1, 1)])[0] - truth)
-        errs = [abs(feats.estimate(
-            privatize(exact, spec, 0.5, seed=s), [Moment(1, 1)])[0] - truth)
-            for s in range(20)]
+        err_inf = abs(feats.weighted(
+            privatize(exact, spec, math.inf)).sums([Moment(1, 1)])[0] - truth)
+        errs = [abs(feats.weighted(privatize(exact, spec, 0.5, seed=s)).sums(
+            [Moment(1, 1)])[0] - truth) for s in range(20)]
         assert np.mean(errs) > err_inf
 
 
@@ -280,8 +301,8 @@ class TestWeightsPath:
         targets = [Moment(1, 1), Moment(2, 2),
                    lambda Z: (Z[:, 0] <= 0.4) * Z[:, 2]]
         lam = regularization_lambda(spec, sk.epsilon_num, sk.noisy_count)
-        expected = [feats.fit(f, lam).coef @ sk.normalized for f in targets]
-        np.testing.assert_allclose(feats.estimate(sk, targets), expected,
+        expected = [fit(feats, f, lam).coef @ sk.normalized for f in targets]
+        np.testing.assert_allclose(feats.weighted(sk).sums(targets), expected,
                                    rtol=1e-9)
 
     def test_sketch_of_another_spec_rejected(self):
@@ -290,7 +311,7 @@ class TestWeightsPath:
         sk = privatize(sketch_exact(other, [[0.5, 0.5]]), other, 1.0, seed=3)
         feats = SyntheticFeatures(spec, TrainConfig(n_synth=500, seed=4))
         with pytest.raises(SketchError):
-            feats.estimate(sk, [Moment(1, 1)])
+            feats.weighted(sk).sums([Moment(1, 1)])
         with pytest.raises(SketchError):
             feats.weights(sk, 0.1)
 
@@ -494,7 +515,7 @@ class TestFactorBuffer:
         # them for a dense P); dense() mirrors it, so it matches the
         # product only if P^T P is exactly symmetric.
         points = SyntheticFeatures(spec, TrainConfig(n_synth=3000, seed=1)).points
-        P = spec.embed_batch(points)
+        P = spec.encode_batch(points).toarray()
         ref = P.T @ P
         assert ref.tobytes() == np.ascontiguousarray(ref.T).tobytes()
         ref /= points.shape[0]
@@ -651,14 +672,14 @@ class TestFactorBuffer:
                 (build_race(3, 6, 5, 0.3, seed=1), [0, 9, 17, 29])]:
             feats = SyntheticFeatures(spec,
                                       TrainConfig(n_synth=20_000, seed=4))
-            targets = [lambda Z, k=k: spec.embed_batch(Z)[:, k]
+            targets = [lambda Z, k=k: spec.encode_batch(Z).toarray()[:, k]
                        for k in components]
             if spec.variant == "HIST":
                 targets.append(BoxIndicator((Predicate(1, "<=", 0.375),)))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 for f in targets:
-                    feats.fit(f, 1e-9)
+                    fit(feats, f, 1e-9)
 
     @pytest.mark.parametrize("lam", [0.0, -1e-3, math.inf, math.nan])
     @pytest.mark.parametrize("call", ["solve", "fit", "weights"])
@@ -668,7 +689,7 @@ class TestFactorBuffer:
         sk = privatize(sketch_exact(spec, [[0.5, 0.5]]), spec, 1.0, seed=2)
         with pytest.raises(ValueError, match="lambda must be positive"):
             {"solve": lambda: feats.solve(np.ones(spec.m), lam),
-             "fit": lambda: feats.fit(Moment(1, 1), lam),
+             "fit": lambda: fit(feats, Moment(1, 1), lam),
              "weights": lambda: feats.weights(sk, lam)}[call]()
 
 
@@ -931,7 +952,7 @@ class TestOccupiedColumns:
         w = feats.weights(sk, lam)
         assert orders == [464]
         G = self.spec.gram(self.spec.encode_batch(feats.points)).dense()
-        P = self.spec.embed_batch(feats.points)
+        P = self.spec.encode_batch(feats.points).toarray()
         ref = P @ np.linalg.solve(G + lam * np.eye(self.spec.m),
                                   sk.normalized) / feats.n
         assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -978,7 +999,7 @@ class TestOccupiedColumns:
         feats = SyntheticFeatures(self.spec, self.config)
         occupied = self._occupied(feats)
         lam = 0.01
-        model = feats.fit(Moment(1, 2), lam)
+        model = fit(feats, Moment(1, 2), lam)
         assert np.all(model.coef[~occupied] == 0)
         G = self.spec.gram(self.spec.encode_batch(feats.points)).dense()
         rhs = feats.dot_targets(Moment(1, 2)(feats.points))

@@ -17,29 +17,25 @@ from dpsketch import (
     sketch_exact,
 )
 from dpsketch.feature_maps import FeatureMapError, OneHotMatrix, RaceMap
+from reference import kernel_estimate
 
 
 class TestHist:
     def test_basic_one_hot(self):
         h = HistMap(Domain.unit(1), 4)
-        assert h.embed([0.3]).tolist() == [0, 1, 0, 0]
+        assert h.encode_batch([0.3]).toarray()[0].tolist() == [0, 1, 0, 0]
 
     def test_upper_edge_clamps_into_last_bin(self):
         h = HistMap(Domain.unit(1), 4)
-        assert h.embed([1.0]).tolist() == [0, 0, 0, 1]
+        assert h.encode_batch([1.0]).toarray()[0].tolist() == [0, 0, 0, 1]
 
     def test_concatenated_per_attribute_one_hots(self):
         h = HistMap(Domain.unit(2), 2)
-        assert h.embed([0.1, 0.9]).tolist() == [1, 0, 0, 1]
+        assert h.encode_batch([0.1, 0.9]).toarray()[0].tolist() == [1, 0, 0, 1]
 
     def test_rejects_zero_bins(self):
         with pytest.raises(FeatureMapError):
             HistMap(Domain.unit(2), 0)
-
-    def test_rejects_out_of_domain(self):
-        h = HistMap(Domain.unit(2), 4)
-        with pytest.raises(Exception):
-            h.embed([0.5, 1.5])
 
     def test_sensitivity_is_dimension(self):
         for n_bins in (1, 7, 100):
@@ -47,8 +43,8 @@ class TestHist:
 
     def test_nonunit_domain_binning(self):
         h = HistMap(Domain((-2.0,), (2.0,)), 4)
-        assert h.embed([-2.0]).tolist() == [1, 0, 0, 0]
-        assert h.embed([0.5]).tolist() == [0, 0, 1, 0]
+        assert h.encode_batch([-2.0]).toarray()[0].tolist() == [1, 0, 0, 0]
+        assert h.encode_batch([0.5]).toarray()[0].tolist() == [0, 0, 1, 0]
 
 
 class TestRff:
@@ -83,13 +79,15 @@ class TestRff:
         from dpsketch.feature_maps import RffMap
 
         r = RffMap(np.zeros((2, 3)), 1.0)
-        np.testing.assert_array_equal(r.embed([0.4, 0.7]), [1, 1, 1, 0, 0, 0])
+        np.testing.assert_array_equal(r.encode_batch([0.4, 0.7]).toarray()[0],
+                                      [1, 1, 1, 0, 0, 0])
 
     def test_single_frequency_analytic(self):
         from dpsketch.feature_maps import RffMap
 
         r = RffMap(np.array([[np.pi]]), 1.0)
-        np.testing.assert_allclose(r.embed([0.5]), [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(r.encode_batch([0.5]).toarray()[0],
+                                   [0.0, 1.0], atol=1e-12)
 
     def test_sensitivity(self):
         r = build_rff(10, 200, 1.0, seed=0)
@@ -97,7 +95,8 @@ class TestRff:
 
     def test_entries_bounded(self):
         r = build_rff(4, 60, 0.5, seed=1)
-        P = r.embed_batch(np.random.default_rng(0).normal(size=(100, 4)))
+        X = np.random.default_rng(0).normal(size=(100, 4))
+        P = r.encode_batch(X).toarray()
         assert np.all(np.abs(P) <= 1.0)
 
     @pytest.mark.parametrize("n,d,m", [(1, 1, 2), (7, 1, 10), (333, 3, 200),
@@ -114,12 +113,13 @@ class TestRace:
     def test_hand_evaluated_hash(self):
         race = RaceMap(np.array([[1.0, 0.0]]), np.array([0.0]),
                        n_buckets=2, r_width=1.0)
-        assert race.embed([0.5, 0.3]).tolist() == [1, 0]
+        assert race.encode_batch([0.5, 0.3]).toarray()[0].tolist() == [1, 0]
 
     def test_self_inner_product_is_hash_count(self):
         race = build_race(3, 7, 5, 0.25, seed=2)
         x = np.array([0.1, 0.6, 0.9])
-        assert np.dot(race.embed(x), race.embed(x)) == 7.0
+        phi = race.encode_batch(x).toarray()[0]
+        assert np.dot(phi, phi) == 7.0
 
     def test_distant_points_rarely_collide(self):
         race = build_race(2, 1000, 2, 0.05, seed=3)
@@ -127,7 +127,8 @@ class TestRace:
         y = np.full(2, 10.0)
         # with ||x-y|| >> r_width collisions are essentially random over
         # the 2 buckets, so the rate stays near 1/2
-        rate = np.dot(race.embed(x), race.embed(y)) / 1000
+        P = race.encode_batch([x, y]).toarray()
+        rate = np.dot(P[0], P[1]) / 1000
         assert rate < 0.55
 
     def test_rejects_bad_params(self):
@@ -185,7 +186,8 @@ class TestRace:
         a = build_race(3, 5, 8, 0.2, seed=11)
         b = build_race(3, 5, 8, 0.2, seed=11)
         x = np.random.default_rng(4).uniform(size=(20, 3))
-        np.testing.assert_array_equal(a.embed_batch(x), b.embed_batch(x))
+        np.testing.assert_array_equal(a.encode_batch(x).toarray(),
+                                      b.encode_batch(x).toarray())
 
 
 class TestBatchShape:
@@ -210,19 +212,19 @@ class TestKernelEstimates:
         x = np.array([0.3, 0.8])
         for spec in (HistMap(Domain.unit(2), 5),
                      build_race(2, 6, 4, 0.3, seed=0)):
-            assert spec.kernel_estimate(x, x) == pytest.approx(1.0)
+            assert kernel_estimate(spec, x, x) == pytest.approx(1.0)
 
     def test_identical_points_rff(self):
         r = build_rff(3, 100, 1.0, seed=0)
         x = np.array([0.1, 0.2, 0.3])
-        assert r.kernel_estimate(x, x) == pytest.approx(1.0, abs=1e-12)
+        assert kernel_estimate(r, x, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_rff_matches_gaussian_kernel(self):
         r = build_rff(2, 2000, 1.0, seed=7)
         x = np.array([0.1, 0.5])
         y = np.array([0.6, 0.5])
         expected = np.exp(-0.125)
-        assert r.kernel_estimate(x, y) == pytest.approx(expected, abs=0.03)
+        assert kernel_estimate(r, x, y) == pytest.approx(expected, abs=0.03)
 
     def test_rff_kernel_error_shrinks_with_m(self):
         x = np.array([0.2, 0.9])
@@ -230,8 +232,8 @@ class TestKernelEstimates:
         truth = np.exp(-np.sum((x - y) ** 2) / 2.0)
         errors = {}
         for m in (200, 2000):
-            errs = [abs(build_rff(2, m, 1.0, seed=s).kernel_estimate(x, y) - truth)
-                    for s in range(30)]
+            errs = [abs(kernel_estimate(build_rff(2, m, 1.0, seed=s), x, y)
+                        - truth) for s in range(30)]
             errors[m] = np.mean(errs)
         assert errors[2000] < errors[200]
         assert errors[200] < 3.0 / np.sqrt(100)
@@ -240,7 +242,7 @@ class TestKernelEstimates:
         race = build_race(2, 50, 4, 0.3, seed=9)
         x = np.array([0.2, 0.4])
         y = np.array([0.5, 0.1])
-        assert race.kernel_estimate(x, y) == race.kernel_estimate(y, x)
+        assert kernel_estimate(race, x, y) == kernel_estimate(race, y, x)
 
 
 class TestL1NormBound:
@@ -252,14 +254,14 @@ class TestL1NormBound:
         h = HistMap(Domain.unit(3), 6)
         race = build_race(3, 4, 5, 0.2, seed=1)
         np.testing.assert_array_equal(
-            np.abs(h.embed_batch(X)).sum(axis=1), 3.0)
+            np.abs(h.encode_batch(X).toarray()).sum(axis=1), 3.0)
         np.testing.assert_array_equal(
-            np.abs(race.embed_batch(X)).sum(axis=1), 4.0)
+            np.abs(race.encode_batch(X).toarray()).sum(axis=1), 4.0)
 
     def test_rff_l1_bounded_many_points(self):
         r = build_rff(3, 40, 1.0, seed=0)
         X = np.random.default_rng(1).uniform(size=(10_000, 3))
-        norms = np.abs(r.embed_batch(X)).sum(axis=1)
+        norms = np.abs(r.encode_batch(X).toarray()).sum(axis=1)
         assert np.all(norms <= r.sensitivity_l1() + 1e-9)
 
 
@@ -276,8 +278,8 @@ class TestSerialization:
         assert restored.to_dict() == spec.to_dict()
         assert restored.spec_id == spec.spec_id
         X = np.random.default_rng(2).uniform(size=(10, 3))
-        np.testing.assert_array_equal(restored.embed_batch(X),
-                                      spec.embed_batch(X))
+        np.testing.assert_array_equal(restored.encode_batch(X).toarray(),
+                                      spec.encode_batch(X).toarray())
 
     def test_rejects_unknown_version(self):
         doc = HistMap(Domain.unit(2), 3).to_dict()
@@ -306,7 +308,7 @@ class TestBatchPathsAgreeWithDense:
     def test_gram_dot_apply_sum(self, build):
         spec = build()
         X = np.random.default_rng(3).uniform(size=(200, 3))
-        P = spec.embed_batch(X)
+        P = spec.encode_batch(X).toarray()
         feats = SyntheticFeatures.from_points(spec, X)
         G = spec.gram(spec.encode_batch(feats.points))
         np.testing.assert_allclose(G.dense(), P.T @ P / 200, atol=1e-12)
@@ -408,7 +410,7 @@ class TestBatchPathsAgreeWithDense:
         np.testing.assert_array_equal(dense.sum(axis=1), spec.n_blocks)
         assert set(np.unique(dense)) == {0.0, 1.0}
         np.testing.assert_array_equal(
-            dense, np.array([spec.embed(x) for x in X]))
+            dense, np.array([spec.encode_batch(x).toarray()[0] for x in X]))
 
     @pytest.mark.parametrize("width, dtype", [
         (2, np.uint8), (256, np.uint8), (257, np.uint16),

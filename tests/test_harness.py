@@ -6,13 +6,8 @@ import pytest
 
 from dpsketch import Domain, SyntheticFeatures, build_map, read_csv
 from dpsketch.feature_maps import FeatureMapError
-from dpsketch.harness import (
-    ExperimentPlan,
-    gen_random10,
-    gen_separable_classification,
-    run_plan,
-    write_dataset_csv,
-)
+from dpsketch.harness import ExperimentPlan, gen_random10, run_plan
+from reference import gen_separable_classification, write_csv
 
 
 class TestGenerators:
@@ -67,7 +62,7 @@ class TestDatasetCsv:
     def test_round_trip_exact(self, tmp_path):
         data = np.random.default_rng(0).uniform(size=(20, 3))
         path = tmp_path / "d.csv"
-        write_dataset_csv(path, data)
+        write_csv(path, data)
         loaded, header = read_csv(path)
         np.testing.assert_array_equal(loaded, data)
         assert header == ["x1", "x2", "x3"]
@@ -162,7 +157,7 @@ class TestPlan:
     def test_csv_dataset_plan(self, tmp_path):
         data = np.random.default_rng(5).uniform(size=(200, 3))
         path = tmp_path / "ext.csv"
-        write_dataset_csv(path, data)
+        write_csv(path, data)
         plan = ExperimentPlan(
             dataset=str(path), sketches=("hist",), epsilons=(math.inf,),
             repetitions=1, tasks=("mean",), n_synth=2000, seed=0,
@@ -179,7 +174,7 @@ class TestPlan:
         data = np.random.default_rng(7).uniform(size=(200, 3))
         data[:, 1] = 0.0
         path = tmp_path / "zero.csv"
-        write_dataset_csv(path, data)
+        write_csv(path, data)
         plan = ExperimentPlan(
             dataset=str(path), sketches=("hist", "rff"),
             epsilons=(1.0, math.inf), repetitions=2,

@@ -18,7 +18,13 @@ from dpsketch import (
     sketch_exact,
 )
 from dpsketch.feature_maps import FeatureMapError
-from dpsketch.sketch import SKETCH_BLOCK, SketchError, sketch_from_dict
+from dpsketch.sketch import (
+    SKETCH_BLOCK,
+    SketchError,
+    noise_scales,
+    noise_variance,
+    sketch_from_dict,
+)
 
 
 @pytest.fixture
@@ -36,7 +42,8 @@ class TestExactSketch:
         r = build_rff(3, 20, 1.0, seed=0)
         x = np.array([0.3, 0.5, 0.7])
         ex = sketch_exact(r, [x])
-        np.testing.assert_allclose(ex.sum_features, r.embed(x), atol=1e-15)
+        np.testing.assert_allclose(ex.sum_features,
+                                   r.encode_batch(x).toarray()[0], atol=1e-15)
         assert ex.count == 1
 
     def test_empty_dataset(self, hist2):
@@ -162,6 +169,19 @@ class TestPrivatize:
         expected_var = 2.0 * (10.0 / 0.98) ** 2
         assert noise.var() == pytest.approx(expected_var, rel=0.15)
         assert abs(noise.mean()) < 3 * math.sqrt(expected_var / 1000)
+
+    @pytest.mark.parametrize("build", [
+        lambda: HistMap(Domain.unit(10), 100),
+        lambda: build_rff(10, 200, 1.0, seed=0),
+        lambda: build_race(10, 80, 80, 0.1, seed=0),
+    ], ids=["hist", "rff", "race"])
+    @pytest.mark.parametrize("eps_num", [0.98, 0.3, 7.0, math.inf])
+    def test_noise_variance_is_that_of_the_laplace_scale(self, build,
+                                                         eps_num):
+        spec = build()
+        scale = noise_scales(spec, eps_num, 0.02)[0]
+        assert noise_variance(spec, eps_num) == pytest.approx(
+            2 * scale ** 2, rel=1e-15, abs=0.0)
 
     def test_count_noise_scale(self, hist2):
         ex = sketch_exact(hist2, [[0.5, 0.5]])
