@@ -26,8 +26,8 @@ from .domain import BINARY, CONTINUOUS, Domain, DomainError, read_csv
 from .estimator import SyntheticFeatures, TrainConfig, WeightedSamples
 from .feature_maps import FeatureMapError, build_map, map_kind
 from .metrics import emd_1d, frobenius, scored_error
-from .sketch import (DEFAULT_SPLIT, SketchError, check_budget, noise_scales,
-                     write_json)
+from .sketch import (DEFAULT_SPLIT, SketchError, check_budget, epsilon_text,
+                     noise_scales, write_json)
 from .targets import (TargetError, check_queries, default_thresholds,
                       parse_predicates, parse_target)
 
@@ -176,7 +176,7 @@ def cmd_sketch(args) -> int:
     writer.writerow([repr(spec.sensitivity_l1()), repr(sum_scale),
                      repr(count_scale), repr(sketch.noisy_count)])
     print(f"wrote {args.out} ({spec.variant}, m={spec.m}, "
-          f"epsilon={'inf' if math.isinf(epsilon) else epsilon})",
+          f"epsilon={epsilon_text(epsilon)})",
           file=sys.stderr)
     return EXIT_OK
 
@@ -370,10 +370,8 @@ def cmd_inspect(args) -> int:
         ("d", spec.d),
         ("m", spec.m),
         ("sensitivity_l1", repr(spec.sensitivity_l1())),
-        ("epsilon_num", "inf" if math.isinf(sketch.epsilon_num)
-         else repr(sketch.epsilon_num)),
-        ("epsilon_den", "inf" if math.isinf(sketch.epsilon_den)
-         else repr(sketch.epsilon_den)),
+        ("epsilon_num", epsilon_text(sketch.epsilon_num)),
+        ("epsilon_den", epsilon_text(sketch.epsilon_den)),
         ("noisy_count", repr(sketch.noisy_count)),
         ("spec_id", sketch.spec_id),
         ("noise_scale_sum", repr(sum_scale)),

@@ -55,23 +55,21 @@ def regularization_lambda(spec: FeatureMap, epsilon_num: float,
     with the count clamped to at least 1, scaled by extra_reg.  The
     variance falls as 1/count^2, so for large or weakly noised sketches
     it is raised to the stability floor that noiseless sketches
-    (eps_num = inf) get: the Gram matrices of HIST and RACE are singular
-    and need at least that much.
+    (eps_num = inf, variance 0) get: the Gram matrices of HIST and RACE
+    are singular and need at least that much.  The floor comes first in
+    the max, so it also stands when extra_reg = inf makes the product NaN.
     """
-    if math.isinf(epsilon_num):
-        return LAMBDA_FLOOR
     lam = extra_reg * theorem_lambda(spec, epsilon_num, max(noisy_count, 1.0))
-    return max(lam, LAMBDA_FLOOR)
+    return max(LAMBDA_FLOOR, lam)
 
 
 def theorem_lambda(spec: FeatureMap, epsilon_num: float, n: float) -> float:
     """Noise variance of the normalized sketch, noise_variance / n^2.
 
     The penalty under which the risk upper bound holds;
-    regularization_lambda uses it for every fit from a sketch.
+    regularization_lambda uses it for every fit from a sketch.  It is 0.0
+    for a noiseless sketch (eps_num = inf).
     """
-    if math.isinf(epsilon_num):
-        return LAMBDA_FLOOR
     return noise_variance(spec, epsilon_num) / (n * n)
 
 

@@ -19,7 +19,7 @@ from .domain import Domain, DomainError, read_csv
 from .estimator import SyntheticFeatures, TrainConfig, WeightedSamples
 from .feature_maps import build_map, map_kind
 from .metrics import emd_1d, frobenius, mae, scored_error
-from .sketch import privatize, sketch_exact
+from .sketch import epsilon_text, privatize, sketch_exact
 from .targets import (
     BoxIndicator,
     Moment,
@@ -138,10 +138,6 @@ RESULT_FIELDS = ("dataset", "sketch", "epsilon", "task", "repetition",
                  "metric", "value")
 
 
-def _eps_label(eps: float) -> str:
-    return "inf" if math.isinf(eps) else repr(float(eps))
-
-
 def run_plan(plan: ExperimentPlan, out_dir) -> str:
     """Execute a plan; returns the path of the long-format results CSV.
 
@@ -189,7 +185,7 @@ def run_plan(plan: ExperimentPlan, out_dir) -> str:
                                              plan.tasks, queries)
                     for task, est in estimates.items():
                         metric, value = _score(task, est, truth[task])
-                        cell = (dataset_name, kind, _eps_label(eps), task,
+                        cell = (dataset_name, kind, epsilon_text(eps), task,
                                 metric)
                         writer.writerow(cell[:4] + (rep, metric, repr(value)))
                         cells.setdefault(cell, []).append(value)

@@ -60,20 +60,23 @@ class PrivateSketch:
     def normalized(self) -> np.ndarray:
         return self.noisy_sum / max(self.noisy_count, 1.0)
 
-    def to_dict(self, spec: FeatureMap | None = None) -> dict:
-        doc = {
+    def to_dict(self, spec: FeatureMap) -> dict:
+        """The sketch file document, strict JSON: an infinite budget share
+        is written "inf".  No other value can be infinite: the maps and
+        Domain reject infinite parameters and bounds."""
+        if spec.spec_id != self.spec_id:
+            raise SketchError("spec does not match this sketch's spec_id")
+        return {
             "version": SKETCH_FILE_VERSION,
             "noisy_sum": self.noisy_sum.tolist(),
             "noisy_count": self.noisy_count,
-            "epsilon_num": self.epsilon_num,
-            "epsilon_den": self.epsilon_den,
+            "epsilon_num": "inf" if math.isinf(self.epsilon_num)
+            else self.epsilon_num,
+            "epsilon_den": "inf" if math.isinf(self.epsilon_den)
+            else self.epsilon_den,
             "spec_id": self.spec_id,
+            "spec": spec.to_dict(),
         }
-        if spec is not None:
-            if spec.spec_id != self.spec_id:
-                raise SketchError("spec does not match this sketch's spec_id")
-            doc["spec"] = spec.to_dict()
-        return doc
 
 
 def sketch_exact(spec: FeatureMap, records) -> ExactSketch:
@@ -99,19 +102,21 @@ def sketch_exact(spec: FeatureMap, records) -> ExactSketch:
     return ExactSketch(total.astype(float), records.shape[0])
 
 
+def epsilon_text(value: float) -> str:
+    """A budget as printed: "inf", or the float's repr."""
+    return "inf" if math.isinf(value) else repr(float(value))
+
+
 def noise_scales(spec: FeatureMap, eps_num: float,
                  eps_den: float) -> tuple[float, float]:
-    """Laplace scales of the noise on the sum and on the count; 0.0 for an
-    infinite budget share."""
-    return (spec.sensitivity_l1() / eps_num if math.isfinite(eps_num) else 0.0,
-            1.0 / eps_den if math.isfinite(eps_den) else 0.0)
+    """Laplace scales of the noise on the sum and on the count; an infinite
+    budget share divides to 0.0."""
+    return spec.sensitivity_l1() / eps_num, 1.0 / eps_den
 
 
 def noise_variance(spec: FeatureMap, eps_num: float) -> float:
     """Variance 2 * sensitivity^2 / eps_num^2 of the Laplace noise on each
-    entry of the sum; 0.0 for an infinite budget share."""
-    if math.isinf(eps_num):
-        return 0.0
+    entry of the sum; an infinite budget share divides to 0.0."""
     delta = spec.sensitivity_l1()
     return 2.0 * delta * delta / (eps_num * eps_num)
 
@@ -140,19 +145,16 @@ def privatize(exact: ExactSketch, spec: FeatureMap, epsilon: float,
               split_num: float = DEFAULT_SPLIT, seed=None) -> PrivateSketch:
     """Laplace-noise the exact sketch under total budget epsilon.
 
-    epsilon = inf publishes the exact values with zero noise (both budget
-    shares recorded as inf).  Otherwise the sum gets per-entry noise of
-    scale sensitivity/eps_num and the count gets scale 1/eps_den.
+    The sum gets per-entry noise of scale sensitivity/eps_num and the
+    count scale 1/eps_den, eps_num = split_num * epsilon and eps_den the
+    rest; epsilon = inf makes both shares inf and the noise zero.
     seed=None draws the noise from OS entropy.  The seed is not kept in
     the sketch: whoever knows it can subtract the noise.
     """
     check_budget(epsilon, split_num)
     rng = np.random.default_rng(seed)
-    if math.isinf(epsilon):
-        eps_num = eps_den = math.inf
-    else:
-        eps_num = split_num * epsilon
-        eps_den = (1.0 - split_num) * epsilon
+    eps_num = split_num * epsilon
+    eps_den = (1.0 - split_num) * epsilon
     sum_scale, count_scale = noise_scales(spec, eps_num, eps_den)
     noisy_sum = exact.sum_features + laplace_noise(sum_scale, rng, spec.m)
     noisy_count = exact.count + laplace_noise(count_scale, rng)
@@ -191,14 +193,8 @@ def write_json(path, doc) -> None:
 
 
 def save_sketch(path, sketch: PrivateSketch, spec: FeatureMap) -> None:
-    """Write a sketch file atomically; an infinite budget share is written
-    as "inf", which JSON has no number for.  No other value can be
-    infinite: the maps and Domain reject infinite parameters and bounds."""
-    doc = sketch.to_dict(spec)
-    for key in ("epsilon_num", "epsilon_den"):
-        if math.isinf(doc[key]):
-            doc[key] = "inf"
-    write_json(path, doc)
+    """Write a sketch file atomically."""
+    write_json(path, sketch.to_dict(spec))
 
 
 def load_sketch(path) -> tuple[PrivateSketch, FeatureMap]:

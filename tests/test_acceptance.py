@@ -6,7 +6,6 @@ criterion can be read directly off the run log.
 """
 
 import csv
-import json
 import math
 import subprocess
 import sys

@@ -67,8 +67,14 @@ class TestLambda:
         assert lam == pytest.approx(5.713e-5, rel=1e-3)
 
     def test_noiseless_floor(self):
+        # the variance is 0.0 at eps_num = inf, and inf * 0.0 is NaN: the
+        # max must still give the floor
         spec = build_rff(10, 200, 1.0, seed=0)
+        assert theorem_lambda(spec, math.inf, 27000.0) == 0.0
         assert regularization_lambda(spec, math.inf, 27000.0) == LAMBDA_FLOOR
+        for extra_reg in (1e-3, 1e3, math.inf):
+            assert regularization_lambda(spec, math.inf, 27000.0,
+                                         extra_reg=extra_reg) == LAMBDA_FLOOR
 
     def test_large_count_keeps_stability_floor(self):
         # HIST d=10 at eps 1: 2 * 10^2 / count^2 falls below the floor

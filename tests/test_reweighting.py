@@ -9,7 +9,6 @@ import pytest
 from dpsketch import (
     Domain,
     HistMap,
-    Moment,
     PrivateSketch,
     SyntheticFeatures,
     TrainConfig,

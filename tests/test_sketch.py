@@ -21,6 +21,7 @@ from dpsketch.feature_maps import FeatureMapError
 from dpsketch.sketch import (
     SKETCH_BLOCK,
     SketchError,
+    epsilon_text,
     noise_scales,
     noise_variance,
     sketch_from_dict,
@@ -146,6 +147,13 @@ class TestLaplace:
         assert draws.var() == pytest.approx(8.0, rel=0.02)
 
 
+@pytest.mark.parametrize("value, text", [
+    (math.inf, "inf"), (1, "1.0"), (0.98, "0.98"), (1e-3, "0.001"),
+], ids=["inf", "one", "split", "small"])
+def test_epsilon_text(value, text):
+    assert epsilon_text(value) == text
+
+
 class TestPrivatize:
     def test_epsilon_inf_is_exact(self, hist2):
         ex = sketch_exact(hist2, [[0.1, 0.9], [0.6, 0.2]])
@@ -267,6 +275,22 @@ class TestFileFormat:
         assert doc["epsilon_num"] == "inf"
         loaded, _ = load_sketch(path)
         assert math.isinf(loaded.epsilon_num)
+
+    @pytest.mark.parametrize("epsilon", [1.0, math.inf], ids=["eps1", "inf"])
+    def test_document_is_strict_json(self, hist2, epsilon):
+        # JSON has no infinity: to_dict itself spells an infinite share "inf"
+        sk = privatize(sketch_exact(hist2, [[0.1, 0.9]]), hist2, epsilon,
+                       seed=2)
+        text = json.dumps(sk.to_dict(hist2), allow_nan=False)
+        loaded, _ = sketch_from_dict(json.loads(text))
+        assert (loaded.epsilon_num, loaded.epsilon_den) == \
+            (sk.epsilon_num, sk.epsilon_den)
+
+    def test_document_needs_the_spec(self, hist2):
+        # a document without its spec would not load
+        sk = privatize(sketch_exact(hist2, [[0.1, 0.9]]), hist2, 1.0, seed=2)
+        with pytest.raises(TypeError):
+            sk.to_dict()
 
     def test_save_is_byte_deterministic(self, tmp_path, hist2):
         sk = privatize(sketch_exact(hist2, [[0.3, 0.4]]), hist2, 2.0, seed=4)
